@@ -12,6 +12,11 @@ equations directly.
 Traces are stored columnwise (numpy arrays) so million-step runs stay
 cheap; ``ChainTrace.records`` materializes per-step record objects on
 demand.
+
+The MALA engines carry the potential and gradient of the current state and
+make one fused ``value_and_grad`` call per non-lazy step, at the proposal.
+A proposal whose energy error is NaN is rejected, and a non-finite gradient
+at a proposal raises :class:`NumericFailure`, in every engine.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from .integrator import NumericFailure
 from .rng import chain_rng
 from .targets import ConstraintSet, TargetModel
 
@@ -89,7 +95,8 @@ class ChainTrace:
 
     def __init__(self, config: ChainConfig, target_name: str, init_state: np.ndarray,
                  indices, states, proposed, energy_errors, log_accepts, accepted,
-                 in_constraint, potentials, gradient_evals: int, function_evals: int):
+                 in_constraint, potentials, gradient_evals: int, function_evals: int,
+                 oracle_calls: int = 0):
         self.config = config
         self.target_name = target_name
         self.init_state = np.asarray(init_state, dtype=float)
@@ -103,6 +110,7 @@ class ChainTrace:
         self.potentials = np.asarray(potentials, dtype=float)
         self.gradient_evals = int(gradient_evals)
         self.function_evals = int(function_evals)
+        self.oracle_calls = int(oracle_calls)
         if len(self.indices) == 0:
             raise ValueError("a trace must contain at least one record")
 
@@ -154,7 +162,8 @@ def mala_step(target: TargetModel, x: np.ndarray, eta: float, rng: np.random.Gen
     """
     x = np.asarray(x, dtype=float)
     pot_x = float(target.potential(x))
-    return _mala_transition(target, x, pot_x, eta, rng, index=1, constraint=None)[0]
+    return _mala_transition(target, target.value_and_grad, x, pot_x, None, eta, rng,
+                            index=1, constraint=None)[0]
 
 
 def rwm_step(target: TargetModel, z: np.ndarray, eta: float, rng: np.random.Generator) -> StepRecord:
@@ -165,20 +174,36 @@ def rwm_step(target: TargetModel, z: np.ndarray, eta: float, rng: np.random.Gene
     return _rwm_transition(target, z, pot_z, eta, rng, index=1)[0]
 
 
-def _mala_transition(target, x, pot_x, eta, rng, index, constraint):
-    grad_x = np.asarray(target.gradient(x), dtype=float)
+def _log_accept(energy_error: float) -> float:
+    """``min(0, -dH)``, except that a NaN error gives ``-inf`` (certain rejection)."""
+    if energy_error > 0.0:
+        return -energy_error
+    return 0.0 if energy_error <= 0.0 else -math.inf
+
+
+def _gradient_failure(grad: np.ndarray, index: int) -> NumericFailure:
+    """The error for a non-finite gradient; coordinates are columns of ``grad``."""
+    bad = np.flatnonzero(~np.isfinite(np.atleast_2d(grad)).all(axis=0)).tolist()
+    return NumericFailure(f"non-finite gradient at step {index}, coordinates {bad}", bad)
+
+
+def _mala_transition(target, value_and_grad, x, pot_x, grad_x, eta, rng, index, constraint):
+    # grad_x is None only before the first non-lazy step; afterwards it is
+    # the gradient carried with the current state.
+    if grad_x is None:
+        grad_x = np.asarray(target.gradient(x), dtype=float)
+        if not np.isfinite(grad_x).all():
+            raise _gradient_failure(grad_x, index)
     v = rng.standard_normal(x.shape[0])
     x_hat = x + eta * v - 0.5 * eta * eta * grad_x
-    grad_hat = np.asarray(target.gradient(x_hat), dtype=float)
-    if not (np.all(np.isfinite(grad_x)) and np.all(np.isfinite(grad_hat))):
-        from .integrator import NumericFailure
-
-        bad = np.flatnonzero(~np.isfinite(grad_x if not np.all(np.isfinite(grad_x)) else grad_hat))
-        raise NumericFailure(f"non-finite gradient at step {index}, coordinates {bad.tolist()}", bad.tolist())
+    pot_hat, grad_hat = value_and_grad(x_hat)
+    grad_hat = np.asarray(grad_hat, dtype=float)
+    if not np.isfinite(grad_hat).all():
+        raise _gradient_failure(grad_hat, index)
     v_hat = v - 0.5 * eta * (grad_x + grad_hat)
-    pot_hat = float(target.potential(x_hat))
+    pot_hat = float(pot_hat)
     energy_error = (pot_hat + 0.5 * float(v_hat @ v_hat)) - (pot_x + 0.5 * float(v @ v))
-    log_accept = min(0.0, -energy_error)
+    log_accept = _log_accept(energy_error)
     u = 1.0 - rng.random()
     mh_accept = math.log(u) <= log_accept
     in_set = None
@@ -187,11 +212,11 @@ def _mala_transition(target, x, pot_x, eta, rng, index, constraint):
         accepted = mh_accept and in_set
     else:
         accepted = mh_accept
-    new_x, new_pot = (x_hat, pot_hat) if accepted else (x, pot_x)
+    new_x, new_pot, new_grad = (x_hat, pot_hat, grad_hat) if accepted else (x, pot_x, grad_x)
     record = StepRecord(index=index, state=new_x, proposed=x_hat, energy_error=energy_error,
                         log_accept_prob=log_accept, accepted=accepted, in_constraint=in_set,
                         potential_value=new_pot)
-    return record, new_x, new_pot
+    return record, new_x, new_pot, new_grad
 
 
 def _rwm_transition(target, z, pot_z, eta, rng, index):
@@ -199,7 +224,7 @@ def _rwm_transition(target, z, pot_z, eta, rng, index):
     z_hat = z + eta * v
     pot_hat = float(target.potential(z_hat))
     potential_gap = pot_hat - pot_z
-    log_accept = min(0.0, -potential_gap)
+    log_accept = _log_accept(potential_gap)
     u = 1.0 - rng.random()
     accepted = math.log(u) <= log_accept
     new_z, new_pot = (z_hat, pot_hat) if accepted else (z, pot_z)
@@ -210,7 +235,8 @@ def _rwm_transition(target, z, pot_z, eta, rng, index):
 
 
 def run_mala(target: TargetModel, config: ChainConfig, init: np.ndarray) -> ChainTrace:
-    """Run the MALA chain.  Gradient cost is exactly 2 per non-lazy step."""
+    """Run the MALA chain.  Gradient cost is exactly 2 per non-lazy step in
+    the paper's accounting; the oracle does one fused call per such step."""
     if config.constraint is not None:
         raise ValueError("use run_constrained_mala for constrained runs")
     return _run_chain(target, config, init, kind="mala", constrained=False)
@@ -249,6 +275,8 @@ def _run_chain(target, config, init, kind, constrained):
 
     x = init
     pot = float(target.potential(x))
+    grad = None
+    value_and_grad = target.value_and_grad
     function_evals = 1
     gradient_evals = 0
     n = config.iterations
@@ -273,7 +301,8 @@ def _run_chain(target, config, init, kind, constrained):
                              potential_value=pot)
         else:
             if kind == "mala":
-                rec, x, pot = _mala_transition(target, x, pot, config.step_size, rng, i, constraint)
+                rec, x, pot, grad = _mala_transition(target, value_and_grad, x, pot, grad,
+                                                     config.step_size, rng, i, constraint)
                 gradient_evals += 2
             else:
                 rec, x, pot = _rwm_transition(target, x, pot, config.step_size, rng, i)
@@ -282,21 +311,29 @@ def _run_chain(target, config, init, kind, constrained):
             if not idx or idx[-1] != i:
                 push(rec)
 
+    # One oracle call per non-lazy step and at the start, plus the initial
+    # gradient that the first non-lazy MALA step computes.
+    oracle_calls = function_evals + (1 if gradient_evals else 0)
     return ChainTrace(config=config, target_name=target.name, init_state=init,
                       indices=idx, states=states, proposed=proposed, energy_errors=errs,
                       log_accepts=laccs, accepted=accs,
                       in_constraint=insets if constrained else None, potentials=pots,
-                      gradient_evals=gradient_evals, function_evals=function_evals)
+                      gradient_evals=gradient_evals, function_evals=function_evals,
+                      oracle_calls=oracle_calls)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Final positions of many replicas advanced in lockstep."""
+    """Final positions of many replicas advanced in lockstep.
+
+    Counts are per replica: one batched call over ``n`` rows counts ``n``.
+    """
 
     positions: np.ndarray
     accepted_fraction: float
     gradient_evals: int
     function_evals: int
+    oracle_calls: int
 
 
 def run_ensemble(
@@ -331,7 +368,14 @@ def run_ensemble(
         raise ValueError("init_positions must be (replicas, d)")
     n, d = x.shape
     rng = chain_rng(seed)
-    pot = np.asarray(target.potential(x), dtype=float)
+    if kind == "mala":
+        value_and_grad = target.value_and_grad
+        pot, grad = value_and_grad(x)
+        pot, grad = np.asarray(pot, dtype=float), np.asarray(grad, dtype=float)
+        if not np.isfinite(grad).all():
+            raise _gradient_failure(grad, 1)
+    else:
+        pot = np.asarray(target.potential(x), dtype=float)
     gradient_evals = 0
     function_evals = n
     accept_count = 0
@@ -343,11 +387,15 @@ def run_ensemble(
             active = rng.random(n) >= 0.5
         v = rng.standard_normal((n, d))
         if kind == "mala":
-            grad = np.asarray(target.gradient(x), dtype=float)
             x_hat = x + eta * v - 0.5 * eta * eta * grad
-            grad_hat = np.asarray(target.gradient(x_hat), dtype=float)
+            pot_hat, grad_hat = value_and_grad(x_hat)
+            pot_hat, grad_hat = np.asarray(pot_hat, dtype=float), np.asarray(grad_hat, dtype=float)
+            if not np.isfinite(grad_hat).all():
+                # Lazy replicas stay put, so their proposals are never used.
+                bad_rows = active & ~np.isfinite(grad_hat).all(axis=1)
+                if bad_rows.any():
+                    raise _gradient_failure(grad_hat[bad_rows], i)
             v_hat = v - 0.5 * eta * (grad + grad_hat)
-            pot_hat = np.asarray(target.potential(x_hat), dtype=float)
             energy_error = (pot_hat + 0.5 * np.sum(v_hat * v_hat, axis=1)) - (pot + 0.5 * np.sum(v * v, axis=1))
             gradient_evals += 2 * n
         else:
@@ -365,13 +413,17 @@ def run_ensemble(
         decision_count += int(np.count_nonzero(active))
         x = np.where(accept[:, None], x_hat, x)
         pot = np.where(accept, pot_hat, pot)
+        if kind == "mala":
+            grad = np.where(accept[:, None], grad_hat, grad)
         if callback is not None and callback_every > 0 and (i % callback_every == 0 or i == iterations):
             if callback(i, x):
                 break
 
     frac = accept_count / decision_count if decision_count else 0.0
+    # Each step makes one batched oracle call (fused for MALA), as does the start.
     return EnsembleResult(positions=x, accepted_fraction=float(frac),
-                          gradient_evals=gradient_evals, function_evals=function_evals)
+                          gradient_evals=gradient_evals, function_evals=function_evals,
+                          oracle_calls=function_evals)
 
 
 def extract_minimizer(trace: ChainTrace) -> tuple[np.ndarray, float]:

@@ -122,16 +122,18 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     mids = grid.midpoints(0)
     width = grid.widths()[0]
     pts = mids[:, None]
-    if target.vectorized:
+    if target.vectorized and kernel_kind == "mala":
+        pot, grad = target.value_and_grad(pts)
+        log_pi = -np.asarray(pot, dtype=float)
+        grad = np.asarray(grad, dtype=float)[:, 0]
+    elif target.vectorized:
         log_pi = -np.asarray(target.potential(pts), dtype=float)
     else:
         log_pi = -np.array([float(target.potential(np.array([m]))) for m in mids])
+        if kernel_kind == "mala":
+            grad = np.array([float(np.asarray(target.gradient(np.array([m])))[0]) for m in mids])
 
     if kernel_kind == "mala":
-        if target.vectorized:
-            grad = np.asarray(target.gradient(pts), dtype=float)[:, 0]
-        else:
-            grad = np.array([float(np.asarray(target.gradient(np.array([m])))[0]) for m in mids])
         mean = mids - 0.5 * eta * eta * grad
     else:
         mean = mids
@@ -370,12 +372,13 @@ def energy_error_scaling(
         x, v = phase_dist(rng, samples_per_eta)
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        grad = np.asarray(target.gradient(x), dtype=float)
+        pot, grad = target.value_and_grad(x)
+        grad = np.asarray(grad, dtype=float)
         x_hat = x + eta * v - 0.5 * eta * eta * grad
-        grad_hat = np.asarray(target.gradient(x_hat), dtype=float)
-        v_hat = v - 0.5 * eta * (grad + grad_hat)
-        d_h = (np.asarray(target.potential(x_hat), dtype=float) + 0.5 * np.sum(v_hat**2, axis=1)
-               - np.asarray(target.potential(x), dtype=float) - 0.5 * np.sum(v**2, axis=1))
+        pot_hat, grad_hat = target.value_and_grad(x_hat)
+        v_hat = v - 0.5 * eta * (grad + np.asarray(grad_hat, dtype=float))
+        d_h = (np.asarray(pot_hat, dtype=float) + 0.5 * np.sum(v_hat**2, axis=1)
+               - np.asarray(pot, dtype=float) - 0.5 * np.sum(v**2, axis=1))
         mean_abs = float(np.mean(np.abs(d_h)))
         if not np.isfinite(mean_abs) or mean_abs <= 0.0:
             warnings.warn(f"dropping eta={eta:g}: non-finite or zero mean energy error", stacklevel=2)

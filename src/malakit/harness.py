@@ -494,6 +494,7 @@ class RunReport:
     diagnostics: dict
     gradient_evals: int
     function_evals: int
+    oracle_calls: int
     wall_time: float
     versions: dict
     replica_errors: list[str]
@@ -510,6 +511,7 @@ class RunReport:
             "diagnostics": self.diagnostics,
             "gradient_evals": self.gradient_evals,
             "function_evals": self.function_evals,
+            "oracle_calls": self.oracle_calls,
             "wall_time": self.wall_time,
             "versions": self.versions,
             "replica_errors": self.replica_errors,
@@ -623,6 +625,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1, output_dir=None) -> R
         diagnostics=diagnostics,
         gradient_evals=sum(tr.gradient_evals for tr in traces.values()),
         function_evals=sum(tr.function_evals for tr in traces.values()),
+        oracle_calls=sum(tr.oracle_calls for tr in traces.values()),
         wall_time=time.perf_counter() - start,
         versions={"malakit": __version__, "numpy": np.__version__, "python": platform.python_version()},
         replica_errors=errors,

@@ -78,15 +78,18 @@ def leapfrog_step(target: TargetModel, state: PhaseState, eta: float) -> Leapfro
     if eta <= 0:
         raise ValueError("eta must be positive")
     q, p = state.position, state.velocity
-    grad_q = np.asarray(target.gradient(q), dtype=float)
+    value_and_grad = target.value_and_grad
+    pot_q, grad_q = value_and_grad(q)
+    grad_q = np.asarray(grad_q, dtype=float)
     _require_finite(grad_q, "gradient at current position")
     q_new = q + eta * p - 0.5 * eta * eta * grad_q
-    grad_q_new = np.asarray(target.gradient(q_new), dtype=float)
+    pot_q_new, grad_q_new = value_and_grad(q_new)
+    grad_q_new = np.asarray(grad_q_new, dtype=float)
     _require_finite(grad_q_new, "gradient at proposal")
     p_new = p - 0.5 * eta * (grad_q + grad_q_new)
 
-    energy_before = float(target.potential(q)) + 0.5 * float(np.dot(p, p))
-    energy_after = float(target.potential(q_new)) + 0.5 * float(np.dot(p_new, p_new))
+    energy_before = float(pot_q) + 0.5 * float(np.dot(p, p))
+    energy_after = float(pot_q_new) + 0.5 * float(np.dot(p_new, p_new))
     return LeapfrogResult(
         proposal=PhaseState(q_new, p_new),
         energy_before=energy_before,
@@ -144,12 +147,13 @@ def log_accept_proposal_form(target: TargetModel, x: np.ndarray, x_hat: np.ndarr
         raise ValueError("eta must be positive")
     x = np.asarray(x, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
-    grad_x = np.asarray(target.gradient(x), dtype=float)
-    grad_hat = np.asarray(target.gradient(x_hat), dtype=float)
+    pot_x, grad_x = target.value_and_grad(x)
+    pot_hat, grad_hat = target.value_and_grad(x_hat)
+    grad_x, grad_hat = np.asarray(grad_x, dtype=float), np.asarray(grad_hat, dtype=float)
     forward = x_hat - x + 0.5 * eta * eta * grad_x
     backward = x - x_hat + 0.5 * eta * eta * grad_hat
     log_ratio = (
-        float(target.potential(x)) - float(target.potential(x_hat))
+        float(pot_x) - float(pot_hat)
         + (np.dot(forward, forward) - np.dot(backward, backward)) / (2.0 * eta * eta)
     )
     return min(0.0, log_ratio)

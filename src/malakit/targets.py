@@ -1,7 +1,10 @@
 """Target distributions and the data they are built from.
 
 A target is a potential ``U`` with its gradient; the samplers see nothing
-else.  Regression-style targets additionally carry the matrix of unit
+else.  ``TargetModel.value_and_grad`` returns both at once: the built-in
+targets fuse it so the shared work (``x @ a`` and, where bit-identical, the
+transcendental) is done once, and its results equal the separate calls
+bit-for-bit.  Regression-style targets additionally carry the matrix of unit
 "bad directions" (the data vectors), closed-form third/fourth directional
 derivatives for the regularity estimators, and whatever constants are known
 a priori.  All built-in callables broadcast over leading axes, so an
@@ -14,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -115,7 +118,12 @@ class KnownConstants:
 
 @dataclass(frozen=True)
 class TargetModel:
-    """A potential with gradient and optional higher-order structure."""
+    """A potential with gradient and optional higher-order structure.
+
+    ``fused`` is an optional ``x -> (potential(x), gradient(x))`` that must
+    agree with the separate callables bit-for-bit; read it through
+    :attr:`value_and_grad`, which falls back to the separate calls.
+    """
 
     dimension: int
     potential: Callable[[np.ndarray], np.ndarray]
@@ -130,6 +138,7 @@ class TargetModel:
     vectorized: bool = True
     third_directional: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float] | None = None
     fourth_directional: Callable[[np.ndarray, np.ndarray], float] | None = None
+    fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -143,6 +152,13 @@ class TargetModel:
                 if np.any(np.abs(norms - 1.0) > 1e-9):
                     raise ValueError("bad_directions columns must be unit norm")
             object.__setattr__(self, "bad_directions", bd)
+
+    @property
+    def value_and_grad(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The oracle ``x -> (potential(x), gradient(x))``, broadcasting like both."""
+        if self.fused is not None:
+            return self.fused
+        return lambda x: (self.potential(x), self.gradient(x))
 
 
 @dataclass(frozen=True)
@@ -179,33 +195,44 @@ def _sigma_derivs(s: np.ndarray, order: int) -> np.ndarray:
     raise ValueError(order)
 
 
-def _logistic_loss():
+class _Loss(NamedTuple):
+    value: Callable
+    d1: Callable
+    value_d1: Callable  # t -> (value(t), d1(t)), bit-identical to the pair
+    d3: Callable
+    d4: Callable
+
+
+def _logistic_loss() -> _Loss:
     # phi(s) = log(1 + e^{-s}); the negative log-likelihood of a correct
     # label at margin s.  phi'' = sigma', so the k-th derivative of phi is
     # the (k-1)-th derivative of the sigmoid.  All derivatives bounded by 1.
+    # logaddexp and expit do not share a transcendental bit-exactly, so the
+    # fused form shares only t.
     value = lambda t: np.logaddexp(0.0, -t)
     d1 = lambda t: expit(t) - 1.0
-    d3 = lambda t: _sigma_derivs(t, 2)
-    d4 = lambda t: _sigma_derivs(t, 3)
-    return value, d1, d3, d4
+    return _Loss(value, d1, lambda t: (value(t), d1(t)),
+                 lambda t: _sigma_derivs(t, 2), lambda t: _sigma_derivs(t, 3))
 
 
-def _sigmoid_loss():
+def _sigmoid_loss() -> _Loss:
     # phi(s) = sigmoid(-s): bounded, nonconvex, robust-to-outliers loss.
-    value = lambda t: expit(-t)
-    d1 = lambda t: -_sigma_derivs(-t, 1)
-    d3 = lambda t: -_sigma_derivs(-t, 3)
-    d4 = lambda t: _sigma_derivs(-t, 4)
-    return value, d1, d3, d4
+    def value_d1(t):
+        p = expit(-t)
+        return p, -(p * (1.0 - p))
+
+    return _Loss(lambda t: expit(-t), lambda t: -_sigma_derivs(-t, 1), value_d1,
+                 lambda t: -_sigma_derivs(-t, 3), lambda t: _sigma_derivs(-t, 4))
 
 
-def _plain_sigmoid():
+def _plain_sigmoid() -> _Loss:
     # sigmoid itself; the zero-one surrogate folds the -y sign into its columns.
-    value = lambda t: expit(t)
-    d1 = lambda t: _sigma_derivs(t, 1)
-    d3 = lambda t: _sigma_derivs(t, 3)
-    d4 = lambda t: _sigma_derivs(t, 4)
-    return value, d1, d3, d4
+    def value_d1(t):
+        p = expit(t)
+        return p, p * (1.0 - p)
+
+    return _Loss(expit, lambda t: _sigma_derivs(t, 1), value_d1,
+                 lambda t: _sigma_derivs(t, 3), lambda t: _sigma_derivs(t, 4))
 
 
 def _linear_composite(
@@ -219,7 +246,7 @@ def _linear_composite(
     nonconvex: bool,
 ) -> TargetModel:
     """Target of the form (p/2)|x|^2 + weight * sum_i phi(a_i^T x)."""
-    value, d1, d3, d4 = loss
+    value, d1, value_d1, d3, d4 = loss
     a = np.asarray(columns, dtype=float)  # d x r, signs/scales folded in
 
     def potential(x):
@@ -238,6 +265,15 @@ def _linear_composite(
         t = x @ a
         return grad + weight * (d1(t) @ a.T)
 
+    def value_and_grad(x):
+        x = np.asarray(x, dtype=float)
+        quad = 0.5 * prior_precision * np.sum(x * x, axis=-1)
+        grad = prior_precision * x
+        if a.shape[1] == 0:
+            return quad, grad
+        val, der = value_d1(x @ a)
+        return quad + weight * np.sum(val, axis=-1), grad + weight * (der @ a.T)
+
     def third_directional(x, u, v, w):
         if a.shape[1] == 0:
             return 0.0
@@ -254,6 +290,7 @@ def _linear_composite(
         dimension=d,
         potential=potential,
         gradient=gradient,
+        fused=value_and_grad,
         name=name,
         bad_directions=bad_directions,
         nonconvex=nonconvex,
@@ -285,11 +322,18 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
     def gradient(x):
         return lam * np.asarray(x, dtype=float)
 
+    def value_and_grad(x):
+        # lam * x * x evaluates as (lam * x) * x, so this equals potential(x).
+        x = np.asarray(x, dtype=float)
+        grad = lam * x
+        return 0.5 * np.sum(grad * x, axis=-1), grad
+
     log_z = float(0.5 * np.sum(np.log(2.0 * math.pi / lam)))
     return TargetModel(
         dimension=d,
         potential=potential,
         gradient=gradient,
+        fused=value_and_grad,
         name=f"gaussian-d{d}",
         known_constants=KnownConstants(gradient_bound=float(np.max(lam)), c3=0.0, c4=0.0),
         quadratic_precision=lam,
@@ -458,13 +502,17 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
     if scale <= 0:
         raise ValueError("scale must be positive")
     s = float(scale)
-    base_pot, base_grad = target.potential, target.gradient
+    base_pot, base_grad, base_fused = target.potential, target.gradient, target.value_and_grad
 
     def potential(x):
         return base_pot(s * np.asarray(x, dtype=float))
 
     def gradient(x):
         return s * base_grad(s * np.asarray(x, dtype=float))
+
+    def value_and_grad(x):
+        pot, grad = base_fused(s * np.asarray(x, dtype=float))
+        return pot, s * grad
 
     third = None
     if target.third_directional is not None:
@@ -488,6 +536,7 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
         dimension=target.dimension,
         potential=potential,
         gradient=gradient,
+        fused=value_and_grad,
         name=f"{target.name}*{s:g}",
         bad_directions=target.bad_directions,
         known_constants=constants,

@@ -1,5 +1,6 @@
 """Chain runners: determinism, stationarity, accounting, and schedules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,17 @@ from malakit.chains import (
     warmness_on_grid,
 )
 from malakit.grids import GridDistribution
+from malakit.integrator import NumericFailure
 from malakit.rng import chain_rng
-from malakit.targets import TargetModel, annulus, full_space, make_gaussian
+from malakit.targets import (
+    TargetModel,
+    annulus,
+    full_space,
+    make_gaussian,
+    make_smoothed_zero_one,
+    precondition,
+    sample_sphere_dataset,
+)
 
 STD_1D = make_gaussian(1, 1.0)
 
@@ -291,3 +301,143 @@ class TestEnsemble:
 
         run_ensemble(STD_1D, "mala", 0.5, 1000, init, seed=8, callback=cb, callback_every=20)
         assert seen == [20, 40]
+
+
+def zero_one_target():
+    theta = np.array([1.0, 0.0, 0.0])
+    data = sample_sphere_dataset(3, 200, theta, 0.7, seed=3)
+    return precondition(make_smoothed_zero_one(data, 400.0, 40.0), 2.0)
+
+
+def trace_arrays(trace):
+    return (trace.states, trace.proposed, trace.energy_errors, trace.log_accepts,
+            trace.accepted, trace.potentials,
+            trace.gradient_evals, trace.function_evals, trace.oracle_calls)
+
+
+def assert_traces_identical(a, b):
+    for left, right in zip(trace_arrays(a), trace_arrays(b)):
+        assert np.array_equal(left, right)
+
+
+class TestFusedOracleEquivalence:
+    """A target without a fused oracle runs the same engine path, bit-for-bit."""
+
+    def test_run_mala(self):
+        g = make_gaussian(2, [1.0, 3.0])
+        cfg = ChainConfig(step_size=0.6, iterations=400, seed=14, lazy=True)
+        assert_traces_identical(run_mala(g, cfg, np.ones(2)),
+                                run_mala(dataclasses.replace(g, fused=None), cfg, np.ones(2)))
+
+    def test_run_constrained_mala(self):
+        t = zero_one_target()
+        ring = annulus(0.5, 1.0)
+        cfg = ChainConfig(step_size=0.05, iterations=300, seed=9, lazy=True, constraint=ring)
+        init = np.array([0.0, 0.75, 0.0])
+        assert_traces_identical(run_constrained_mala(t, cfg, init),
+                                run_constrained_mala(dataclasses.replace(t, fused=None), cfg, init))
+
+    def test_run_ensemble(self):
+        t = zero_one_target()
+        init = np.tile(np.array([0.0, 0.75, 0.0]), (50, 1))
+        ring = annulus(0.5, 1.0)
+        a = run_ensemble(t, "mala", 0.05, 60, init, seed=4, constraint=ring, lazy=True)
+        b = run_ensemble(dataclasses.replace(t, fused=None), "mala", 0.05, 60, init, seed=4,
+                         constraint=ring, lazy=True)
+        assert np.array_equal(a.positions, b.positions)
+        assert (a.accepted_fraction, a.oracle_calls) == (b.accepted_fraction, b.oracle_calls)
+
+
+def counting(target):
+    """Wrap a target's three oracle entry points with call counters."""
+    calls = {"potential": 0, "gradient": 0, "fused": 0}
+
+    def counted(key, fn):
+        def wrapper(x):
+            calls[key] += 1
+            return fn(x)
+        return wrapper
+
+    wrapped = dataclasses.replace(target, potential=counted("potential", target.potential),
+                                  gradient=counted("gradient", target.gradient),
+                                  fused=counted("fused", target.value_and_grad))
+    return wrapped, calls
+
+
+class TestOracleCalls:
+    def test_one_fused_call_per_non_lazy_mala_step(self):
+        t, calls = counting(make_gaussian(1, 1.0))
+        trace = run_mala(t, ChainConfig(step_size=0.5, iterations=1000, seed=1, lazy=True), np.zeros(1))
+        non_lazy = trace.function_evals - 1
+        assert 0 < non_lazy < 1000
+        assert calls == {"potential": 1, "gradient": 1, "fused": non_lazy}
+        assert trace.oracle_calls == sum(calls.values())
+        assert trace.gradient_evals == 2 * non_lazy  # the paper's cost model is unchanged
+
+    def test_constrained_mala(self):
+        t, calls = counting(zero_one_target())
+        cfg = ChainConfig(step_size=0.05, iterations=200, seed=2, constraint=annulus(0.5, 1.0))
+        trace = run_constrained_mala(t, cfg, np.array([0.75, 0.0, 0.0]))
+        assert calls == {"potential": 1, "gradient": 1, "fused": 200}
+        assert trace.oracle_calls == 202
+
+    def test_rwm_counts_potentials(self):
+        t, calls = counting(STD_1D)
+        trace = run_rwm(t, ChainConfig(step_size=1.0, iterations=300, seed=3), np.zeros(1))
+        assert calls == {"potential": 301, "gradient": 0, "fused": 0}
+        assert trace.oracle_calls == trace.function_evals == 301
+
+    def test_ensemble_one_batched_call_per_step(self):
+        t, calls = counting(STD_1D)
+        res = run_ensemble(t, "mala", 0.5, 40, np.zeros((25, 1)), seed=5)
+        assert calls == {"potential": 0, "gradient": 0, "fused": 41}
+        assert res.oracle_calls == 25 * 41
+        assert res.gradient_evals == 2 * 25 * 40
+
+
+def _nan_outside(radius):
+    """Unit Gaussian whose potential is NaN outside |x| <= radius."""
+    def potential(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x[..., 0]) <= radius, 0.5 * np.sum(x * x, axis=-1), np.nan)
+
+    return TargetModel(dimension=1, potential=potential,
+                       gradient=lambda x: np.asarray(x, dtype=float), name="nan-outside")
+
+
+def _inf_gradient_outside(radius):
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= radius, x, np.inf)
+
+    return TargetModel(dimension=1, potential=STD_1D.potential, gradient=gradient, name="inf-grad")
+
+
+class TestNonFinite:
+    def test_scalar_chains_reject_nan_potential(self):
+        t = _nan_outside(0.3)
+        for runner in (run_mala, run_rwm):
+            trace = runner(t, ChainConfig(step_size=0.5, iterations=200, seed=6), np.zeros(1))
+            assert np.all(np.isfinite(trace.potentials))
+            assert np.all(np.abs(trace.states) <= 0.3)
+            nan_steps = np.isnan(trace.energy_errors)
+            assert nan_steps.any()
+            assert not trace.accepted[nan_steps].any()
+            assert np.all(trace.log_accepts[nan_steps] == -math.inf)
+
+    def test_ensemble_rejects_nan_potential(self):
+        res = run_ensemble(_nan_outside(0.3), "mala", 0.5, 50, np.zeros((100, 1)), seed=6)
+        assert np.all(np.abs(res.positions) <= 0.3)
+
+    def test_engines_raise_alike_on_infinite_gradient(self):
+        t = _inf_gradient_outside(0.3)
+        pattern = r"^non-finite gradient at step \d+, coordinates \[0\]$"
+        with pytest.raises(NumericFailure, match=pattern):
+            run_mala(t, ChainConfig(step_size=0.5, iterations=200, seed=6), np.zeros(1))
+        with pytest.raises(NumericFailure, match=pattern):
+            run_ensemble(t, "mala", 0.5, 200, np.zeros((20, 1)), seed=6)
+
+    def test_ensemble_checks_initial_gradient(self):
+        t = _inf_gradient_outside(0.3)
+        with pytest.raises(NumericFailure, match=r"at step 1, coordinates \[0\]"):
+            run_ensemble(t, "mala", 0.5, 10, np.full((4, 1), 0.5), seed=1)

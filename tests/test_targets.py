@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from malakit.rng import chain_rng
 from malakit.targets import (
     Dataset,
+    TargetModel,
     annulus,
     load_dataset,
     make_gaussian,
@@ -311,3 +315,48 @@ class TestDatasetIO:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(features=e1(2)[:, None], responses=np.array([3]))
+
+
+def _fused_cases():
+    data = sample_sphere_dataset(3, 40, e1(3), 0.7, seed=5)
+    zero_one = make_smoothed_zero_one(data, 50.0, 10.0)
+    empty = Dataset(features=np.empty((3, 0)), responses=np.empty(0, dtype=np.int64))
+    return {
+        "gaussian": make_gaussian(3, [0.3, 1.7, 4.1]),
+        "logistic": make_logistic_regression(data, 1.0),
+        "sigmoid": make_sigmoid_regression(data, 0.5),
+        "zero_one": zero_one,
+        "zero_one_preconditioned": precondition(zero_one, 7.5),
+        "logistic_r0": make_logistic_regression(empty, 2.0),
+    }
+
+
+FUSED_CASES = _fused_cases()
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestValueAndGrad:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(FUSED_CASES)),
+           x=st.one_of(
+               arrays(np.float64, 3, elements=st.floats(-200.0, 200.0)),
+               arrays(np.float64, st.tuples(st.integers(1, 6), st.just(3)),
+                      elements=st.floats(-200.0, 200.0))))
+    def test_equals_separate_calls_bit_for_bit(self, name, x):
+        target = FUSED_CASES[name]
+        assert target.fused is not None
+        pot, grad = target.value_and_grad(x)
+        assert _bits(pot) == _bits(target.potential(x))
+        assert _bits(grad) == _bits(target.gradient(x))
+
+    def test_hand_built_target_composes_its_callables(self):
+        g = make_gaussian(2, 1.0)
+        hand = TargetModel(dimension=2, potential=g.potential, gradient=g.gradient)
+        x = np.array([[0.5, -1.0], [2.0, 3.0]])
+        pot, grad = hand.value_and_grad(x)
+        assert np.array_equal(pot, g.potential(x))
+        assert np.array_equal(grad, g.gradient(x))
