@@ -43,14 +43,12 @@ from .chains import (  # noqa: F401
     ChainConfig,
     ChainTrace,
     EnsembleResult,
-    StepRecord,
     extract_minimizer,
-    mala_step,
+    run_chains,
     run_constrained_mala,
     run_ensemble,
     run_mala,
     run_rwm,
-    rwm_step,
     theorem1_step_size,
     warmness_on_grid,
 )

@@ -9,14 +9,18 @@ increases; the implementations here use ``min(1, e^{-dH})`` (and
 balance requires — the discretized-kernel tests assert the balance
 equations directly.
 
-Traces are stored columnwise (numpy arrays) so million-step runs stay
-cheap; ``ChainTrace.records`` materializes per-step record objects on
-demand.
+One lockstep loop advances every chain: an ``(n, d)`` batch of rows, each
+with its own step size, carrying its position, potential and (for MALA)
+gradient.  A single chain is a batch of one.  :func:`run_chains` gives each
+row its own ``chain_rng(seed)``, drawn in the order lazy coin, velocity,
+uniform, so a row's draws do not depend on the rows beside it;
+:func:`run_ensemble` draws for all replicas from one stream.  Traces are
+written columnwise into preallocated arrays.
 
-The MALA engines carry the potential and gradient of the current state and
-make one fused ``value_and_grad`` call per non-lazy step, at the proposal.
-A proposal whose energy error is NaN is rejected, and a non-finite gradient
-at a proposal raises :class:`NumericFailure`, in every engine.
+Each step makes one oracle call on the rows that propose (the fused
+``value_and_grad`` for MALA).  A proposal whose energy error is NaN is
+rejected, and a non-finite gradient at a proposal raises
+:class:`NumericFailure`; in :func:`run_chains` only that row stops.
 """
 
 from __future__ import annotations
@@ -34,11 +38,9 @@ from .targets import ConstraintSet, TargetModel
 
 __all__ = [
     "ChainConfig",
-    "StepRecord",
     "ChainTrace",
     "EnsembleResult",
-    "mala_step",
-    "rwm_step",
+    "run_chains",
     "run_mala",
     "run_rwm",
     "run_constrained_mala",
@@ -75,23 +77,9 @@ class ChainConfig:
             raise ValueError("record_every must be >= 1")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One chain transition.  ``index`` is the 1-based step number i,
-    so ``state`` is X_i; rejected steps repeat the previous state."""
-
-    index: int
-    state: np.ndarray
-    proposed: np.ndarray
-    energy_error: float
-    log_accept_prob: float
-    accepted: bool
-    in_constraint: bool | None
-    potential_value: float
-
-
 class ChainTrace:
-    """Columnar record of one chain run."""
+    """Columnar record of one chain run.  Row ``k`` is step ``indices[k]``;
+    a rejected or lazy step repeats the previous state."""
 
     def __init__(self, config: ChainConfig, target_name: str, init_state: np.ndarray,
                  indices, states, proposed, energy_errors, log_accepts, accepted,
@@ -122,22 +110,6 @@ class ChainTrace:
         """Row of the recorded minimum potential (first on ties)."""
         return int(np.argmin(self.potentials))
 
-    @property
-    def records(self) -> list[StepRecord]:
-        out = []
-        for k in range(len(self.indices)):
-            out.append(StepRecord(
-                index=int(self.indices[k]),
-                state=self.states[k],
-                proposed=self.proposed[k],
-                energy_error=float(self.energy_errors[k]),
-                log_accept_prob=float(self.log_accepts[k]),
-                accepted=bool(self.accepted[k]),
-                in_constraint=None if self.in_constraint is None else bool(self.in_constraint[k]),
-                potential_value=float(self.potentials[k]),
-            ))
-        return out
-
     def to_csv(self, path) -> Path:
         """Write `i,accepted,energy_error,log_accept,potential,x_0..x_{d-1}`."""
         path = Path(path)
@@ -154,100 +126,243 @@ class ChainTrace:
         return path
 
 
-def mala_step(target: TargetModel, x: np.ndarray, eta: float, rng: np.random.Generator) -> StepRecord:
-    """One MALA transition from ``x``: draw a velocity, leapfrog, accept/reject.
-
-    The velocity is discarded after the acceptance decision; only the
-    position survives into the returned record.
-    """
-    x = np.asarray(x, dtype=float)
-    pot_x = float(target.potential(x))
-    return _mala_transition(target, target.value_and_grad, x, pot_x, None, eta, rng,
-                            index=1, constraint=None)[0]
-
-
-def rwm_step(target: TargetModel, z: np.ndarray, eta: float, rng: np.random.Generator) -> StepRecord:
-    """One random-walk Metropolis transition: propose z + eta*v, accept
-    with probability min(1, e^{U(z) - U(z_hat)})."""
-    z = np.asarray(z, dtype=float)
-    pot_z = float(target.potential(z))
-    return _rwm_transition(target, z, pot_z, eta, rng, index=1)[0]
-
-
-def _log_accept(energy_error: float) -> float:
-    """``min(0, -dH)``, except that a NaN error gives ``-inf`` (certain rejection)."""
-    if energy_error > 0.0:
-        return -energy_error
-    return 0.0 if energy_error <= 0.0 else -math.inf
-
-
 def _gradient_failure(grad: np.ndarray, index: int) -> NumericFailure:
     """The error for a non-finite gradient; coordinates are columns of ``grad``."""
     bad = np.flatnonzero(~np.isfinite(np.atleast_2d(grad)).all(axis=0)).tolist()
     return NumericFailure(f"non-finite gradient at step {index}, coordinates {bad}", bad)
 
 
-def _mala_transition(target, value_and_grad, x, pot_x, grad_x, eta, rng, index, constraint):
-    # grad_x is None only before the first non-lazy step; afterwards it is
-    # the gradient carried with the current state.
-    if grad_x is None:
-        grad_x = np.asarray(target.gradient(x), dtype=float)
-        if not np.isfinite(grad_x).all():
-            raise _gradient_failure(grad_x, index)
-    v = rng.standard_normal(x.shape[0])
-    x_hat = x + eta * v - 0.5 * eta * eta * grad_x
-    pot_hat, grad_hat = value_and_grad(x_hat)
-    grad_hat = np.asarray(grad_hat, dtype=float)
-    if not np.isfinite(grad_hat).all():
-        raise _gradient_failure(grad_hat, index)
-    v_hat = v - 0.5 * eta * (grad_x + grad_hat)
-    pot_hat = float(pot_hat)
-    energy_error = (pot_hat + 0.5 * float(v_hat @ v_hat)) - (pot_x + 0.5 * float(v @ v))
-    log_accept = _log_accept(energy_error)
-    u = 1.0 - rng.random()
-    mh_accept = math.log(u) <= log_accept
-    in_set = None
-    if constraint is not None:
-        in_set = bool(constraint.contains(x_hat))
-        accepted = mh_accept and in_set
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """``v[j] @ v[j]`` for each row, summed exactly as the 1-D dot product sums."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _batch_oracles(target: TargetModel):
+    """``(potential, value_and_grad)`` over an ``(n, d)`` batch; a target
+    without vectorized callables is evaluated row by row."""
+    if target.vectorized:
+        return target.potential, target.value_and_grad
+
+    def value_and_grad(x):
+        pots, grads = zip(*(target.value_and_grad(row) for row in x))
+        return np.array(pots, dtype=float), np.array(grads, dtype=float)
+
+    return (lambda x: np.array([float(target.potential(row)) for row in x])), value_and_grad
+
+
+class _CellDraws:
+    """Row ``j`` draws from ``chain_rng(seeds[j])`` in the order of a chain run
+    alone: lazy coin, velocity, uniform.  Returns (proposing rows, or None
+    for all, velocities, log-uniforms); a failed row stops drawing."""
+
+    def __init__(self, seeds, d: int, lazy: bool):
+        self.n, self.lazy = len(seeds), lazy
+        self.v, self.log_u = np.empty((self.n, d)), np.empty(self.n)
+        self.live = [(j, chain_rng(s), self.v[j]) for j, s in enumerate(seeds)]
+
+    def __call__(self):
+        act = []
+        for j, rng, v in self.live:
+            if not (self.lazy and rng.random() < 0.5):
+                rng.standard_normal(out=v)
+                self.log_u[j] = math.log(1.0 - rng.random())
+                act.append(j)
+        return (None if len(act) == self.n else np.array(act, dtype=np.intp)), self.v, self.log_u
+
+    def drop(self, rows) -> None:
+        self.live = [entry for entry in self.live if entry[0] not in rows]
+
+
+class _Columns:
+    """Trace columns, preallocated and time-major: ``[k, j]`` is row ``j`` at
+    the ``k``-th recorded step.  A row that did not propose keeps the
+    defaults: proposal = state, no energy error, rejected, inside the set."""
+
+    def __init__(self, n: int, d: int, iterations: int, stride: int):
+        self.indices = np.unique(np.append(np.arange(stride, iterations + 1, stride), iterations))
+        m = len(self.indices)
+        self.states, self.proposed = np.empty((m, n, d)), np.empty((m, n, d))
+        self.potentials, self.energy_errors = np.empty((m, n)), np.zeros((m, n))
+        self.accepted, self.in_constraint = np.zeros((m, n), dtype=bool), np.ones((m, n), dtype=bool)
+        self.k, self.stride, self.last = 0, stride, iterations
+        self.next_index = int(self.indices[0])  # the step to record next
+
+    def write(self, x, pot, act, x_hat, err, acc, in_set) -> None:
+        k = self.k
+        self.states[k] = x
+        self.potentials[k] = pot
+        if act is not None:
+            self.proposed[k] = x
+        at = (k,) if act is None else (k, act)
+        if x_hat is not None:
+            self.proposed[at] = x_hat
+            self.energy_errors[at] = err
+            self.accepted[at] = acc
+            if in_set is not None:
+                self.in_constraint[at] = in_set
+        self.k += 1
+        self.next_index = min(self.next_index + self.stride, self.last)
+
+
+def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=None,
+              callback=None, callback_every=0):
+    """Advance the rows of ``x`` in lockstep: the only place that proposes and accepts.
+
+    ``eta`` is a float or an ``(n, 1)`` column of per-row step sizes.  With
+    ``_CellDraws`` a row whose gradient is non-finite leaves the batch;
+    otherwise it stops the run.  Returns the final rows, the proposals per
+    row, the accepted count and the failures by row.
+    """
+    mala = kind == "mala"
+    potential, value_and_grad = _batch_oracles(target)
+    x = np.array(x, dtype=float)
+    isolate = isinstance(draws, _CellDraws)
+    half = 0.5 * eta
+    drift = half * eta  # rounds as ``0.5 * eta * eta`` does
+    per_row = np.ndim(eta) > 0
+    full_steps, proposals, accepted, failures = 0, np.zeros(len(x), dtype=np.int64), 0, {}
+
+    def fail(rows, grads, step):
+        if not isolate:
+            raise _gradient_failure(grads, step)
+        failures.update((j, _gradient_failure(g, step)) for j, g in zip(rows.tolist(), grads))
+        draws.drop(failures)
+
+    if mala:
+        pot, grad = (np.array(a, dtype=float) for a in value_and_grad(x))
+        finite = np.isfinite(grad).all(axis=1)
+        if not finite.all():
+            fail(np.flatnonzero(~finite), grad[~finite], 1)
     else:
-        accepted = mh_accept
-    new_x, new_pot, new_grad = (x_hat, pot_hat, grad_hat) if accepted else (x, pot_x, grad_x)
-    record = StepRecord(index=index, state=new_x, proposed=x_hat, energy_error=energy_error,
-                        log_accept_prob=log_accept, accepted=accepted, in_constraint=in_set,
-                        potential_value=new_pot)
-    return record, new_x, new_pot, new_grad
+        pot, grad = np.array(potential(x), dtype=float), None
+
+    for i in range(1, iterations + 1):
+        act, v, log_u = draws()
+        x_hat = err = acc = in_set = None
+        if act is None:
+            xa, pa, ga, va, lu, ea, ha, ca = x, pot, grad, v, log_u, eta, half, drift
+        elif act.size:
+            xa, pa, va, lu = x[act], pot[act], v[act], log_u[act]
+            ga = grad[act] if mala else None
+            ea, ha, ca = (eta[act], half[act], drift[act]) if per_row else (eta, half, drift)
+        if act is None or act.size:
+            if mala:
+                x_hat = xa + ea * va - ca * ga
+                pot_hat, grad_hat = value_and_grad(x_hat)
+                pot_hat, grad_hat = np.asarray(pot_hat, dtype=float), np.asarray(grad_hat, dtype=float)
+                v_hat = va - ha * (ga + grad_hat)
+                err = (pot_hat + 0.5 * _sq_norms(v_hat)) - (pa + 0.5 * _sq_norms(va))
+            else:
+                x_hat = xa + ea * va
+                pot_hat = np.asarray(potential(x_hat), dtype=float)
+                err = pot_hat - pa
+            acc = lu <= -err  # log_u <= 0, so this is log_u <= min(0, -err); NaN rejects
+            if constraint is not None:
+                in_set = np.asarray(constraint.contains(x_hat), dtype=bool)
+                acc &= in_set
+            if mala and not np.isfinite(grad_hat).all():
+                bad = np.flatnonzero(~np.isfinite(grad_hat).all(axis=1))
+                fail(bad if act is None else act[bad], grad_hat[bad], i)
+                acc[bad] = False
+            accepted += int(np.count_nonzero(acc))
+            if act is None:
+                full_steps += 1
+                np.copyto(x, x_hat, where=acc[:, None])
+                np.copyto(pot, pot_hat, where=acc)
+                if mala:
+                    np.copyto(grad, grad_hat, where=acc[:, None])
+            else:
+                proposals[act] += 1
+                took = act[acc]
+                x[took], pot[took] = x_hat[acc], pot_hat[acc]
+                if mala:
+                    grad[took] = grad_hat[acc]
+        if columns is not None and i == columns.next_index:
+            columns.write(x, pot, act, x_hat, err, acc, in_set)
+        if callback is not None and callback_every > 0 and (i % callback_every == 0 or i == iterations):
+            if callback(i, x):
+                break
+        if isolate and not draws.live:
+            break  # every row failed
+    return x, proposals + full_steps, accepted, failures
 
 
-def _rwm_transition(target, z, pot_z, eta, rng, index):
-    v = rng.standard_normal(z.shape[0])
-    z_hat = z + eta * v
-    pot_hat = float(target.potential(z_hat))
-    potential_gap = pot_hat - pot_z
-    log_accept = _log_accept(potential_gap)
-    u = 1.0 - rng.random()
-    accepted = math.log(u) <= log_accept
-    new_z, new_pot = (z_hat, pot_hat) if accepted else (z, pot_z)
-    record = StepRecord(index=index, state=new_z, proposed=z_hat, energy_error=potential_gap,
-                        log_accept_prob=log_accept, accepted=accepted, in_constraint=None,
-                        potential_value=new_pot)
-    return record, new_z, new_pot
+def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
+               inits: np.ndarray) -> list[ChainTrace | NumericFailure]:
+    """Run one chain per config in lockstep; entry ``j`` is the chain of
+    ``configs[j]`` started at ``inits[j]``.
+
+    ``kind`` is ``mala``, ``rwm`` or ``constrained-mala``.  The configs may
+    differ only in ``step_size`` and ``seed``.  Each row draws from its own
+    seed's stream, so entry ``j`` is the run of ``configs[j]`` alone (bit for
+    bit on elementwise targets; a dataset target's matrix product can round
+    differently with the number of rows).  A row whose proposal has a
+    non-finite gradient stops there, and its entry is the
+    :class:`NumericFailure`; the other rows carry on.
+    """
+    if kind not in ("mala", "rwm", "constrained-mala"):
+        raise ValueError(f"unknown chain kind {kind!r}")
+    if not configs:
+        raise ValueError("need at least one config")
+    first = configs[0]
+    shared = (first.iterations, first.lazy, first.constraint, first.record_every)
+    if any((c.iterations, c.lazy, c.constraint, c.record_every) != shared for c in configs):
+        raise ValueError("configs run in lockstep must share iterations, lazy, constraint and record_every")
+    constraint = first.constraint
+    if (constraint is not None) != (kind == "constrained-mala"):
+        raise ValueError("only constrained-mala takes a constraint, and it requires one")
+    inits = np.asarray(inits, dtype=float)
+    if inits.shape != (len(configs), target.dimension):
+        raise ValueError(f"inits must have shape ({len(configs)}, {target.dimension})")
+    if not np.all(np.isfinite(inits)):
+        raise ValueError("init must be finite")
+    if constraint is not None and not np.all(constraint.contains(inits)):
+        raise ValueError("initial point must satisfy the constraint")
+
+    n, d = inits.shape
+    mala = kind != "rwm"
+    cols = _Columns(n, d, first.iterations, first.record_every)
+    _, proposals, _, failures = _lockstep(
+        target, "mala" if mala else "rwm", np.array([[c.step_size] for c in configs]), inits,
+        first.iterations, _CellDraws([c.seed for c in configs], d, first.lazy), constraint, cols)
+    err = cols.energy_errors
+    # min(0, -err), except that a NaN error gives -inf (certain rejection).
+    log_accepts = np.where(err > 0.0, -err, np.where(err <= 0.0, 0.0, -np.inf))
+    results: list[ChainTrace | NumericFailure] = []
+    for j, config in enumerate(configs):
+        evals = 1 + int(proposals[j])  # one oracle call at the start and per non-lazy step
+        results.append(failures[j] if j in failures else ChainTrace(
+            config=config, target_name=target.name, init_state=inits[j], indices=cols.indices,
+            states=cols.states[:, j].copy(), proposed=cols.proposed[:, j].copy(),
+            energy_errors=err[:, j].copy(), log_accepts=log_accepts[:, j].copy(),
+            accepted=cols.accepted[:, j].copy(),
+            in_constraint=None if constraint is None else cols.in_constraint[:, j].copy(),
+            potentials=cols.potentials[:, j].copy(), gradient_evals=2 * (evals - 1) if mala else 0,
+            function_evals=evals, oracle_calls=evals))
+    return results
+
+
+def _run_one(target, kind, config, init) -> ChainTrace:
+    init = np.asarray(init, dtype=float)
+    if init.shape != (target.dimension,):
+        raise ValueError(f"init must have shape ({target.dimension},)")
+    (result,) = run_chains(target, kind, [config], init[None, :])
+    if isinstance(result, NumericFailure):
+        raise result
+    return result
 
 
 def run_mala(target: TargetModel, config: ChainConfig, init: np.ndarray) -> ChainTrace:
     """Run the MALA chain.  Gradient cost is exactly 2 per non-lazy step in
-    the paper's accounting; the oracle does one fused call per such step."""
-    if config.constraint is not None:
-        raise ValueError("use run_constrained_mala for constrained runs")
-    return _run_chain(target, config, init, kind="mala", constrained=False)
+    the paper's accounting; the oracle does one fused call per such step,
+    plus one at the start."""
+    return _run_one(target, "mala", config, init)
 
 
 def run_rwm(target: TargetModel, config: ChainConfig, init: np.ndarray) -> ChainTrace:
     """Run random-walk Metropolis.  Zero gradient evaluations; one fresh
     potential evaluation per non-lazy step plus one at the start."""
-    if config.constraint is not None:
-        raise ValueError("the random walk chain does not take a constraint")
-    return _run_chain(target, config, init, kind="rwm", constrained=False)
+    return _run_one(target, "rwm", config, init)
 
 
 def run_constrained_mala(target: TargetModel, config: ChainConfig, init: np.ndarray) -> ChainTrace:
@@ -256,77 +371,14 @@ def run_constrained_mala(target: TargetModel, config: ChainConfig, init: np.ndar
     Every visited state stays inside the constraint set; the trace's
     recorded minimum is the optimizer output.
     """
-    if config.constraint is None:
-        raise ValueError("config.constraint is required")
-    init = np.asarray(init, dtype=float)
-    if not bool(config.constraint.contains(init)):
-        raise ValueError("initial point must satisfy the constraint")
-    return _run_chain(target, config, init, kind="mala", constrained=True)
-
-
-def _run_chain(target, config, init, kind, constrained):
-    init = np.asarray(init, dtype=float)
-    if init.shape != (target.dimension,):
-        raise ValueError(f"init must have shape ({target.dimension},)")
-    if not np.all(np.isfinite(init)):
-        raise ValueError("init must be finite")
-    rng = chain_rng(config.seed)
-    constraint = config.constraint if constrained else None
-
-    x = init
-    pot = float(target.potential(x))
-    grad = None
-    value_and_grad = target.value_and_grad
-    function_evals = 1
-    gradient_evals = 0
-    n = config.iterations
-    stride = config.record_every
-
-    idx, states, proposed, errs, laccs, accs, insets, pots = [], [], [], [], [], [], [], []
-
-    def push(rec: StepRecord):
-        idx.append(rec.index)
-        states.append(rec.state)
-        proposed.append(rec.proposed)
-        errs.append(rec.energy_error)
-        laccs.append(rec.log_accept_prob)
-        accs.append(rec.accepted)
-        insets.append(True if rec.in_constraint is None else rec.in_constraint)
-        pots.append(rec.potential_value)
-
-    for i in range(1, n + 1):
-        if config.lazy and rng.random() < 0.5:
-            rec = StepRecord(index=i, state=x, proposed=x, energy_error=0.0, log_accept_prob=0.0,
-                             accepted=False, in_constraint=True if constrained else None,
-                             potential_value=pot)
-        else:
-            if kind == "mala":
-                rec, x, pot, grad = _mala_transition(target, value_and_grad, x, pot, grad,
-                                                     config.step_size, rng, i, constraint)
-                gradient_evals += 2
-            else:
-                rec, x, pot = _rwm_transition(target, x, pot, config.step_size, rng, i)
-            function_evals += 1
-        if i % stride == 0 or i == n:
-            if not idx or idx[-1] != i:
-                push(rec)
-
-    # One oracle call per non-lazy step and at the start, plus the initial
-    # gradient that the first non-lazy MALA step computes.
-    oracle_calls = function_evals + (1 if gradient_evals else 0)
-    return ChainTrace(config=config, target_name=target.name, init_state=init,
-                      indices=idx, states=states, proposed=proposed, energy_errors=errs,
-                      log_accepts=laccs, accepted=accs,
-                      in_constraint=insets if constrained else None, potentials=pots,
-                      gradient_evals=gradient_evals, function_evals=function_evals,
-                      oracle_calls=oracle_calls)
+    return _run_one(target, "constrained-mala", config, init)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Final positions of many replicas advanced in lockstep.
 
-    Counts are per replica: one batched call over ``n`` rows counts ``n``.
+    Counts are per replica: one batched call over ``k`` rows counts ``k``.
     """
 
     positions: np.ndarray
@@ -352,78 +404,35 @@ def run_ensemble(
 
     This is the distribution-level driver behind the TV and mixing-time
     measurements: the replicas' positions at a fixed iteration estimate the
-    chain's marginal law there.  Requires a vectorized target.  All
-    replicas draw from one counter-based stream in a fixed order, so the
-    result is a pure function of the arguments.  A callback returning a
-    truthy value stops the run early (used by the mixing-time search).
+    chain's marginal law there.  All replicas draw from one counter-based
+    stream, per step the coin vector, then ``(n, d)`` normals, then ``n``
+    uniforms, so the result is a pure function of the arguments.  A
+    non-finite gradient at a proposal stops the run with
+    :class:`NumericFailure`.  A callback returning a truthy value stops the
+    run early (used by the mixing-time search).
     """
     if kind not in ("mala", "rwm"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    if not target.vectorized:
-        raise ValueError("run_ensemble needs a target with vectorized callables")
     if eta <= 0 or iterations < 1:
         raise ValueError("eta must be positive and iterations >= 1")
-    x = np.array(init_positions, dtype=float)
+    x = np.asarray(init_positions, dtype=float)
     if x.ndim != 2 or x.shape[1] != target.dimension:
         raise ValueError("init_positions must be (replicas, d)")
     n, d = x.shape
     rng = chain_rng(seed)
-    if kind == "mala":
-        value_and_grad = target.value_and_grad
-        pot, grad = value_and_grad(x)
-        pot, grad = np.asarray(pot, dtype=float), np.asarray(grad, dtype=float)
-        if not np.isfinite(grad).all():
-            raise _gradient_failure(grad, 1)
-    else:
-        pot = np.asarray(target.potential(x), dtype=float)
-    gradient_evals = 0
-    function_evals = n
-    accept_count = 0
-    decision_count = 0
 
-    for i in range(1, iterations + 1):
-        active = np.ones(n, dtype=bool)
-        if lazy:
-            active = rng.random(n) >= 0.5
+    def draws():
+        act = np.flatnonzero(rng.random(n) >= 0.5) if lazy else None
         v = rng.standard_normal((n, d))
-        if kind == "mala":
-            x_hat = x + eta * v - 0.5 * eta * eta * grad
-            pot_hat, grad_hat = value_and_grad(x_hat)
-            pot_hat, grad_hat = np.asarray(pot_hat, dtype=float), np.asarray(grad_hat, dtype=float)
-            if not np.isfinite(grad_hat).all():
-                # Lazy replicas stay put, so their proposals are never used.
-                bad_rows = active & ~np.isfinite(grad_hat).all(axis=1)
-                if bad_rows.any():
-                    raise _gradient_failure(grad_hat[bad_rows], i)
-            v_hat = v - 0.5 * eta * (grad + grad_hat)
-            energy_error = (pot_hat + 0.5 * np.sum(v_hat * v_hat, axis=1)) - (pot + 0.5 * np.sum(v * v, axis=1))
-            gradient_evals += 2 * n
-        else:
-            x_hat = x + eta * v
-            pot_hat = np.asarray(target.potential(x_hat), dtype=float)
-            energy_error = pot_hat - pot
-        function_evals += n
-        log_accept = np.minimum(0.0, -energy_error)
-        u = 1.0 - rng.random(n)
-        accept = np.log(u) <= log_accept
-        if constraint is not None:
-            accept &= np.asarray(constraint.contains(x_hat), dtype=bool)
-        accept &= active
-        accept_count += int(np.count_nonzero(accept))
-        decision_count += int(np.count_nonzero(active))
-        x = np.where(accept[:, None], x_hat, x)
-        pot = np.where(accept, pot_hat, pot)
-        if kind == "mala":
-            grad = np.where(accept[:, None], grad_hat, grad)
-        if callback is not None and callback_every > 0 and (i % callback_every == 0 or i == iterations):
-            if callback(i, x):
-                break
+        return act, v, np.log(1.0 - rng.random(n))
 
-    frac = accept_count / decision_count if decision_count else 0.0
-    # Each step makes one batched oracle call (fused for MALA), as does the start.
-    return EnsembleResult(positions=x, accepted_fraction=float(frac),
-                          gradient_evals=gradient_evals, function_evals=function_evals,
-                          oracle_calls=function_evals)
+    x, proposals, accepted, _ = _lockstep(target, kind, float(eta), x, iterations, draws, constraint,
+                                          callback=callback, callback_every=callback_every)
+    decisions = int(proposals.sum())
+    evals = n + decisions  # the start, then the proposing rows of each step
+    return EnsembleResult(positions=x, accepted_fraction=accepted / decisions if decisions else 0.0,
+                          gradient_evals=2 * decisions if kind == "mala" else 0,
+                          function_evals=evals, oracle_calls=evals)
 
 
 def extract_minimizer(trace: ChainTrace) -> tuple[np.ndarray, float]:

@@ -4,7 +4,7 @@ Subcommands: ``run`` (declarative experiment), ``sample``, ``optimize``,
 ``diagnose``, ``scaling``, ``regularity``, ``dataset``.  Progress and
 errors go to standard error; machine-readable output goes to files or
 standard output.  Exit codes: 0 success, 1 validation/usage error,
-2 runtime failure.
+2 runtime failure (including a ``run`` in which some cells failed).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("spec", help="path to a spec file")
     p_run.add_argument("--out", default=None, help="output directory override")
     p_run.add_argument("--seed", type=int, default=None, help="master seed override")
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_sample = sub.add_parser("sample", help="run one sampling chain on a Gaussian target")
     p_sample.add_argument("--kind", choices=["mala", "rwm"], default="mala")
@@ -137,13 +136,13 @@ def _cmd_run(args) -> int:
         from dataclasses import replace
 
         spec = replace(spec, seed=args.seed)
-    _progress(f"running experiment {spec.name!r} ({spec.replicas} replicas, threads={args.threads})")
-    report = run_experiment(spec, threads=args.threads, output_dir=args.out)
+    _progress(f"running experiment {spec.name!r} ({spec.replicas} replicas)")
+    report = run_experiment(spec, output_dir=args.out)
     _progress(f"summary: {report.summary_path}")
     for err in report.replica_errors:
         _progress(f"replica failure: {err}")
     print(report.summary_path)
-    return 0
+    return 0 if report.status == "ok" else 2
 
 
 def _cmd_sample(args) -> int:

@@ -2,9 +2,9 @@
 
 Experiments are described by a small line-oriented text format (versioned
 header, ``[section]`` blocks, ``key = value`` lines) so studies can be
-archived and re-run byte-identically.  Replicas run on spawned RNG
-substreams keyed by replica index and results are reduced in index order,
-which makes every summary CSV independent of the thread count.
+archived and re-run byte-identically.  Each (eta, replica) cell draws from
+its own RNG substream keyed by the cell index, and results are reduced in
+index order, so every summary CSV is independent of how cells are batched.
 
 Format sketch::
 
@@ -48,19 +48,17 @@ import math
 import os
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .chains import (ChainConfig, ChainTrace, run_constrained_mala, run_ensemble,
-                     run_mala, run_rwm, theorem1_step_size)
+from .chains import ChainConfig, ChainTrace, run_chains, run_ensemble, theorem1_step_size
 from .diagnostics import acceptance_stats, energy_error_scaling, hitting_time, mixing_time_estimate, _ols
 from .grids import grid_truth, histogram, tv_distance
 from .regularity import build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound
-from .rng import chain_rng
+from .rng import chain_rng, subseed
 from .targets import (ConstraintSet, Dataset, TargetModel, annulus, load_dataset,
                       make_gaussian, make_logistic_regression, make_sigmoid_regression,
                       make_smoothed_zero_one, precondition, recommended_schedule,
@@ -81,11 +79,18 @@ __all__ = [
 
 HEADER = "malakit-spec v1"
 
-_TARGET_KINDS = ("gaussian", "logistic", "sigmoid", "zero_one")
+# The keys each section accepts; [target] and [schedule] keys depend on the kind.
+_SECTION_KEYS = {"__top__": {"name"}, "sampler": {"kind", "lazy"}, "constraint": {"inner", "outer"},
+                 "run": {"iterations", "replicas", "seed", "record_every"}, "output": {"dir"}}
+_DATA_KEYS = {"kind", "dataset", "d", "r", "q0", "data_seed", "prior"}
+_TARGET_KEYS = {"gaussian": {"kind", "d", "precision"}, "logistic": _DATA_KEYS, "sigmoid": _DATA_KEYS,
+                "zero_one": {"kind", "d", "r", "q0", "data_seed", "epsilon", "c1"}}
+_SCHEDULE_KEYS = {"explicit": {"kind", "eta"}, "theorem1": {"kind", "safety", "probe_points", "probe_dirs"},
+                  "sweep": {"kind", "etas"}}
+_DIAGNOSTIC_PARAMS = {"acceptance_stats": set(), "tv_vs_truth": {"lo", "hi", "bins", "lo2", "hi2", "bins2"},
+                      "energy_error_scaling": {"etas", "samples"}, "regularity": {"probe_points", "probe_dirs"},
+                      "zero_one_summary": {"angle_max"}}
 _SAMPLER_KINDS = ("mala", "rwm", "constrained-mala")
-_SCHEDULE_KINDS = ("explicit", "theorem1", "sweep")
-_DIAGNOSTIC_NAMES = ("acceptance_stats", "tv_vs_truth", "energy_error_scaling",
-                     "regularity", "zero_one_summary")
 
 
 class SpecValidationError(ValueError):
@@ -175,8 +180,8 @@ def _parse_sections(text: str, errors: list[str]):
 def _parse_diag_line(line: str, errors: list[str]) -> DiagnosticSpec | None:
     parts = line.split()
     name = parts[0]
-    if name not in _DIAGNOSTIC_NAMES:
-        errors.append(f"unknown diagnostic {name!r} (known: {', '.join(_DIAGNOSTIC_NAMES)})")
+    if name not in _DIAGNOSTIC_PARAMS:
+        errors.append(f"unknown diagnostic {name!r} (known: {', '.join(_DIAGNOSTIC_PARAMS)})")
         return None
     params = {}
     for piece in parts[1:]:
@@ -185,15 +190,26 @@ def _parse_diag_line(line: str, errors: list[str]) -> DiagnosticSpec | None:
             continue
         k, v = piece.split("=", 1)
         params[k] = _parse_scalar(v)
+    _check_keys(f"diagnostic {name}", params, _DIAGNOSTIC_PARAMS[name], errors)
     return DiagnosticSpec(name=name, params=params)
+
+
+def _check_keys(where: str, section: dict, allowed: set, errors: list[str]) -> None:
+    errors.extend(f"unknown key {key!r} in {where} (allowed: {', '.join(sorted(allowed)) or 'none'})"
+                  for key in section if key not in allowed)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse and validate the experiment format; collects every error."""
     errors: list[str] = []
     sections, diag_lines = _parse_sections(text, errors)
-    if errors:
+    if not sections:
         raise SpecValidationError(errors)
+    for section, allowed in _SECTION_KEYS.items():
+        _check_keys("the top level" if section == "__top__" else f"[{section}]",
+                    sections.get(section, {}), allowed, errors)
+    errors.extend(f"unknown section [{section}]" for section in sections
+                  if section not in {*_SECTION_KEYS, "target", "schedule"})
 
     top = sections.get("__top__", {})
     name = top.get("name")
@@ -202,9 +218,11 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     target = dict(sections.get("target", {}))
     kind = target.pop("kind", None)
-    if kind not in _TARGET_KINDS:
-        errors.append(f"target kind must be one of {_TARGET_KINDS}, got {kind!r}")
+    if kind not in _TARGET_KEYS:
+        errors.append(f"target kind must be one of {tuple(_TARGET_KEYS)}, got {kind!r}")
         kind = None
+    else:
+        _check_keys("[target]", sections["target"], _TARGET_KEYS[kind], errors)
     if kind == "gaussian":
         _require_int(target, "d", errors, minimum=1)
         prec = target.get("precision", 1.0)
@@ -255,9 +273,11 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     sched = dict(sections.get("schedule", {}))
     sched_kind = sched.pop("kind", None)
-    if sched_kind not in _SCHEDULE_KINDS:
-        errors.append(f"schedule kind must be one of {_SCHEDULE_KINDS}, got {sched_kind!r}")
-    elif sched_kind == "explicit":
+    if sched_kind not in _SCHEDULE_KEYS:
+        errors.append(f"schedule kind must be one of {tuple(_SCHEDULE_KEYS)}, got {sched_kind!r}")
+    else:
+        _check_keys("[schedule]", sections["schedule"], _SCHEDULE_KEYS[sched_kind], errors)
+    if sched_kind == "explicit":
         _require_float(sched, "eta", errors, low=0.0, low_open=True)
     elif sched_kind == "theorem1":
         if "safety" in sched:
@@ -499,6 +519,11 @@ class RunReport:
     versions: dict
     replica_errors: list[str]
 
+    @property
+    def status(self) -> str:
+        """``ok`` when every cell ran to the end, ``partial`` when some failed."""
+        return "partial" if self.replica_errors else "ok"
+
     def to_json(self) -> str:
         payload = {
             "spec": self.spec_text,
@@ -515,6 +540,7 @@ class RunReport:
             "wall_time": self.wall_time,
             "versions": self.versions,
             "replica_errors": self.replica_errors,
+            "status": self.status,
         }
         return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
 
@@ -527,13 +553,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def run_experiment(spec: ExperimentSpec, threads: int = 1, output_dir=None) -> RunReport:
+def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     """Run every (eta, replica) cell, write traces and summaries.
 
-    Replica chains may run on a thread pool; seeds are keyed by cell index
-    and rows are written in cell order, so outputs are byte-identical for
-    any ``threads``.  A cell failure is recorded, not raised, unless every
-    cell fails.
+    All cells run in one lockstep batch, one step size per row.  Each cell
+    draws from its own stream keyed by its index, and rows are written in
+    cell order, so outputs do not depend on how cells are batched.  A cell
+    failure is recorded (``status`` becomes ``partial``), not raised, unless
+    every cell fails.
     """
     start = time.perf_counter()
     if output_dir is not None:
@@ -547,42 +574,15 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1, output_dir=None) -> R
     etas, schedule_notes = resolve_etas(spec, built)
 
     cells = [(e_idx, eta, rep) for e_idx, eta in enumerate(etas) for rep in range(spec.replicas)]
-    children = np.random.SeedSequence(spec.seed).spawn(len(cells))
-    cell_seeds = [int(c.generate_state(1, dtype=np.uint64)[0] >> 1) for c in children]
-
-    def run_cell(cell_index: int):
-        e_idx, eta, rep = cells[cell_index]
-        seed = cell_seeds[cell_index]
-        config = ChainConfig(step_size=eta, iterations=spec.iterations, seed=seed,
-                             lazy=spec.lazy, constraint=built.constraint,
-                             record_every=spec.record_every)
-        init = _replica_init(spec, built, seed)
-        if spec.sampler == "rwm":
-            trace = run_rwm(built.target, config, init)
-        elif spec.sampler == "constrained-mala":
-            trace = run_constrained_mala(built.target, config, init)
-        else:
-            trace = run_mala(built.target, config, init)
-        return trace
-
-    results: list[ChainTrace | Exception] = [None] * len(cells)  # type: ignore[list-item]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(run_cell, k): k for k in range(len(cells))}
-            for fut, k in futures.items():
-                try:
-                    results[k] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - captured per replica
-                    results[k] = exc
-    else:
-        for k in range(len(cells)):
-            try:
-                results[k] = run_cell(k)
-            except Exception as exc:  # noqa: BLE001
-                results[k] = exc
+    cell_seeds = [subseed(spec.seed, k) for k in range(len(cells))]
+    configs = [ChainConfig(step_size=eta, iterations=spec.iterations, seed=seed, lazy=spec.lazy,
+                           constraint=built.constraint, record_every=spec.record_every)
+               for (_, eta, _), seed in zip(cells, cell_seeds)]
+    inits = np.array([_replica_init(spec, built, seed) for seed in cell_seeds])
+    results = run_chains(built.target, spec.sampler, configs, inits)
 
     errors = [f"cell {k} (eta={cells[k][1]:g}, replica {cells[k][2]}): {r}"
-              for k, r in enumerate(results) if isinstance(r, Exception)]
+              for k, r in enumerate(results) if not isinstance(r, ChainTrace)]
     traces = {k: r for k, r in enumerate(results) if isinstance(r, ChainTrace)}
     if not traces:
         raise RuntimeError("every replica failed:\n" + "\n".join(errors))
@@ -798,7 +798,7 @@ def scaling_study(template: ExperimentSpec, axis: str, values,
         built = build_target(spec)
         etas, _ = resolve_etas(spec, built)
         eta = etas[0]
-        seed = int(np.random.SeedSequence(template.seed).spawn(len(values))[idx].generate_state(1, dtype=np.uint64)[0] >> 1)
+        seed = subseed(template.seed, idx)
 
         d = built.target.dimension
         pilot_init = np.zeros((max(200, mixing_replicas // 5), d))

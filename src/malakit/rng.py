@@ -1,9 +1,10 @@
 """Reproducible random-number streams.
 
 All randomness in the package flows through the counter-based Philox
-generator.  A master seed owns a tree of child streams: replicas, probe
-loops, and diagnostics each get their own branch via ``SeedSequence.spawn``,
-so results are independent of execution order and thread count.
+generator.  A master seed owns a tree of child streams: cells, probe
+loops, and diagnostics each get their own branch through a ``SeedSequence``
+spawn key, so a stream's draws do not depend on execution order or on
+which other streams run beside it.
 """
 
 from __future__ import annotations
@@ -16,18 +17,9 @@ def chain_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def split_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """``n`` independent generators derived from one master seed.
-
-    Child ``i`` is fully determined by ``(seed, i)``; drawing from one child
-    never perturbs another, which is what makes replica-parallel runs
-    byte-reproducible regardless of scheduling.
-    """
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(s)) for s in children]
-
-
 def subseed(seed: int, index: int) -> int:
-    """Stable 63-bit subseed for branch ``index`` of ``seed``."""
+    """Stable 63-bit subseed for branch ``index`` of ``seed``: the first word
+    of the ``index``-th child of ``SeedSequence(seed).spawn``, shifted right
+    by one."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

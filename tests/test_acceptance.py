@@ -321,14 +321,16 @@ def test_10_hanson_wright_tail():
     report(10, "hanson-wright", ok, "; ".join(details))
 
 
-def test_11_reproducibility(tmp_path):
-    """Same master seed => byte-identical summary CSVs, any thread count."""
+def test_11_reproducibility(tmp_path, solo_mismatches):
+    """Same master seed => byte-identical summary CSVs, and every cell of the
+    batched run equals that cell run alone."""
     spec_text = (Path(__file__).resolve().parents[1] / "specs" / "gaussian_demo.spec").read_text()
     spec = parse_spec(spec_text)
-    run_experiment(spec, threads=1, output_dir=tmp_path / "a")
-    run_experiment(spec, threads=4, output_dir=tmp_path / "b")
+    run_experiment(spec, output_dir=tmp_path / "a")
+    run_experiment(spec, output_dir=tmp_path / "b")
     same_summary = (tmp_path / "a" / "summary.csv").read_bytes() == (tmp_path / "b" / "summary.csv").read_bytes()
     same_diag = (tmp_path / "a" / "diagnostics.csv").read_bytes() == (tmp_path / "b" / "diagnostics.csv").read_bytes()
+    not_solo = solo_mismatches(spec, tmp_path / "a", tmp_path / "solo")
 
     # criterion-level determinism spot checks: repeated calls with the same
     # master seed reproduce the measurement exactly
@@ -342,8 +344,9 @@ def test_11_reproducibility(tmp_path):
     hw_a = hanson_wright_check(10, 1.5 * math.sqrt(20.0), 10**5, 42)
     hw_b = hanson_wright_check(10, 1.5 * math.sqrt(20.0), 10**5, 42)
 
-    ok = same_summary and same_diag and mix_a == mix_b and hw_a == hw_b
+    ok = same_summary and same_diag and not not_solo and mix_a == mix_b and hw_a == hw_b
     report(11, "reproducibility", ok,
            f"summary identical={same_summary}, diagnostics identical={same_diag}, "
+           f"cells differing from solo runs={not_solo}, "
            f"mixing repeat {mix_a}=={mix_b}, tail repeat equal={hw_a == hw_b}")
     assert ok

@@ -5,16 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malakit.chains import (
     ChainConfig,
     extract_minimizer,
-    mala_step,
+    run_chains,
     run_constrained_mala,
     run_ensemble,
     run_mala,
     run_rwm,
-    rwm_step,
     theorem1_step_size,
     warmness_on_grid,
 )
@@ -45,13 +46,11 @@ def flat_target(d):
 
 class TestMalaStep:
     def test_flat_target_always_accepts(self):
-        t = flat_target(2)
-        rng = chain_rng(0)
-        steps = [mala_step(t, np.zeros(2), 0.3, rng) for _ in range(200)]
-        assert all(s.accepted for s in steps)
-        assert all(s.energy_error == 0.0 for s in steps)
+        trace = run_mala(flat_target(2), ChainConfig(step_size=0.3, iterations=200, seed=0), np.zeros(2))
+        assert trace.accepted.all()
+        assert np.all(trace.energy_errors == 0.0)
         # proposals are Gaussian with scale eta around the current point
-        moves = np.array([s.proposed for s in steps])
+        moves = trace.proposed - np.vstack([trace.init_state, trace.states[:-1]])
         assert np.std(moves) == pytest.approx(0.3, rel=0.15)
 
     def test_tiny_step_accepts_almost_surely(self):
@@ -68,12 +67,19 @@ class TestMalaStep:
 class TestRunMala:
     def test_single_iteration_matches_step(self):
         cfg = ChainConfig(step_size=0.4, iterations=1, seed=99)
-        trace = run_mala(STD_1D, cfg, np.array([0.5]))
-        manual = mala_step(STD_1D, np.array([0.5]), 0.4, chain_rng(99))
-        assert np.array_equal(trace.states[0], manual.state)
-        assert np.array_equal(trace.proposed[0], manual.proposed)
-        assert trace.energy_errors[0] == manual.energy_error
-        assert bool(trace.accepted[0]) == manual.accepted
+        x, eta = np.array([0.5]), 0.4
+        trace = run_mala(STD_1D, cfg, x)
+        # One transition written out: velocity, leapfrog, then the uniform.
+        rng = chain_rng(99)
+        v = rng.standard_normal(1)
+        x_hat = x + eta * v - 0.5 * eta * eta * STD_1D.gradient(x)
+        v_hat = v - 0.5 * eta * (STD_1D.gradient(x) + STD_1D.gradient(x_hat))
+        err = (STD_1D.potential(x_hat) + 0.5 * (v_hat @ v_hat)) - (STD_1D.potential(x) + 0.5 * (v @ v))
+        accepted = math.log(1.0 - rng.random()) <= min(0.0, -err)
+        assert np.array_equal(trace.proposed[0], x_hat)
+        assert trace.energy_errors[0] == err
+        assert bool(trace.accepted[0]) == accepted
+        assert np.array_equal(trace.states[0], x_hat if accepted else x)
 
     def test_seed_determinism(self):
         cfg = ChainConfig(step_size=0.5, iterations=500, seed=42)
@@ -120,17 +126,14 @@ class TestRunMala:
 
 class TestRwm:
     def test_flat_always_accepts(self):
-        t = flat_target(2)
-        rng = chain_rng(1)
-        rec = rwm_step(t, np.zeros(2), 0.7, rng)
-        assert rec.accepted and rec.log_accept_prob == 0.0
+        trace = run_rwm(flat_target(2), ChainConfig(step_size=0.7, iterations=50, seed=1), np.zeros(2))
+        assert trace.accepted.all() and np.all(trace.log_accepts == 0.0)
 
     def test_downhill_accepts(self):
-        rng = chain_rng(2)
-        for _ in range(100):
-            rec = rwm_step(STD_1D, np.array([3.0]), 0.5, rng)
-            if rec.energy_error < 0:
-                assert rec.accepted and rec.log_accept_prob == 0.0
+        trace = run_rwm(STD_1D, ChainConfig(step_size=0.5, iterations=100, seed=2), np.array([3.0]))
+        downhill = trace.energy_errors < 0
+        assert downhill.any()
+        assert trace.accepted[downhill].all() and np.all(trace.log_accepts[downhill] == 0.0)
 
     def test_acceptance_rule_recomputed_from_potentials(self):
         trace = run_rwm(STD_1D, ChainConfig(step_size=1.0, iterations=2000, seed=4), np.zeros(1))
@@ -310,8 +313,8 @@ def zero_one_target():
 
 
 def trace_arrays(trace):
-    return (trace.states, trace.proposed, trace.energy_errors, trace.log_accepts,
-            trace.accepted, trace.potentials,
+    return (trace.indices, trace.states, trace.proposed, trace.energy_errors, trace.log_accepts,
+            trace.accepted, trace.in_constraint, trace.potentials,
             trace.gradient_evals, trace.function_evals, trace.oracle_calls)
 
 
@@ -370,7 +373,7 @@ class TestOracleCalls:
         trace = run_mala(t, ChainConfig(step_size=0.5, iterations=1000, seed=1, lazy=True), np.zeros(1))
         non_lazy = trace.function_evals - 1
         assert 0 < non_lazy < 1000
-        assert calls == {"potential": 1, "gradient": 1, "fused": non_lazy}
+        assert calls == {"potential": 0, "gradient": 0, "fused": non_lazy + 1}  # +1: the start
         assert trace.oracle_calls == sum(calls.values())
         assert trace.gradient_evals == 2 * non_lazy  # the paper's cost model is unchanged
 
@@ -378,8 +381,8 @@ class TestOracleCalls:
         t, calls = counting(zero_one_target())
         cfg = ChainConfig(step_size=0.05, iterations=200, seed=2, constraint=annulus(0.5, 1.0))
         trace = run_constrained_mala(t, cfg, np.array([0.75, 0.0, 0.0]))
-        assert calls == {"potential": 1, "gradient": 1, "fused": 200}
-        assert trace.oracle_calls == 202
+        assert calls == {"potential": 0, "gradient": 0, "fused": 201}
+        assert trace.oracle_calls == 201
 
     def test_rwm_counts_potentials(self):
         t, calls = counting(STD_1D)
@@ -441,3 +444,71 @@ class TestNonFinite:
         t = _inf_gradient_outside(0.3)
         with pytest.raises(NumericFailure, match=r"at step 1, coordinates \[0\]"):
             run_ensemble(t, "mala", 0.5, 10, np.full((4, 1), 0.5), seed=1)
+
+
+def lockstep_case(kind, d, configs_args, lazy, record_every, iterations):
+    constraint = annulus(0.5, 1.0) if kind == "constrained-mala" else None
+    configs = [ChainConfig(step_size=eta, iterations=iterations, seed=seed, lazy=lazy,
+                           constraint=constraint, record_every=record_every)
+               for eta, seed in configs_args]
+    inits = np.zeros((len(configs), d))
+    inits[:, 0] = 0.6 + 0.1 * np.arange(len(configs))  # inside the annulus
+    return configs, inits
+
+
+class TestLockstep:
+    """Row j of a lockstep batch is the chain of row j run alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]),
+           precision=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3),
+           kind=st.sampled_from(["mala", "rwm", "constrained-mala"]),
+           cells=st.lists(st.tuples(st.floats(0.01, 3.0), st.integers(0, 2**63 - 1)), min_size=2, max_size=4),
+           lazy=st.booleans(), record_every=st.integers(1, 7), iterations=st.integers(1, 40))
+    def test_rows_equal_solo_runs(self, d, precision, kind, cells, lazy, record_every, iterations):
+        target = make_gaussian(d, precision[:d])
+        configs, inits = lockstep_case(kind, d, cells, lazy, record_every, iterations)
+        batch = run_chains(target, kind, configs, inits)
+        for j, config in enumerate(configs):
+            (solo,) = run_chains(target, kind, [config], inits[j:j + 1])
+            assert_traces_identical(batch[j], solo)
+
+    def test_zero_one_rows_match_solo_runs(self):
+        # A matrix product over several rows may round differently from one row.
+        t = zero_one_target()
+        configs, inits = lockstep_case("constrained-mala", 3, [(0.05, 1), (0.1, 2), (0.02, 3)],
+                                       lazy=True, record_every=1, iterations=300)
+        batch = run_chains(t, "constrained-mala", configs, inits)
+        for j, config in enumerate(configs):
+            solo = run_constrained_mala(t, config, inits[j])
+            assert np.array_equal(batch[j].accepted, solo.accepted)
+            for got, want in zip(trace_arrays(batch[j])[1:4] + (batch[j].potentials,),
+                                 trace_arrays(solo)[1:4] + (solo.potentials,)):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_failed_row_leaves_the_batch(self):
+        t = _inf_gradient_outside(5.0)
+        configs, inits = lockstep_case("mala", 1, [(0.5, 1), (50.0, 2), (0.7, 3)],
+                                       lazy=False, record_every=3, iterations=200)
+        batch = run_chains(t, "mala", configs, inits)
+        assert isinstance(batch[1], NumericFailure)
+        assert str(batch[1]) == "non-finite gradient at step 1, coordinates [0]"  # its first proposal
+        with pytest.raises(NumericFailure) as solo_failure:
+            run_mala(t, configs[1], inits[1])
+        assert str(batch[1]) == str(solo_failure.value)
+        for j in (0, 2):
+            assert_traces_identical(batch[j], run_mala(t, configs[j], inits[j]))
+
+    def test_row_by_row_target(self):
+        g = make_gaussian(2, [1.0, 3.0])
+        configs, inits = lockstep_case("mala", 2, [(0.4, 5), (0.9, 6)], lazy=True,
+                                       record_every=2, iterations=100)
+        rowwise = run_chains(dataclasses.replace(g, vectorized=False), "mala", configs, inits)
+        for a, b in zip(run_chains(g, "mala", configs, inits), rowwise):
+            assert_traces_identical(a, b)
+
+    def test_configs_must_share_the_schedule(self):
+        configs = [ChainConfig(step_size=0.5, iterations=10, seed=1),
+                   ChainConfig(step_size=0.5, iterations=20, seed=2)]
+        with pytest.raises(ValueError, match="lockstep"):
+            run_chains(STD_1D, "mala", configs, np.zeros((2, 1)))

@@ -322,9 +322,9 @@ class TestHittingTime:
         trace = run_mala(STD_1D, ChainConfig(step_size=0.5, iterations=500, seed=9), np.zeros(1))
         target_set = ConstraintSet(membership=lambda x: np.asarray(x, dtype=float)[..., 0] > 1.5)
         expected = None
-        for rec in trace.records:
-            if rec.state[0] > 1.5:
-                expected = rec.index
+        for index, state in zip(trace.indices, trace.states):
+            if state[0] > 1.5:
+                expected = int(index)
                 break
         assert hitting_time(trace, target_set) == expected
 

@@ -1,11 +1,13 @@
 """Spec parsing, runner determinism, scaling studies, and the CLI."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from malakit import harness
 from malakit.cli import cli_entry
 from malakit.harness import (
     SpecValidationError,
@@ -14,6 +16,7 @@ from malakit.harness import (
     scaling_study,
     serialize_spec,
 )
+from malakit.targets import TargetModel, make_gaussian
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = json.loads((ROOT / "tests" / "goldens.json").read_text())
@@ -79,6 +82,20 @@ class TestParsing:
         with pytest.raises(SpecValidationError) as err:
             parse_spec(bad)
         assert len(err.value.errors) >= 2
+
+    def test_unknown_keys_and_sections_collected(self):
+        bad = spec_with(**{"precision = 1.0": "precison = 4.0", "seed = 11": "seed = 11\nbogus = 1"})
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(bad + "\n[nonsense]\nx = 1\n\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=60 bnis=3\n")
+        errors = err.value.errors
+        assert len(errors) == 4
+        for word in ("'precison'", "'bogus'", "[nonsense]", "'bnis'"):
+            assert any(word in e for e in errors), word
+
+    def test_keys_depend_on_kind(self):
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(spec_with(**{"eta = 0.5": "eta = 0.5\netas = 0.5,0.25"}))
+        assert any("'etas'" in e for e in err.value.errors)
 
     def test_unknown_diagnostic(self):
         bad = MINIMAL + "\n[diagnostics]\nfancy_plot\n"
@@ -151,13 +168,37 @@ class TestRunExperiment:
         for p in report.trace_paths:
             assert Path(p).exists()
 
-    def test_byte_identical_reruns_and_threads(self, tmp_path):
-        spec = parse_spec(MINIMAL)
-        run_experiment(spec, threads=1, output_dir=tmp_path / "a")
-        run_experiment(spec, threads=3, output_dir=tmp_path / "b")
-        a = (tmp_path / "a" / "summary.csv").read_bytes()
-        b = (tmp_path / "b" / "summary.csv").read_bytes()
-        assert a == b
+    def test_byte_identical_reruns_and_batch_invariance(self, tmp_path, solo_mismatches):
+        spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = sweep\netas = 0.5,1.5"}))
+        a = run_experiment(spec, output_dir=tmp_path / "a")
+        b = run_experiment(spec, output_dir=tmp_path / "b")
+        assert Path(a.summary_path).read_bytes() == Path(b.summary_path).read_bytes()
+        for pa, pb in zip(a.trace_paths, b.trace_paths):
+            assert Path(pa).read_bytes() == Path(pb).read_bytes()
+        assert solo_mismatches(spec, tmp_path / "a", tmp_path / "solo") == []
+        # Cell k's seed is the k-th spawned child of the master seed.
+        children = np.random.SeedSequence(spec.seed).spawn(4)
+        seeds = [int(line.split(",")[3]) for line in Path(a.summary_path).read_text().splitlines()[1:]]
+        assert seeds == [int(c.generate_state(1, dtype=np.uint64)[0] >> 1) for c in children]
+
+    def test_failed_cell_makes_run_partial(self, tmp_path, monkeypatch, capsys):
+        def gradient(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) <= 6.0, x, np.inf)
+
+        original = harness.build_target
+        target = TargetModel(dimension=1, potential=make_gaussian(1, 1.0).potential, gradient=gradient)
+        monkeypatch.setattr(harness, "build_target",
+                            lambda spec: dataclasses.replace(original(spec), target=target))
+        spec_path = tmp_path / "sweep.spec"
+        spec_path.write_text(spec_with(**{"kind = explicit\neta = 0.5": "kind = sweep\netas = 0.5,50"}))
+        assert cli_entry(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "partial"
+        assert len(report["replica_errors"]) == 2
+        assert all("eta=50" in e and "non-finite gradient" in e for e in report["replica_errors"])
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["0.5", "0.5"]
 
     def test_eval_accounting_matches_summary(self, tmp_path):
         spec = parse_spec(MINIMAL)
@@ -249,7 +290,7 @@ class TestCli:
         code = cli_entry(["run", str(ROOT / "specs" / "gaussian_demo.spec"), "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "summary.csv").exists()
-        assert (tmp_path / "report.json").exists()
+        assert json.loads((tmp_path / "report.json").read_text())["status"] == "ok"
 
     def test_unknown_subcommand(self):
         assert cli_entry(["frobnicate"]) == 1
