@@ -35,6 +35,7 @@ from .integrator import (  # noqa: F401
     exact_quadratic_flow,
     hamiltonian,
     kinetic_error_bound,
+    leapfrog,
     leapfrog_step,
     log_accept_energy,
     log_accept_proposal_form,
@@ -73,7 +74,6 @@ from .regularity import (  # noqa: F401
     estimate_gradient_bound,
     estimate_tail_rate,
     good_set_check,
-    good_set_step_size,
     incoherence,
     tail_decay_check,
     theorem3_bounds,
@@ -90,8 +90,6 @@ from .diagnostics import (  # noqa: F401
     hanson_wright_check,
     hitting_time,
     mixing_time_estimate,
-    restricted_cheeger_1d,
-    restricted_conductance,
     transition_matrix_1d,
 )
 from .harness import (  # noqa: F401

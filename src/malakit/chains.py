@@ -17,8 +17,8 @@ uniform, so a row's draws do not depend on the rows beside it;
 :func:`run_ensemble` draws for all replicas from one stream.  Traces are
 written columnwise into preallocated arrays.
 
-Each step makes one oracle call on the rows that propose (the fused
-``value_and_grad`` for MALA).  A proposal whose energy error is NaN is
+Each step makes one oracle call on the rows that propose (for MALA, the
+fused ``value_and_grad`` inside :func:`malakit.integrator.leapfrog`).  A proposal whose energy error is NaN is
 rejected, and a non-finite gradient at a proposal raises
 :class:`NumericFailure`; in :func:`run_chains` only that row stops.
 """
@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrator import NumericFailure
+from .integrator import NumericFailure, leapfrog
 from .rng import chain_rng
 from .targets import ConstraintSet, TargetModel
 
@@ -132,24 +132,6 @@ def _gradient_failure(grad: np.ndarray, index: int) -> NumericFailure:
     return NumericFailure(f"non-finite gradient at step {index}, coordinates {bad}", bad)
 
 
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """``v[j] @ v[j]`` for each row, summed exactly as the 1-D dot product sums."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _batch_oracles(target: TargetModel):
-    """``(potential, value_and_grad)`` over an ``(n, d)`` batch; a target
-    without vectorized callables is evaluated row by row."""
-    if target.vectorized:
-        return target.potential, target.value_and_grad
-
-    def value_and_grad(x):
-        pots, grads = zip(*(target.value_and_grad(row) for row in x))
-        return np.array(pots, dtype=float), np.array(grads, dtype=float)
-
-    return (lambda x: np.array([float(target.potential(row)) for row in x])), value_and_grad
-
-
 class _CellDraws:
     """Row ``j`` draws from ``chain_rng(seeds[j])`` in the order of a chain run
     alone: lazy coin, velocity, uniform.  Returns (proposing rows, or None
@@ -214,11 +196,9 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
     row, the accepted count and the failures by row.
     """
     mala = kind == "mala"
-    potential, value_and_grad = _batch_oracles(target)
+    potential, value_and_grad = target.batch_oracles()
     x = np.array(x, dtype=float)
     isolate = isinstance(draws, _CellDraws)
-    half = 0.5 * eta
-    drift = half * eta  # rounds as ``0.5 * eta * eta`` does
     per_row = np.ndim(eta) > 0
     full_steps, proposals, accepted, failures = 0, np.zeros(len(x), dtype=np.int64), 0, {}
 
@@ -240,18 +220,14 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         act, v, log_u = draws()
         x_hat = err = acc = in_set = None
         if act is None:
-            xa, pa, ga, va, lu, ea, ha, ca = x, pot, grad, v, log_u, eta, half, drift
+            xa, pa, ga, va, lu, ea = x, pot, grad, v, log_u, eta
         elif act.size:
             xa, pa, va, lu = x[act], pot[act], v[act], log_u[act]
             ga = grad[act] if mala else None
-            ea, ha, ca = (eta[act], half[act], drift[act]) if per_row else (eta, half, drift)
+            ea = eta[act] if per_row else eta
         if act is None or act.size:
             if mala:
-                x_hat = xa + ea * va - ca * ga
-                pot_hat, grad_hat = value_and_grad(x_hat)
-                pot_hat, grad_hat = np.asarray(pot_hat, dtype=float), np.asarray(grad_hat, dtype=float)
-                v_hat = va - ha * (ga + grad_hat)
-                err = (pot_hat + 0.5 * _sq_norms(v_hat)) - (pa + 0.5 * _sq_norms(va))
+                x_hat, _, pot_hat, grad_hat, err = leapfrog(value_and_grad, xa, va, pa, ga, ea)
             else:
                 x_hat = xa + ea * va
                 pot_hat = np.asarray(potential(x_hat), dtype=float)

@@ -181,8 +181,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_optimize(args) -> int:
     from .chains import ChainConfig, extract_minimizer, run_constrained_mala
-    from .harness import _warm_annulus_init
-    from .rng import chain_rng
+    from .harness import warm_annulus_init
     from .targets import (annulus, make_smoothed_zero_one, precondition,
                           recommended_schedule, sample_sphere_dataset)
 
@@ -192,7 +191,7 @@ def _cmd_optimize(args) -> int:
     inv_temp, lam = recommended_schedule(args.q0, args.epsilon, args.dim, args.c1)
     target = precondition(make_smoothed_zero_one(data, inv_temp, lam), lam / math.sqrt(inv_temp))
     constraint = annulus(0.5, 1.0)
-    init = _warm_annulus_init(target, constraint, chain_rng(args.seed ^ 0x5EED))
+    init = warm_annulus_init(target, constraint, args.seed)
     config = ChainConfig(step_size=args.eta, iterations=args.iterations, seed=args.seed,
                          lazy=not args.eager, constraint=constraint)
     _progress(f"inverse temperature {inv_temp:g}, annulus scale {lam:g}")

@@ -19,6 +19,7 @@ import numpy as np
 
 from .chains import ChainTrace, run_ensemble
 from .grids import EmptySupportError, GridDistribution, grid_truth, histogram, tv_distance
+from .integrator import leapfrog
 from .rng import chain_rng, subseed
 from .targets import ConstraintSet, TargetModel
 
@@ -28,10 +29,8 @@ __all__ = [
     "HansonWrightReport",
     "FitFailed",
     "cheeger_1d",
-    "restricted_cheeger_1d",
     "transition_matrix_1d",
     "conductance",
-    "restricted_conductance",
     "mixing_time_estimate",
     "hitting_time",
     "energy_error_scaling",
@@ -70,40 +69,6 @@ def cheeger_1d(pi: GridDistribution, density: Callable[[float], float]) -> float
     return best
 
 
-def restricted_cheeger_1d(pi: GridDistribution, density: Callable[[float], float], within) -> float:
-    """Cheeger constant restricted to subsets of the cell mask ``within``.
-
-    The cut family is half-lines intersected with the mask; the boundary
-    measure of a cut counts every edge where membership flips between two
-    grid cells.  Mass condition is pi(S) > 0 (no half cap), per the
-    restricted definition.
-    """
-    if pi.dims != 1:
-        raise ValueError("restricted_cheeger_1d needs a 1D grid")
-    mask = np.asarray(within, dtype=bool)
-    if mask.shape != pi.mass.shape:
-        raise ValueError("mask must match the grid shape")
-    if not np.any(mask):
-        raise ValueError("mask selects no cells")
-    edges = pi.edges(0)
-    n = pi.bins[0]
-    best = math.inf
-    for k in range(1, n + 1):
-        member = mask.copy()
-        member[k:] = False
-        mass = float(pi.mass[member].sum())
-        if mass <= 0.0:
-            continue
-        boundary = 0.0
-        for e in range(1, n):  # interior edges only: thickening beyond the grid gains no mass
-            if member[e - 1] != member[e]:
-                boundary += float(density(float(edges[e])))
-        best = min(best, boundary / mass)
-    if not math.isfinite(best):
-        raise ValueError("no admissible restricted cut found")
-    return best
-
-
 def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
                          grid: GridDistribution) -> np.ndarray:
     """Row-stochastic discretization of the MALA or RWM kernel on a 1D grid.
@@ -121,22 +86,13 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
         raise ValueError("eta must be positive")
     mids = grid.midpoints(0)
     width = grid.widths()[0]
-    pts = mids[:, None]
-    if target.vectorized and kernel_kind == "mala":
-        pot, grad = target.value_and_grad(pts)
-        log_pi = -np.asarray(pot, dtype=float)
-        grad = np.asarray(grad, dtype=float)[:, 0]
-    elif target.vectorized:
-        log_pi = -np.asarray(target.potential(pts), dtype=float)
-    else:
-        log_pi = -np.array([float(target.potential(np.array([m]))) for m in mids])
-        if kernel_kind == "mala":
-            grad = np.array([float(np.asarray(target.gradient(np.array([m])))[0]) for m in mids])
-
+    potential, value_and_grad = target.batch_oracles()
     if kernel_kind == "mala":
-        mean = mids - 0.5 * eta * eta * grad
+        pot, grad = value_and_grad(mids[:, None])
+        mean = mids - 0.5 * eta * eta * np.asarray(grad, dtype=float)[:, 0]
     else:
-        mean = mids
+        pot, mean = potential(mids[:, None]), mids
+    log_pi = -np.asarray(pot, dtype=float)
     # log q[i, j]: proposal density from midpoint i to midpoint j
     diff = mids[None, :] - mean[:, None]
     log_q = -(diff * diff) / (2.0 * eta * eta) - math.log(eta * math.sqrt(2.0 * math.pi))
@@ -154,9 +110,9 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     return kernel
 
 
-def _cut_ratios(flow_out: float, flow_in: float, mass: float, allow_half: bool) -> list[float]:
+def _cut_ratios(flow_out: float, flow_in: float, mass: float) -> list[float]:
     out = []
-    cap = 0.5 + _HALF_TOL if allow_half else math.inf
+    cap = 0.5 + _HALF_TOL
     if 0.0 < mass <= cap:
         out.append(flow_out / mass)
     comp = 1.0 - mass
@@ -191,50 +147,17 @@ def conductance(kernel: np.ndarray, pi: GridDistribution,
     for k in range(1, n):
         flow_out = float(top[k - 1, k])        # i < k, j >= k
         flow_in = float(bottom[k, k - 1])      # i >= k, j < k
-        for r in _cut_ratios(flow_out, flow_in, float(mass_prefix[k - 1]), allow_half=True):
+        for r in _cut_ratios(flow_out, flow_in, float(mass_prefix[k - 1])):
             best = min(best, r)
 
     if random_subsets > 0 and n >= 2:
         rng = chain_rng(seed)
         masks = rng.random((random_subsets, n)) < 0.5
-        best = min(best, _subset_min_ratio(flux, p, masks, allow_half=True))
+        best = min(best, _subset_min_ratio(flux, p, masks))
     return best
 
 
-def restricted_conductance(kernel: np.ndarray, pi: GridDistribution, within,
-                           random_subsets: int = 10000, seed: int = 0) -> float:
-    """Conductance restricted to subsets of the cell mask ``within``.
-
-    Mass condition is pi(S) > 0; flow still exits to the full complement.
-    """
-    kernel = np.asarray(kernel, dtype=float)
-    p = pi.mass.ravel()
-    n = p.size
-    mask = np.asarray(within, dtype=bool).ravel()
-    if mask.shape != p.shape:
-        raise ValueError("mask must match the grid size")
-    if not np.any(mask):
-        raise ValueError("mask selects no cells")
-    flux = p[:, None] * kernel
-    cells = np.arange(n)
-    best = math.inf
-    prefix_masks = []
-    for k in range(1, n + 1):
-        m = mask & (cells < k)
-        if m.any():
-            prefix_masks.append(m)
-    masks = np.array(prefix_masks, dtype=bool)
-    best = min(best, _subset_min_ratio(flux, p, masks, allow_half=False))
-    if random_subsets > 0:
-        rng = chain_rng(seed)
-        rand = (rng.random((random_subsets, n)) < 0.5) & mask[None, :]
-        keep = rand.any(axis=1)
-        if keep.any():
-            best = min(best, _subset_min_ratio(flux, p, rand[keep], allow_half=False))
-    return best
-
-
-def _subset_min_ratio(flux: np.ndarray, p: np.ndarray, masks: np.ndarray, allow_half: bool) -> float:
+def _subset_min_ratio(flux: np.ndarray, p: np.ndarray, masks: np.ndarray) -> float:
     m = masks.astype(float)
     mass = m @ p
     row_flow = m @ flux                       # (k, n): sum_{i in S} flux[i, j]
@@ -243,12 +166,12 @@ def _subset_min_ratio(flux: np.ndarray, p: np.ndarray, masks: np.ndarray, allow_
     col_totals = flux.sum(axis=0)
     flow_in = m @ col_totals - internal
     best = math.inf
-    cap = 0.5 + _HALF_TOL if allow_half else math.inf
+    cap = 0.5 + _HALF_TOL
     for k in range(masks.shape[0]):
         if 0.0 < mass[k] <= cap:
             best = min(best, float(flow_out[k] / mass[k]))
         comp = 1.0 - mass[k]
-        if allow_half and 0.0 < comp <= cap:
+        if 0.0 < comp <= cap:
             best = min(best, float(flow_in[k] / comp))
     return best
 
@@ -330,17 +253,20 @@ class ScalingFit:
     intercept: float
     r_squared: float
 
-
-def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    x_mean, y_mean = xs.mean(), ys.mean()
-    sxx = float(np.sum((xs - x_mean) ** 2))
-    sxy = float(np.sum((xs - x_mean) * (ys - y_mean)))
-    slope = sxy / sxx
-    intercept = float(y_mean - slope * x_mean)
-    resid = ys - (intercept + slope * xs)
-    syy = float(np.sum((ys - y_mean) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / syy if syy > 0 else 1.0
-    return slope, intercept, r2
+    @classmethod
+    def from_logs(cls, log_x, log_y) -> "ScalingFit":
+        """Least-squares line through the points ``(log_x[k], log_y[k])``."""
+        xs, ys = np.asarray(log_x, dtype=float), np.asarray(log_y, dtype=float)
+        x_mean, y_mean = xs.mean(), ys.mean()
+        sxx = float(np.sum((xs - x_mean) ** 2))
+        sxy = float(np.sum((xs - x_mean) * (ys - y_mean)))
+        slope = sxy / sxx
+        intercept = float(y_mean - slope * x_mean)
+        resid = ys - (intercept + slope * xs)
+        syy = float(np.sum((ys - y_mean) ** 2))
+        r2 = 1.0 - float(np.sum(resid**2)) / syy if syy > 0 else 1.0
+        return cls(log_etas=tuple(float(v) for v in xs), log_values=tuple(float(v) for v in ys),
+                   slope=slope, intercept=intercept, r_squared=r2)
 
 
 def energy_error_scaling(
@@ -366,19 +292,13 @@ def energy_error_scaling(
     if k is not None and k.gradient_bound:
         if any(e * e * k.gradient_bound >= 2.0 for e in etas):
             raise ValueError("all step sizes must satisfy eta^2 M < 2 (stability)")
+    _, value_and_grad = target.batch_oracles()
     log_e, log_v = [], []
     for idx, eta in enumerate(etas):
         rng = chain_rng(subseed(seed, idx))
-        x, v = phase_dist(rng, samples_per_eta)
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        pot, grad = target.value_and_grad(x)
-        grad = np.asarray(grad, dtype=float)
-        x_hat = x + eta * v - 0.5 * eta * eta * grad
-        pot_hat, grad_hat = target.value_and_grad(x_hat)
-        v_hat = v - 0.5 * eta * (grad + np.asarray(grad_hat, dtype=float))
-        d_h = (np.asarray(pot_hat, dtype=float) + 0.5 * np.sum(v_hat**2, axis=1)
-               - np.asarray(pot, dtype=float) - 0.5 * np.sum(v**2, axis=1))
+        x, v = (np.asarray(a, dtype=float) for a in phase_dist(rng, samples_per_eta))
+        pot, grad = (np.asarray(a, dtype=float) for a in value_and_grad(x))
+        *_, d_h = leapfrog(value_and_grad, x, v, pot, grad, eta)
         mean_abs = float(np.mean(np.abs(d_h)))
         if not np.isfinite(mean_abs) or mean_abs <= 0.0:
             warnings.warn(f"dropping eta={eta:g}: non-finite or zero mean energy error", stacklevel=2)
@@ -387,9 +307,7 @@ def energy_error_scaling(
         log_v.append(math.log(mean_abs))
     if len(log_e) < 3:
         raise FitFailed("fewer than 3 step sizes produced finite energy errors")
-    slope, intercept, r2 = _ols(np.asarray(log_e), np.asarray(log_v))
-    return ScalingFit(log_etas=tuple(log_e), log_values=tuple(log_v),
-                      slope=slope, intercept=intercept, r_squared=r2)
+    return ScalingFit.from_logs(log_e, log_v)
 
 
 @dataclass(frozen=True)

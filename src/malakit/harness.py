@@ -55,7 +55,8 @@ import numpy as np
 
 from . import __version__
 from .chains import ChainConfig, ChainTrace, run_chains, run_ensemble, theorem1_step_size
-from .diagnostics import acceptance_stats, energy_error_scaling, hitting_time, mixing_time_estimate, _ols
+from .diagnostics import (ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
+                          mixing_time_estimate)
 from .grids import grid_truth, histogram, tv_distance
 from .regularity import build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound
 from .rng import chain_rng, subseed
@@ -72,6 +73,7 @@ __all__ = [
     "serialize_spec",
     "build_target",
     "resolve_etas",
+    "warm_annulus_init",
     "run_experiment",
     "scaling_study",
     "ScalingStudyResult",
@@ -480,25 +482,23 @@ def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float],
     return [eta], notes
 
 
-def _warm_annulus_init(target: TargetModel, constraint: ConstraintSet, rng: np.random.Generator,
-                       candidates: int = 64) -> np.ndarray:
-    """Best-of-N warm start inside an annulus constraint."""
+def warm_annulus_init(target: TargetModel, constraint: ConstraintSet, seed: int,
+                      candidates: int = 64) -> np.ndarray:
+    """Best-of-``candidates`` warm start inside an annulus constraint: the
+    uniform-radius candidate of least potential, drawn from
+    ``chain_rng(seed ^ 0x5EED)``."""
+    rng = chain_rng(seed ^ 0x5EED)
     inner, outer = constraint.annulus_radii or (0.5, 1.0)
-    d = target.dimension
-    pts = rng.standard_normal((candidates, d))
+    pts = rng.standard_normal((candidates, target.dimension))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    radii = inner + (outer - inner) * rng.random((candidates, 1))
-    pts *= radii
-    if target.vectorized:
-        pot = np.asarray(target.potential(pts), dtype=float)
-    else:
-        pot = np.array([float(target.potential(q)) for q in pts])
+    pts *= inner + (outer - inner) * rng.random((candidates, 1))
+    pot = np.asarray(target.batch_oracles()[0](pts), dtype=float)
     return pts[int(np.argmin(pot))]
 
 
 def _replica_init(spec: ExperimentSpec, built: BuiltTarget, replica_seed: int) -> np.ndarray:
     if built.constraint is not None:
-        return _warm_annulus_init(built.target, built.constraint, chain_rng(replica_seed ^ 0x5EED))
+        return warm_annulus_init(built.target, built.constraint, replica_seed)
     return np.zeros(built.target.dimension)
 
 
@@ -829,7 +829,7 @@ def scaling_study(template: ExperimentSpec, axis: str, values,
     if len(pairs) >= 2:
         xs = np.log([p[0] for p in pairs])
         ys = np.log([p[1] for p in pairs])
-        slope, _, _ = _ols(xs, ys)
+        slope = ScalingFit.from_logs(xs, ys).slope
     return ScalingStudyResult(axis=axis, values=values, mixing_estimates=mixing,
                               acceptance_means=acc_means, gradient_evals=gevals, slope=slope)
 

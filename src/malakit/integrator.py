@@ -1,5 +1,8 @@
-"""Phase-space state, one leapfrog step, and the acceptance rule.
+"""Phase-space state, the leapfrog kernel, and the acceptance rule.
 
+:func:`leapfrog` is the one leapfrog step in the package: the chain engine,
+:func:`leapfrog_step` (a batch of one) and the energy-error diagnostics all
+call it, so the checks of the step check the step the chains run.
 The Metropolis correction is driven entirely by the energy-conservation
 error of a single leapfrog step: the log acceptance probability is
 ``min(0, -dH)``.  An independent formulation of the same rule — the
@@ -21,6 +24,7 @@ __all__ = [
     "LeapfrogResult",
     "NumericFailure",
     "hamiltonian",
+    "leapfrog",
     "leapfrog_step",
     "exact_quadratic_flow",
     "log_accept_energy",
@@ -69,32 +73,50 @@ def hamiltonian(target: TargetModel, state: PhaseState) -> float:
     return float(target.potential(state.position)) + 0.5 * float(np.dot(state.velocity, state.velocity))
 
 
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """``v[j] @ v[j]`` for each row, summed exactly as the 1-D dot product sums."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def leapfrog(value_and_grad, x, v, pot, grad, eta):
+    """One leapfrog step for each row of an ``(n, d)`` batch.
+
+    ``pot`` and ``grad`` are the oracle values at ``x``; ``eta`` is a float
+    or an ``(n, 1)`` column of per-row step sizes.  Makes one oracle call,
+    at the proposal, and returns ``(x_hat, v_hat, pot_hat, grad_hat, err)``
+    where ``err`` is the energy error whose negative is the log acceptance.
+    """
+    half = 0.5 * eta
+    x_hat = x + eta * v - (half * eta) * grad
+    pot_hat, grad_hat = value_and_grad(x_hat)
+    pot_hat, grad_hat = np.asarray(pot_hat, dtype=float), np.asarray(grad_hat, dtype=float)
+    v_hat = v - half * (grad + grad_hat)
+    err = (pot_hat + 0.5 * _sq_norms(v_hat)) - (pot + 0.5 * _sq_norms(v))
+    return x_hat, v_hat, pot_hat, grad_hat, err
+
+
 def leapfrog_step(target: TargetModel, state: PhaseState, eta: float) -> LeapfrogResult:
-    """One leapfrog step of size ``eta`` with both energies evaluated.
+    """One leapfrog step of size ``eta`` with both energies evaluated: the
+    batched :func:`leapfrog` on a batch of one.
 
     Uses exactly two gradient evaluations (at the current and proposed
     positions); the energy error is the acceptance rule's input.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    q, p = state.position, state.velocity
-    value_and_grad = target.value_and_grad
-    pot_q, grad_q = value_and_grad(q)
-    grad_q = np.asarray(grad_q, dtype=float)
-    _require_finite(grad_q, "gradient at current position")
-    q_new = q + eta * p - 0.5 * eta * eta * grad_q
-    pot_q_new, grad_q_new = value_and_grad(q_new)
-    grad_q_new = np.asarray(grad_q_new, dtype=float)
-    _require_finite(grad_q_new, "gradient at proposal")
-    p_new = p - 0.5 * eta * (grad_q + grad_q_new)
-
-    energy_before = float(pot_q) + 0.5 * float(np.dot(p, p))
-    energy_after = float(pot_q_new) + 0.5 * float(np.dot(p_new, p_new))
+    _, value_and_grad = target.batch_oracles()
+    x, v = state.position[None, :], state.velocity[None, :]
+    pot, grad = value_and_grad(x)
+    pot, grad = np.asarray(pot, dtype=float), np.asarray(grad, dtype=float)
+    _require_finite(grad, "gradient at current position")
+    x_hat, v_hat, pot_hat, grad_hat, err = leapfrog(value_and_grad, x, v, pot, grad, eta)
+    _require_finite(grad_hat, "gradient at proposal")
+    energy_before = float(pot[0]) + 0.5 * float(_sq_norms(v)[0])
     return LeapfrogResult(
-        proposal=PhaseState(q_new, p_new),
+        proposal=PhaseState(x_hat[0], v_hat[0]),
         energy_before=energy_before,
-        energy_after=energy_after,
-        energy_error=energy_after - energy_before,
+        energy_after=float(pot_hat[0]) + 0.5 * float(_sq_norms(v_hat)[0]),
+        energy_error=float(err[0]),
     )
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .targets import ConstraintSet, Dataset, TargetModel
 from .integrator import PhaseState
+from .rng import chain_rng
 
 __all__ = [
     "EstimationFailed",
@@ -37,7 +38,6 @@ __all__ = [
     "estimate_tail_rate",
     "tail_decay_check",
     "good_set_check",
-    "good_set_step_size",
     "constraint_exit_estimate",
     "build_regularity_report",
 ]
@@ -45,11 +45,6 @@ __all__ = [
 
 class EstimationFailed(RuntimeError):
     """Every probe was degenerate; no estimate available."""
-
-
-def _probe_rng(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def incoherence(data: Dataset) -> float:
@@ -99,10 +94,10 @@ def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
     c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     best = None
     for i in range(probe_points):
-        x = c + _probe_rng(seed, i, 0).standard_normal(d)
+        x = c + chain_rng(seed, i, 0).standard_normal(d)
         h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
         for j in range(1, probe_dirs + 1):
-            rng = _probe_rng(seed, i, j)
+            rng = chain_rng(seed, i, j)
             u, v, w = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(d)
             denom = float(np.max(np.abs(bd.T @ u)) * np.max(np.abs(bd.T @ v)) * np.linalg.norm(w))
             if denom < 1e-12:
@@ -136,10 +131,10 @@ def estimate_c4(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
     c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     best = None
     for i in range(probe_points):
-        x = c + _probe_rng(seed, i, 0).standard_normal(d)
+        x = c + chain_rng(seed, i, 0).standard_normal(d)
         h = 3e-3 * (1.0 + float(np.linalg.norm(x)))
         for j in range(1, probe_dirs + 1):
-            u = _probe_rng(seed, i, j).standard_normal(d)
+            u = chain_rng(seed, i, j).standard_normal(d)
             denom = float(np.max(np.abs(bd.T @ u))) ** 4
             if denom < 1e-12:
                 continue
@@ -242,28 +237,6 @@ def estimate_tail_rate(samples, x_star, d: int) -> float | None:
     return min(rates) if rates else None
 
 
-def good_set_step_size(c3: float, c4: float, gradient_bound: float, alpha: float,
-                       radius: float, safety_constant: float = 1.0) -> float:
-    """Alternative step-size formula phrased in good-set constants.
-
-    eta = c * min(C3^{-1/3} R^{-1/3}, R^{-2/3}, C4^{-1/4}) * min(1, M^{-1/2}) / alpha.
-    This is the radius/threshold-parameterized companion of
-    :func:`malakit.chains.theorem1_step_size` (which is phrased in the
-    dimension); the two are not reconciled here — the dimension form is
-    the primary schedule.
-    """
-    if gradient_bound <= 0 or alpha <= 0 or radius <= 0 or safety_constant <= 0:
-        raise ValueError("gradient_bound, alpha, radius and safety_constant must be positive")
-    if c3 < 0 or c4 < 0:
-        raise ValueError("c3 and c4 must be nonnegative")
-    terms = [radius ** (-2.0 / 3.0)]
-    if c3 > 0:
-        terms.append(c3 ** (-1.0 / 3.0) * radius ** (-1.0 / 3.0))
-    if c4 > 0:
-        terms.append(c4 ** (-0.25))
-    return safety_constant * min(terms) * min(1.0, gradient_bound ** -0.5) / alpha
-
-
 @dataclass(frozen=True)
 class GoodSetParams:
     """Thresholds for the bounded-trajectory region in phase space."""
@@ -339,7 +312,7 @@ def constraint_exit_estimate(target: TargetModel, constraint: ConstraintSet, eta
     z = np.asarray(z, dtype=float)
     if not bool(constraint.contains(z)):
         raise ValueError("z must lie inside the constraint set")
-    rng = _probe_rng(seed, 0)
+    rng = chain_rng(seed, 0)
     grad = np.asarray(target.gradient(z), dtype=float)
     drift = z - 0.5 * eta * eta * grad
     v = rng.standard_normal((n, z.size))
@@ -404,7 +377,7 @@ def build_regularity_report(target: TargetModel, data: Dataset, probe_points: in
     c3_est = estimate_c3(target, probe_points, probe_dirs, seed)
     c4_est = estimate_c4(target, probe_points, probe_dirs, seed)
     if samples is None:
-        rng = _probe_rng(seed, 10**6)
+        rng = chain_rng(seed, 10**6)
         samples = rng.standard_normal((max(probe_points, 16), target.dimension))
     samples = np.asarray(samples, dtype=float)
     grad_est = estimate_gradient_bound(target, list(samples))

@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def chain_rng(seed: int) -> np.random.Generator:
-    """Generator for a single chain or diagnostic keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def chain_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator for a single chain or diagnostic keyed by ``seed``; a
+    ``key`` selects the substream ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def subseed(seed: int, index: int) -> int:

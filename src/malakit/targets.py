@@ -160,6 +160,18 @@ class TargetModel:
             return self.fused
         return lambda x: (self.potential(x), self.gradient(x))
 
+    def batch_oracles(self):
+        """``(potential, value_and_grad)`` over an ``(n, d)`` batch of rows; a
+        target without vectorized callables is evaluated row by row."""
+        if self.vectorized:
+            return self.potential, self.value_and_grad
+
+        def value_and_grad(x):
+            pots, grads = zip(*(self.value_and_grad(row) for row in x))
+            return np.array(pots, dtype=float), np.array(grads, dtype=float)
+
+        return (lambda x: np.array([float(self.potential(row)) for row in x])), value_and_grad
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -251,11 +263,11 @@ def _linear_composite(
 
     def potential(x):
         x = np.asarray(x, dtype=float)
-        quad = 0.5 * prior_precision * np.sum(x * x, axis=-1)
+        quad = 0.5 * prior_precision * (x * x).sum(axis=-1)
         if a.shape[1] == 0:
             return quad
         t = x @ a
-        return quad + weight * np.sum(value(t), axis=-1)
+        return quad + weight * value(t).sum(axis=-1)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
@@ -267,12 +279,12 @@ def _linear_composite(
 
     def value_and_grad(x):
         x = np.asarray(x, dtype=float)
-        quad = 0.5 * prior_precision * np.sum(x * x, axis=-1)
+        quad = 0.5 * prior_precision * (x * x).sum(axis=-1)
         grad = prior_precision * x
         if a.shape[1] == 0:
             return quad, grad
         val, der = value_d1(x @ a)
-        return quad + weight * np.sum(val, axis=-1), grad + weight * (der @ a.T)
+        return quad + weight * val.sum(axis=-1), grad + weight * (der @ a.T)
 
     def third_directional(x, u, v, w):
         if a.shape[1] == 0:
@@ -317,7 +329,7 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
 
     def potential(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum(lam * x * x, axis=-1)
+        return 0.5 * (lam * x * x).sum(axis=-1)
 
     def gradient(x):
         return lam * np.asarray(x, dtype=float)
@@ -326,7 +338,7 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
         # lam * x * x evaluates as (lam * x) * x, so this equals potential(x).
         x = np.asarray(x, dtype=float)
         grad = lam * x
-        return 0.5 * np.sum(grad * x, axis=-1), grad
+        return 0.5 * (grad * x).sum(axis=-1), grad
 
     log_z = float(0.5 * np.sum(np.log(2.0 * math.pi / lam)))
     return TargetModel(

@@ -6,10 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malakit import harness
 from malakit.cli import cli_entry
 from malakit.harness import (
+    DiagnosticSpec,
+    ExperimentSpec,
     SpecValidationError,
     parse_spec,
     run_experiment,
@@ -51,7 +55,82 @@ def spec_with(**edits):
     return text
 
 
+def _is_word(text):
+    """True when the spec format reads ``text`` back as a string."""
+    if text.lower() in ("true", "false"):
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+WORDS = st.from_regex(r"[a-z][a-z0-9_/-]{0,11}", fullmatch=True).filter(_is_word)
+
+
+def _floats(low, high, exclude_low=False):
+    return st.floats(low, high, exclude_min=exclude_low, allow_nan=False, allow_infinity=False)
+
+
+POSITIVE = _floats(0.0, 1e6, exclude_low=True)
+FLOAT_LISTS = st.lists(POSITIVE, min_size=2, max_size=4).map(lambda vs: ",".join(map(repr, vs)))
+
+
+@st.composite
+def valid_specs(draw):
+    """Valid specs: every target, sampler and schedule kind, with optional keys."""
+    kind = draw(st.sampled_from(["gaussian", "logistic", "sigmoid", "zero_one"]))
+    sizes = {"d": draw(st.integers(1, 50)), "r": draw(st.integers(1, 5000)),
+             "data_seed": draw(st.integers(-10**6, 10**6)), "q0": draw(_floats(0.0, 1.0, exclude_low=True))}
+    if kind == "gaussian":
+        target = {"d": sizes["d"], "precision": draw(st.one_of(POSITIVE, FLOAT_LISTS))}
+    elif kind == "zero_one":
+        target = {**sizes, "epsilon": draw(_floats(0.0, 0.1, exclude_low=True)), "c1": draw(POSITIVE)}
+    else:
+        target = {**sizes, "prior": draw(_floats(0.0, 1e6))}
+    sampler = draw(st.sampled_from(["mala", "rwm", "constrained-mala"]))
+    radii = None
+    if (sampler == "constrained-mala" and kind != "zero_one") or draw(st.booleans()):
+        inner = draw(_floats(0.0, 10.0, exclude_low=True))
+        radii = (inner, inner + draw(_floats(0.0, 10.0, exclude_low=True)))
+        if not radii[0] < radii[1]:
+            radii = (inner, 2.0 * inner)
+    schedule = draw(st.sampled_from(["explicit", "theorem1", "sweep"]))
+    params = {"explicit": st.fixed_dictionaries({"eta": POSITIVE}),
+              "theorem1": st.fixed_dictionaries({}, optional={"safety": POSITIVE, "probe_points": st.integers(1, 64),
+                                                              "probe_dirs": st.integers(1, 64)}),
+              "sweep": st.fixed_dictionaries({"etas": st.one_of(POSITIVE, FLOAT_LISTS)})}[schedule]
+    diag_params = {
+        "acceptance_stats": st.just({}),
+        "tv_vs_truth": st.fixed_dictionaries({"lo": _floats(-100.0, 0.0), "hi": _floats(0.0, 100.0, exclude_low=True),
+                                              "bins": st.integers(2, 400)},
+                                             optional={"lo2": _floats(-100.0, 0.0), "bins2": st.integers(2, 400)}),
+        "energy_error_scaling": st.fixed_dictionaries({}, optional={"etas": FLOAT_LISTS,
+                                                                    "samples": st.integers(1, 10**4)}),
+    }
+    if kind != "gaussian":
+        diag_params["regularity"] = st.fixed_dictionaries({}, optional={"probe_points": st.integers(1, 64)})
+    if kind == "zero_one":
+        diag_params["zero_one_summary"] = st.fixed_dictionaries({}, optional={"angle_max": POSITIVE})
+    names = draw(st.lists(st.sampled_from(sorted(diag_params)), max_size=4))
+    return ExperimentSpec(
+        name=draw(WORDS), target_kind=kind, target_params=target, sampler=sampler, lazy=draw(st.booleans()),
+        schedule_kind=schedule, schedule_params=draw(params), iterations=draw(st.integers(1, 10**6)),
+        replicas=draw(st.integers(1, 1000)), seed=draw(st.integers(-2**62, 2**62)),
+        record_every=draw(st.integers(1, 100)),
+        diagnostics=tuple(DiagnosticSpec(n, draw(diag_params[n])) for n in names),
+        output=draw(st.one_of(st.none(), WORDS)), constraint_radii=radii)
+
+
 class TestParsing:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=valid_specs())
+    def test_serialize_parse_round_trip(self, spec):
+        text = serialize_spec(spec)
+        assert parse_spec(text) == spec
+        assert serialize_spec(parse_spec(text)) == text
+
     def test_minimal_valid(self):
         spec = parse_spec(MINIMAL)
         assert spec.name == "mini"

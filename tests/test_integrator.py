@@ -1,9 +1,12 @@
 """Leapfrog step, Hamiltonian, acceptance forms, and the flow oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from malakit.integrator import (
     NumericFailure,
@@ -11,6 +14,7 @@ from malakit.integrator import (
     exact_quadratic_flow,
     hamiltonian,
     kinetic_error_bound,
+    leapfrog,
     leapfrog_step,
     log_accept_energy,
     log_accept_proposal_form,
@@ -89,6 +93,35 @@ class TestLeapfrogStep:
             back = leapfrog_step(t, PhaseState(fwd.proposal.position, -fwd.proposal.velocity), 0.2)
             assert np.max(np.abs(back.proposal.position - state.position)) <= 1e-10
             assert np.max(np.abs(back.proposal.velocity + state.velocity)) <= 1e-10
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "logistic"]), d=st.integers(1, 5), n=st.integers(1, 6),
+           per_row=st.booleans(), seed=st.integers(0, 2**31))
+    def test_batch_rows_equal_single_steps(self, kind, d, n, per_row, seed):
+        # The dataset target is batched through its row-by-row copy: a
+        # vectorized x @ a over n > 1 rows is a matrix product that BLAS may
+        # round differently from the one-row product.
+        rng = chain_rng(seed)
+        if kind == "gaussian":
+            target = make_gaussian(d, 0.5 + rng.random(d))
+            batched = target
+        else:
+            data = sample_sphere_dataset(d, 20, np.eye(d)[0], 0.7, seed)
+            target = make_logistic_regression(data, 1.0)
+            batched = dataclasses.replace(target, vectorized=False)
+        x, v = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        eta = 0.01 + 0.49 * rng.random((n, 1)) if per_row else 0.3
+        _, value_and_grad = batched.batch_oracles()
+        pot, grad = value_and_grad(x)
+        x_hat, v_hat, pot_hat, grad_hat, err = leapfrog(value_and_grad, x, v, pot, grad, eta)
+        for j in range(n):
+            res = leapfrog_step(target, PhaseState(x[j], v[j]), float(eta[j, 0]) if per_row else eta)
+            assert np.array_equal(x_hat[j], res.proposal.position)
+            assert np.array_equal(v_hat[j], res.proposal.velocity)
+            assert err[j] == res.energy_error
+            assert pot_hat[j] + 0.5 * float(v_hat[j] @ v_hat[j]) == res.energy_after
+            assert np.array_equal(grad_hat[j], target.gradient(res.proposal.position))
 
 
 class TestExactFlow:

@@ -137,26 +137,6 @@ class TestDerivativeEstimators:
             estimate_c3(make_gaussian(2, 1.0), 2, 2, 0)
 
 
-class TestGoodSetStepSize:
-    def test_radius_term_only(self):
-        from malakit.regularity import good_set_step_size
-
-        assert good_set_step_size(0.0, 0.0, 1.0, alpha=2.0, radius=8.0) == pytest.approx(0.125)
-
-    def test_c3_term_binds(self):
-        from malakit.regularity import good_set_step_size
-
-        # c3^{-1/3} R^{-1/3} = 1/2 beats R^{-2/3} = 1/4 reversed: min picks 1/4
-        value = good_set_step_size(1.0, 0.0, 1.0, alpha=1.0, radius=8.0)
-        assert value == pytest.approx(min(8.0 ** (-1.0 / 3.0), 8.0 ** (-2.0 / 3.0)))
-
-    def test_validation(self):
-        from malakit.regularity import good_set_step_size
-
-        with pytest.raises(ValueError):
-            good_set_step_size(1.0, 1.0, 0.0, alpha=1.0, radius=1.0)
-
-
 class TestGradientBound:
     def test_gaussian_within_ball(self):
         g = make_gaussian(2, 1.0)
