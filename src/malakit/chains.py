@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .integrator import NumericFailure, leapfrog
+from .integrator import NumericFailure, leapfrog, log_accept_energy
 from .rng import chain_rng
 from .targets import ConstraintSet, TargetModel
 
@@ -302,8 +302,7 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
         target, "mala" if mala else "rwm", np.array([[c.step_size] for c in configs]), inits,
         first.iterations, _CellDraws([c.seed for c in configs], d, first.lazy), constraint, cols)
     err = cols.energy_errors
-    # min(0, -err), except that a NaN error gives -inf (certain rejection).
-    log_accepts = np.where(err > 0.0, -err, np.where(err <= 0.0, 0.0, -np.inf))
+    log_accepts = log_accept_energy(err)
     results: list[ChainTrace | NumericFailure] = []
     for j, config in enumerate(configs):
         evals = 1 + int(proposals[j])  # one oracle call at the start and per non-lazy step

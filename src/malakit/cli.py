@@ -181,24 +181,25 @@ def _cmd_sample(args) -> int:
 
 def _cmd_optimize(args) -> int:
     from .chains import ChainConfig, extract_minimizer, run_constrained_mala
-    from .harness import warm_annulus_init
-    from .targets import (annulus, make_smoothed_zero_one, precondition,
-                          recommended_schedule, sample_sphere_dataset)
+    from .harness import ExperimentSpec, build_target, warm_annulus_init
 
-    theta = np.zeros(args.dim)
-    theta[0] = 1.0
-    data = sample_sphere_dataset(args.dim, args.count, theta, args.q0, args.seed)
-    inv_temp, lam = recommended_schedule(args.q0, args.epsilon, args.dim, args.c1)
-    target = precondition(make_smoothed_zero_one(data, inv_temp, lam), lam / math.sqrt(inv_temp))
-    constraint = annulus(0.5, 1.0)
-    init = warm_annulus_init(target, constraint, args.seed)
+    spec = ExperimentSpec(
+        name="optimize", target_kind="zero_one",
+        target_params={"d": args.dim, "r": args.count, "q0": args.q0, "epsilon": args.epsilon,
+                       "c1": args.c1, "data_seed": args.seed},
+        sampler="constrained-mala", lazy=not args.eager, schedule_kind="explicit",
+        schedule_params={"eta": args.eta}, iterations=args.iterations, replicas=1, seed=args.seed,
+        record_every=1, diagnostics=())
+    built = build_target(spec)
+    init = warm_annulus_init(built.target, built.constraint, args.seed)
     config = ChainConfig(step_size=args.eta, iterations=args.iterations, seed=args.seed,
-                         lazy=not args.eager, constraint=constraint)
-    _progress(f"inverse temperature {inv_temp:g}, annulus scale {lam:g}")
-    trace = run_constrained_mala(target, config, init)
+                         lazy=spec.lazy, constraint=built.constraint)
+    notes = built.notes
+    _progress(f"inverse temperature {notes['inverse_temperature']:g}, annulus scale {notes['lam']:g}")
+    trace = run_constrained_mala(built.target, config, init)
     x_star, value = extract_minimizer(trace)
     direction = x_star / np.linalg.norm(x_star)
-    angle = math.acos(float(np.clip(direction @ theta, -1.0, 1.0)))
+    angle = math.acos(float(np.clip(direction @ built.theta_star, -1.0, 1.0)))
     result = {
         "minimizer": [float(v) for v in x_star],
         "potential": value,

@@ -37,8 +37,10 @@ Format sketch::
     [output]
     dir = runs/demo
 
-Comments start with ``#``; unknown keys are validation errors and all
-errors are reported together rather than first-only.
+Comments start with ``#``.  :data:`SCHEMA` declares every key once, with
+its type, bounds and default; unknown, missing and ill-typed keys are
+validation errors, and all errors are reported together rather than
+first-only.
 """
 
 from __future__ import annotations
@@ -81,18 +83,79 @@ __all__ = [
 
 HEADER = "malakit-spec v1"
 
-# The keys each section accepts; [target] and [schedule] keys depend on the kind.
-_SECTION_KEYS = {"__top__": {"name"}, "sampler": {"kind", "lazy"}, "constraint": {"inner", "outer"},
-                 "run": {"iterations", "replicas", "seed", "record_every"}, "output": {"dir"}}
-_DATA_KEYS = {"kind", "dataset", "d", "r", "q0", "data_seed", "prior"}
-_TARGET_KEYS = {"gaussian": {"kind", "d", "precision"}, "logistic": _DATA_KEYS, "sigmoid": _DATA_KEYS,
-                "zero_one": {"kind", "d", "r", "q0", "data_seed", "epsilon", "c1"}}
-_SCHEDULE_KEYS = {"explicit": {"kind", "eta"}, "theorem1": {"kind", "safety", "probe_points", "probe_dirs"},
-                  "sweep": {"kind", "etas"}}
-_DIAGNOSTIC_PARAMS = {"acceptance_stats": set(), "tv_vs_truth": {"lo", "hi", "bins", "lo2", "hi2", "bins2"},
-                      "energy_error_scaling": {"etas", "samples"}, "regularity": {"probe_points", "probe_dirs"},
-                      "zero_one_summary": {"angle_max"}}
-_SAMPLER_KINDS = ("mala", "rwm", "constrained-mala")
+_REQUIRED = object()  # the default of a key that must be given
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One spec key: its type, bounds and default.
+
+    ``type`` is ``int``, ``number``, ``numbers`` (a number or a comma list of
+    numbers), ``word`` or ``bool``; numbers must be finite.  The bounds apply
+    to every number; ``choices`` restricts a word.  A key whose default is
+    ``_REQUIRED`` must be given, and one with ``same_as`` takes that key's
+    value when it is absent.
+    """
+
+    type: str
+    low: float | None = None
+    high: float | None = None
+    low_open: bool = False
+    default: object = _REQUIRED
+    choices: tuple = ()
+    same_as: str | None = None
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED and self.same_as is None
+
+
+def _sizes(**kw) -> dict:
+    return {"d": _Key("int", 1, **kw), "r": _Key("int", 1, **kw),
+            "q0": _Key("number", 0.0, 1.0, low_open=True, **kw), "data_seed": _Key("int", **kw)}
+
+
+_POSITIVE = {"low": 0.0, "low_open": True}
+_PROBES = {"probe_points": _Key("int", 1, default=8), "probe_dirs": _Key("int", 1, default=8)}
+_DATA = {"dataset": _Key("word", default=None), **_sizes(default=None), "prior": _Key("number", 0.0)}
+
+# Every key of the format, declared once.  ``[target]`` and ``[schedule]``
+# are keyed by their ``kind``, ``diagnostics`` by the diagnostic's name, and
+# "" is the top level.  Parsing validates against this table and the
+# builders read their values, defaults filled in, from it.
+SCHEMA = {
+    "": {"name": _Key("word")},
+    "target": {
+        "gaussian": {"d": _Key("int", 1), "precision": _Key("numbers", **_POSITIVE, default=1.0)},
+        "logistic": _DATA,
+        "sigmoid": _DATA,
+        "zero_one": {**_sizes(), "epsilon": _Key("number", 0.0, 0.1, low_open=True),
+                     "c1": _Key("number", **_POSITIVE, default=1.0)},
+    },
+    "sampler": {"kind": _Key("word", choices=("mala", "rwm", "constrained-mala")),
+                "lazy": _Key("bool", default=None)},
+    "constraint": {"inner": _Key("number", **_POSITIVE), "outer": _Key("number", **_POSITIVE)},
+    "schedule": {
+        "explicit": {"eta": _Key("number", **_POSITIVE)},
+        "theorem1": {"safety": _Key("number", **_POSITIVE, default=1.0), **_PROBES},
+        "sweep": {"etas": _Key("numbers", **_POSITIVE)},
+    },
+    "run": {"iterations": _Key("int", 1), "replicas": _Key("int", 1), "seed": _Key("int"),
+            "record_every": _Key("int", 1, default=1)},
+    "diagnostics": {
+        "acceptance_stats": {},
+        "tv_vs_truth": {"lo": _Key("number"), "hi": _Key("number"), "bins": _Key("int", 2),
+                        "lo2": _Key("number", same_as="lo"), "hi2": _Key("number", same_as="hi"),
+                        "bins2": _Key("int", 2, same_as="bins")},
+        "energy_error_scaling": {"etas": _Key("numbers", **_POSITIVE, default="0.4,0.2,0.1,0.05,0.025"),
+                                 "samples": _Key("int", 1, default=2000)},
+        "regularity": _PROBES,
+        "zero_one_summary": {"angle_max": _Key("number", **_POSITIVE, default=0.35)},
+    },
+    "output": {"dir": _Key("word", default=None)},
+}
+_TYPE_NAMES = {"int": "an integer", "number": "a finite number",
+               "numbers": "a number or comma-separated numbers", "word": "a word", "bool": "true or false"}
 
 
 class SpecValidationError(ValueError):
@@ -159,7 +222,7 @@ def _parse_sections(text: str, errors: list[str]):
         return {}, []
     sections: dict[str, dict] = {}
     diag_lines: list[str] = []
-    current = "__top__"
+    current = ""
     sections[current] = {}
     for line in lines[1:]:
         if line.startswith("[") and line.endswith("]"):
@@ -179,26 +242,71 @@ def _parse_sections(text: str, errors: list[str]):
     return sections, diag_lines
 
 
-def _parse_diag_line(line: str, errors: list[str]) -> DiagnosticSpec | None:
-    parts = line.split()
-    name = parts[0]
-    if name not in _DIAGNOSTIC_PARAMS:
-        errors.append(f"unknown diagnostic {name!r} (known: {', '.join(_DIAGNOSTIC_PARAMS)})")
-        return None
-    params = {}
-    for piece in parts[1:]:
-        if "=" not in piece:
-            errors.append(f"diagnostic parameter {piece!r} must be key=value")
-            continue
-        k, v = piece.split("=", 1)
-        params[k] = _parse_scalar(v)
-    _check_keys(f"diagnostic {name}", params, _DIAGNOSTIC_PARAMS[name], errors)
-    return DiagnosticSpec(name=name, params=params)
+def _convert(name: str, key: _Key, raw):
+    """``raw`` as the type ``key`` declares; raises ValueError naming ``name``."""
+    if key.type in ("word", "bool"):
+        if not isinstance(raw, str if key.type == "word" else bool) or raw == "":
+            raise ValueError(f"{name} must be {_TYPE_NAMES[key.type]}, got {raw!r}")
+        if key.choices and raw not in key.choices:
+            raise ValueError(f"{name} must be one of {key.choices}, got {raw!r}")
+        return raw
+    numeric = int if key.type == "int" else (int, float)
+    try:
+        values = [float(p) for p in raw.split(",")] if isinstance(raw, str) and key.type == "numbers" else [raw]
+    except ValueError:
+        values = []
+    if not values or not all(isinstance(v, numeric) and not isinstance(v, bool)
+                             and (isinstance(v, int) or math.isfinite(v)) for v in values):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[key.type]}, got {raw!r}")
+    for v in values:
+        if key.low is not None and (v <= key.low if key.low_open else v < key.low):
+            raise ValueError(f"{name} must be {'>' if key.low_open else '>='} {key.low}, got {v}")
+        if key.high is not None and v > key.high:
+            raise ValueError(f"{name} must be <= {key.high}, got {v}")
+    if key.type == "numbers":
+        return [float(v) for v in values]
+    return values[0] if key.type == "int" else float(values[0])
 
 
-def _check_keys(where: str, section: dict, allowed: set, errors: list[str]) -> None:
-    errors.extend(f"unknown key {key!r} in {where} (allowed: {', '.join(sorted(allowed)) or 'none'})"
-                  for key in section if key not in allowed)
+def _section(where: str, raw: dict, keys: dict, errors: list[str]) -> dict | None:
+    """Check ``raw`` against ``keys``, adding each problem to ``errors``.
+    Returns the typed values with defaults filled in, or None on a problem."""
+    problems = [f"unknown key {k!r} in {where} (allowed: {', '.join(sorted(keys)) or 'none'})"
+                for k in raw if k not in keys]
+    values: dict = {}
+    for name, key in keys.items():
+        try:
+            if name in raw:
+                values[name] = _convert(name, key, raw[name])
+            elif key.required:
+                raise ValueError(f"missing key {name!r}")
+            elif key.same_as is not None:
+                values[name] = values.get(key.same_as)
+            else:
+                values[name] = None if key.default is None else _convert(name, key, key.default)
+        except ValueError as exc:
+            problems.append(f"{exc} in {where}")
+    errors.extend(problems)
+    return None if problems else values
+
+
+def _values(raw: dict, keys: dict) -> dict:
+    """The typed values of a spec section, defaults filled in from :data:`SCHEMA`."""
+    errors: list[str] = []
+    values = _section("the spec", raw, keys, errors)
+    if errors:
+        raise SpecValidationError(errors)
+    return values
+
+
+def _by_kind(name: str, sections: dict, errors: list[str]):
+    """The kind, raw keys and typed values of ``[target]`` or ``[schedule]``."""
+    raw = dict(sections.get(name, {}))
+    kind = raw.pop("kind", None)
+    if kind not in SCHEMA[name]:
+        errors.append(f"{name} kind must be one of {tuple(SCHEMA[name])}, got {kind!r}")
+        return None, raw, None
+    return kind, raw, _section(f"[{name}]", raw, SCHEMA[name][kind], errors)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -207,160 +315,68 @@ def parse_spec(text: str) -> ExperimentSpec:
     sections, diag_lines = _parse_sections(text, errors)
     if not sections:
         raise SpecValidationError(errors)
-    for section, allowed in _SECTION_KEYS.items():
-        _check_keys("the top level" if section == "__top__" else f"[{section}]",
-                    sections.get(section, {}), allowed, errors)
-    errors.extend(f"unknown section [{section}]" for section in sections
-                  if section not in {*_SECTION_KEYS, "target", "schedule"})
+    errors.extend(f"unknown section [{s}]" for s in sections if s not in SCHEMA)
+    plain = {s: _section(f"[{s}]" if s else "the top level", sections.get(s, {}), SCHEMA[s], errors)
+             for s in ("", "sampler", "run", "output")}
+    kind, target_raw, target = _by_kind("target", sections, errors)
+    sched_kind, sched_raw, _ = _by_kind("schedule", sections, errors)
+    con = _section("[constraint]", sections["constraint"], SCHEMA["constraint"], errors) \
+        if "constraint" in sections else None
+    sampler = (plain["sampler"] or {}).get("kind")
 
-    top = sections.get("__top__", {})
-    name = top.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append("a top-level `name = ...` is required")
-
-    target = dict(sections.get("target", {}))
-    kind = target.pop("kind", None)
-    if kind not in _TARGET_KEYS:
-        errors.append(f"target kind must be one of {tuple(_TARGET_KEYS)}, got {kind!r}")
-        kind = None
-    else:
-        _check_keys("[target]", sections["target"], _TARGET_KEYS[kind], errors)
-    if kind == "gaussian":
-        _require_int(target, "d", errors, minimum=1)
-        prec = target.get("precision", 1.0)
-        if isinstance(prec, str):
-            try:
-                values = [float(p) for p in prec.split(",")]
-            except ValueError:
-                values = []
-                errors.append("precision must be a number or comma-separated numbers")
-            if values and any(p <= 0 for p in values):
-                errors.append("precision entries must be positive")
-        elif isinstance(prec, (int, float)) and prec <= 0:
-            errors.append("precision must be positive")
-    elif kind in ("logistic", "sigmoid"):
-        if "dataset" not in target:
-            for key in ("d", "r", "data_seed"):
-                _require_int(target, key, errors, minimum=1 if key != "data_seed" else None)
-            _require_float(target, "q0", errors, low=0.0, high=1.0, low_open=True)
-        _require_float(target, "prior", errors, low=0.0)
-    elif kind == "zero_one":
-        for key in ("d", "r", "data_seed"):
-            _require_int(target, key, errors, minimum=1 if key != "data_seed" else None)
-        _require_float(target, "q0", errors, low=0.0, high=1.0, low_open=True)
-        _require_float(target, "epsilon", errors, low=0.0, high=0.1, low_open=True)
-        _require_float(target, "c1", errors, low=0.0, low_open=True)
-
-    sampler_sec = dict(sections.get("sampler", {}))
-    sampler = sampler_sec.get("kind")
-    if sampler not in _SAMPLER_KINDS:
-        errors.append(f"sampler kind must be one of {_SAMPLER_KINDS}, got {sampler!r}")
-    lazy = sampler_sec.get("lazy")
-    if lazy is None:
-        lazy = sampler == "constrained-mala"  # laziness on for optimization runs
-    elif not isinstance(lazy, bool):
-        errors.append("sampler lazy must be true or false")
-        lazy = False
-
-    constraint_radii = None
-    if "constraint" in sections:
-        con = sections["constraint"]
-        inner, outer = con.get("inner"), con.get("outer")
-        if not isinstance(inner, (int, float)) or not isinstance(outer, (int, float)) or not (0 < inner < outer):
-            errors.append("[constraint] needs 0 < inner < outer")
-        else:
-            constraint_radii = (float(inner), float(outer))
-    if sampler == "constrained-mala" and constraint_radii is None and kind != "zero_one":
+    # The rules that tie keys together.
+    if kind in ("logistic", "sigmoid") and target and target["dataset"] is None:
+        missing = [k for k in ("d", "r", "q0", "data_seed") if target[k] is None]
+        if missing:
+            errors.append(f"[target] needs dataset = path, or {', '.join(missing)}")
+    if kind == "gaussian" and target and len(target["precision"]) not in (1, target["d"]):
+        errors.append(f"precision needs 1 or d = {target['d']} entries, got {len(target['precision'])}")
+    if con and not con["inner"] < con["outer"]:
+        errors.append("[constraint] needs inner < outer")
+    if sampler == "constrained-mala" and "constraint" not in sections and kind != "zero_one":
         errors.append("constrained-mala needs a [constraint] section (or a zero_one target)")
-
-    sched = dict(sections.get("schedule", {}))
-    sched_kind = sched.pop("kind", None)
-    if sched_kind not in _SCHEDULE_KEYS:
-        errors.append(f"schedule kind must be one of {tuple(_SCHEDULE_KEYS)}, got {sched_kind!r}")
-    else:
-        _check_keys("[schedule]", sections["schedule"], _SCHEDULE_KEYS[sched_kind], errors)
-    if sched_kind == "explicit":
-        _require_float(sched, "eta", errors, low=0.0, low_open=True)
-    elif sched_kind == "theorem1":
-        if "safety" in sched:
-            _require_float(sched, "safety", errors, low=0.0, low_open=True)
-    elif sched_kind == "sweep":
-        raw = sched.get("etas")
-        etas = []
-        if isinstance(raw, str):
-            try:
-                etas = [float(p) for p in raw.split(",") if p.strip()]
-            except ValueError:
-                errors.append("sweep etas must be comma-separated numbers")
-        elif isinstance(raw, (int, float)):
-            etas = [float(raw)]
-        if not etas:
-            errors.append("sweep schedule needs a nonempty etas list")
-        elif any(e <= 0 for e in etas):
-            errors.append("sweep etas must be positive")
-
-    run = dict(sections.get("run", {}))
-    _require_int(run, "iterations", errors, minimum=1)
-    _require_int(run, "replicas", errors, minimum=1)
-    _require_int(run, "seed", errors)
-    record_every = run.get("record_every", 1)
-    if not isinstance(record_every, int) or record_every < 1:
-        errors.append("record_every must be an integer >= 1")
 
     diagnostics = []
     for line in diag_lines:
-        d = _parse_diag_line(line, errors)
-        if d is not None:
-            diagnostics.append(d)
-    for d in diagnostics:
-        if d.name == "tv_vs_truth":
-            lo, hi, bins = d.params.get("lo"), d.params.get("hi"), d.params.get("bins")
-            if not all(isinstance(v, (int, float)) for v in (lo, hi, bins)) or lo >= hi or int(bins) < 2:
-                errors.append("tv_vs_truth needs lo < hi and bins >= 2")
-        if d.name == "regularity" and kind == "gaussian":
+        name, *pieces = line.split()
+        if name not in SCHEMA["diagnostics"]:
+            errors.append(f"unknown diagnostic {name!r} (known: {', '.join(SCHEMA['diagnostics'])})")
+            continue
+        params = {}
+        for piece in pieces:
+            if "=" not in piece:
+                errors.append(f"diagnostic parameter {piece!r} must be key=value")
+                continue
+            k, v = piece.split("=", 1)
+            params[k] = _parse_scalar(v)
+        diagnostics.append(DiagnosticSpec(name=name, params=params))
+        p = _section(f"diagnostic {name}", params, SCHEMA["diagnostics"][name], errors)
+        if name == "tv_vs_truth" and p and not (p["lo"] < p["hi"] and p["lo2"] < p["hi2"]):
+            errors.append("tv_vs_truth needs lo < hi and lo2 < hi2")
+        if name == "regularity" and kind == "gaussian":
             errors.append("regularity diagnostic needs a dataset-backed target")
-        if d.name == "zero_one_summary" and kind != "zero_one":
+        if name == "zero_one_summary" and kind != "zero_one":
             errors.append("zero_one_summary only applies to zero_one targets")
-
-    output = sections.get("output", {}).get("dir")
 
     if errors:
         raise SpecValidationError(errors)
+    run, lazy = plain["run"], plain["sampler"]["lazy"]
     return ExperimentSpec(
-        name=name,
+        name=plain[""]["name"],
         target_kind=kind,
-        target_params=target,
+        target_params=target_raw,
         sampler=sampler,
-        lazy=bool(lazy),
+        lazy=sampler == "constrained-mala" if lazy is None else lazy,  # lazy by default when optimizing
         schedule_kind=sched_kind,
-        schedule_params=sched,
-        iterations=int(run["iterations"]),
-        replicas=int(run["replicas"]),
-        seed=int(run["seed"]),
-        record_every=int(record_every),
+        schedule_params=sched_raw,
+        iterations=run["iterations"],
+        replicas=run["replicas"],
+        seed=run["seed"],
+        record_every=run["record_every"],
         diagnostics=tuple(diagnostics),
-        output=output,
-        constraint_radii=constraint_radii,
+        output=plain["output"]["dir"],
+        constraint_radii=None if con is None else (con["inner"], con["outer"]),
     )
-
-
-def _require_int(section: dict, key: str, errors: list[str], minimum: int | None = None):
-    v = section.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        errors.append(f"{key} must be an integer, got {v!r}")
-    elif minimum is not None and v < minimum:
-        errors.append(f"{key} must be >= {minimum}, got {v}")
-
-
-def _require_float(section: dict, key: str, errors: list[str], low=None, high=None, low_open=False):
-    v = section.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        errors.append(f"{key} must be a number, got {v!r}")
-        return
-    if low is not None and (v <= low if low_open else v < low):
-        errors.append(f"{key} must be {'>' if low_open else '>='} {low}, got {v}")
-    if high is not None and v > high:
-        errors.append(f"{key} must be <= {high}, got {v}")
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
@@ -406,36 +422,27 @@ class BuiltTarget:
 
 def build_target(spec: ExperimentSpec) -> BuiltTarget:
     """Materialize the spec's target (and constraint, for constrained runs)."""
-    p = spec.target_params
+    p = _values(spec.target_params, SCHEMA["target"][spec.target_kind])
     notes: dict = {}
     if spec.target_kind == "gaussian":
-        d = int(p["d"])
-        prec = p.get("precision", 1.0)
-        if isinstance(prec, str):
-            prec = [float(v) for v in prec.split(",")]
-        target = make_gaussian(d, prec)
+        target = make_gaussian(p["d"], p["precision"])
         dataset, theta = None, None
-    elif spec.target_kind in ("logistic", "sigmoid"):
-        if "dataset" in p:
+    else:
+        if p.get("dataset") is not None:
             dataset = load_dataset(p["dataset"])
         else:
-            d, r = int(p["d"]), int(p["r"])
-            theta0 = np.zeros(d)
-            theta0[0] = 1.0
-            dataset = sample_sphere_dataset(d, r, theta0, float(p["q0"]), int(p["data_seed"]))
-        maker = make_logistic_regression if spec.target_kind == "logistic" else make_sigmoid_regression
-        target = maker(dataset, float(p["prior"]))
+            unit = np.zeros(p["d"])
+            unit[0] = 1.0
+            dataset = sample_sphere_dataset(p["d"], p["r"], unit, p["q0"], p["data_seed"])
         theta = dataset.true_param
-    else:  # zero_one
-        d, r = int(p["d"]), int(p["r"])
-        theta = np.zeros(d)
-        theta[0] = 1.0
-        dataset = sample_sphere_dataset(d, r, theta, float(p["q0"]), int(p["data_seed"]))
-        inv_temp, lam = recommended_schedule(float(p["q0"]), float(p["epsilon"]), d, float(p.get("c1", 1.0)))
-        raw = make_smoothed_zero_one(dataset, inv_temp, lam)
-        scale = lam / math.sqrt(inv_temp)  # annulus outer radius before preconditioning
-        target = precondition(raw, scale)
-        notes.update(inverse_temperature=inv_temp, lam=lam, precondition_scale=scale)
+        if spec.target_kind == "zero_one":
+            inv_temp, lam = recommended_schedule(p["q0"], p["epsilon"], p["d"], p["c1"])
+            scale = lam / math.sqrt(inv_temp)  # annulus outer radius before preconditioning
+            target = precondition(make_smoothed_zero_one(dataset, inv_temp, lam), scale)
+            notes.update(inverse_temperature=inv_temp, lam=lam, precondition_scale=scale)
+        else:
+            maker = make_logistic_regression if spec.target_kind == "logistic" else make_sigmoid_regression
+            target = maker(dataset, p["prior"])
 
     constraint = None
     if spec.sampler == "constrained-mala":
@@ -448,19 +455,16 @@ def build_target(spec: ExperimentSpec) -> BuiltTarget:
 
 def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float], dict]:
     """Schedule resolution; theorem1 pulls constants from the regularity side."""
+    p = _values(spec.schedule_params, SCHEMA["schedule"][spec.schedule_kind])
     notes: dict = {}
     if spec.schedule_kind == "explicit":
-        return [float(spec.schedule_params["eta"])], notes
+        return [p["eta"]], notes
     if spec.schedule_kind == "sweep":
-        raw = spec.schedule_params["etas"]
-        if isinstance(raw, str):
-            return [float(v) for v in raw.split(",") if v.strip()], notes
-        return [float(raw)], notes
+        return p["etas"], notes
     # theorem1
     target = built.target
     k = target.known_constants
-    probe_points = int(spec.schedule_params.get("probe_points", 8))
-    probe_dirs = int(spec.schedule_params.get("probe_dirs", 8))
+    probe_points, probe_dirs = p["probe_points"], p["probe_dirs"]
     if k is not None and k.c3 is not None:
         c3 = k.c3
     else:
@@ -476,9 +480,8 @@ def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float],
         samples = rng.standard_normal((max(16, probe_points), target.dimension))
         m = estimate_gradient_bound(target, list(samples)).gradient_bound
     tail = k.tail_rate if k is not None else None
-    safety = float(spec.schedule_params.get("safety", 1.0))
-    eta = theorem1_step_size(c3, c4, m, target.dimension, tail, safety)
-    notes.update(c3=c3, c4=c4, gradient_bound=m, safety=safety)
+    eta = theorem1_step_size(c3, c4, m, target.dimension, tail, p["safety"])
+    notes.update(c3=c3, c4=c4, gradient_bound=m, safety=p["safety"])
     return [eta], notes
 
 
@@ -587,6 +590,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     if not traces:
         raise RuntimeError("every replica failed:\n" + "\n".join(errors))
 
+    stats = {k: acceptance_stats(tr) for k, tr in traces.items()}
     trace_paths = []
     summary_lines = ["eta_index,eta,replica,seed,iterations,accepted_fraction,mean_accept_prob,"
                      "mean_abs_energy_error,min_potential,argmin_step,gradient_evals,function_evals"]
@@ -597,10 +601,9 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
         tr = traces[k]
         path = tr.to_csv(out / f"trace_{e_idx}_{rep}.csv")
         trace_paths.append(str(path))
-        stats = acceptance_stats(tr)
         summary_lines.append(",".join([
             str(e_idx), repr(float(eta)), str(rep), str(cell_seeds[k]), str(spec.iterations),
-            repr(stats.accepted_fraction), repr(stats.mean),
+            repr(stats[k].accepted_fraction), repr(stats[k].mean),
             repr(float(np.mean(np.abs(tr.energy_errors)))),
             repr(float(tr.potentials[tr.argmin_index])), str(int(tr.indices[tr.argmin_index])),
             str(tr.gradient_evals), str(tr.function_evals),
@@ -608,7 +611,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     summary_path = out / "summary.csv"
     summary_path.write_text("\n".join(summary_lines) + "\n")
 
-    diagnostics, diag_lines = _run_diagnostics(spec, built, etas, traces, cells)
+    diagnostics, diag_lines = _run_diagnostics(spec, built, traces, stats)
     diagnostics_path = None
     if diag_lines:
         diagnostics_path = out / "diagnostics.csv"
@@ -634,7 +637,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     return report
 
 
-def _run_diagnostics(spec, built, etas, traces, cells):
+def _run_diagnostics(spec, built, traces, stats):
     results: dict = {}
     lines: list[str] = []
     target = built.target
@@ -643,9 +646,10 @@ def _run_diagnostics(spec, built, etas, traces, cells):
         lines.append(f"{diag},{key},{repr(float(value)) if isinstance(value, (int, float, np.floating)) else value}")
 
     for diag in spec.diagnostics:
+        p = _values(diag.params, SCHEMA["diagnostics"][diag.name])
         if diag.name == "acceptance_stats":
-            fractions = [acceptance_stats(tr).accepted_fraction for _, tr in sorted(traces.items())]
-            means = [acceptance_stats(tr).mean for _, tr in sorted(traces.items())]
+            fractions = [s.accepted_fraction for s in stats.values()]
+            means = [s.mean for s in stats.values()]
             results["acceptance_stats"] = {
                 "accepted_fraction_mean": float(np.mean(fractions)),
                 "mean_accept_prob": float(np.mean(means)),
@@ -653,16 +657,12 @@ def _run_diagnostics(spec, built, etas, traces, cells):
             emit("acceptance_stats", "accepted_fraction_mean", float(np.mean(fractions)))
             emit("acceptance_stats", "mean_accept_prob", float(np.mean(means)))
         elif diag.name == "tv_vs_truth":
-            lo, hi, bins = float(diag.params["lo"]), float(diag.params["hi"]), int(diag.params["bins"])
             if target.dimension == 1:
-                bounds: object = (lo, hi)
-                nbins: object = bins
+                bounds: object = (p["lo"], p["hi"])
+                nbins: object = p["bins"]
             elif target.dimension == 2:
-                lo2 = float(diag.params.get("lo2", lo))
-                hi2 = float(diag.params.get("hi2", hi))
-                bins2 = int(diag.params.get("bins2", bins))
-                bounds = ((lo, hi), (lo2, hi2))
-                nbins = (bins, bins2)
+                bounds = ((p["lo"], p["hi"]), (p["lo2"], p["hi2"]))
+                nbins = (p["bins"], p["bins2"])
             else:
                 results["tv_vs_truth"] = {"error": "needs a 1D or 2D target"}
                 continue
@@ -681,14 +681,10 @@ def _run_diagnostics(spec, built, etas, traces, cells):
             emit("tv_vs_truth", "binning_floor", floor)
             emit("tv_vs_truth", "corrected", raw - floor)
         elif diag.name == "energy_error_scaling":
-            raw = diag.params.get("etas", "0.4,0.2,0.1,0.05,0.025")
-            fit_etas = [float(v) for v in str(raw).split(",")]
-            samples = int(diag.params.get("samples", 2000))
-
             def phase(rng, n):
                 return rng.standard_normal((n, target.dimension)), rng.standard_normal((n, target.dimension))
 
-            fit = energy_error_scaling(target, phase, fit_etas, samples, spec.seed)
+            fit = energy_error_scaling(target, phase, p["etas"], p["samples"], spec.seed)
             results["energy_error_scaling"] = {"slope": fit.slope, "r_squared": fit.r_squared}
             emit("energy_error_scaling", "slope", fit.slope)
             emit("energy_error_scaling", "r_squared", fit.r_squared)
@@ -696,16 +692,15 @@ def _run_diagnostics(spec, built, etas, traces, cells):
             if built.dataset is None:
                 results["regularity"] = {"error": "no dataset"}
                 continue
-            report = build_regularity_report(target, built.dataset,
-                                             int(diag.params.get("probe_points", 8)),
-                                             int(diag.params.get("probe_dirs", 8)), spec.seed)
+            report = build_regularity_report(target, built.dataset, p["probe_points"], p["probe_dirs"],
+                                             spec.seed)
             results["regularity"] = json.loads(report.to_json())
             emit("regularity", "incoherence", report.incoherence)
             emit("regularity", "c3_estimate", report.c3_estimate)
             emit("regularity", "c4_estimate", report.c4_estimate)
         elif diag.name == "zero_one_summary":
             theta = built.theta_star
-            angle_max = float(diag.params.get("angle_max", 0.35))
+            angle_max = p["angle_max"]
             angles, hits = [], []
             cone = _direction_cone(theta, angle_max)
             for _, tr in sorted(traces.items()):

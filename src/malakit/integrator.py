@@ -60,8 +60,6 @@ class PhaseState:
 @dataclass(frozen=True)
 class LeapfrogResult:
     proposal: PhaseState
-    energy_before: float
-    energy_after: float
     energy_error: float
     gradient_evals: int = 2
 
@@ -96,8 +94,8 @@ def leapfrog(value_and_grad, x, v, pot, grad, eta):
 
 
 def leapfrog_step(target: TargetModel, state: PhaseState, eta: float) -> LeapfrogResult:
-    """One leapfrog step of size ``eta`` with both energies evaluated: the
-    batched :func:`leapfrog` on a batch of one.
+    """One leapfrog step of size ``eta`` and its energy error: the batched
+    :func:`leapfrog` on a batch of one.
 
     Uses exactly two gradient evaluations (at the current and proposed
     positions); the energy error is the acceptance rule's input.
@@ -111,13 +109,7 @@ def leapfrog_step(target: TargetModel, state: PhaseState, eta: float) -> Leapfro
     _require_finite(grad, "gradient at current position")
     x_hat, v_hat, pot_hat, grad_hat, err = leapfrog(value_and_grad, x, v, pot, grad, eta)
     _require_finite(grad_hat, "gradient at proposal")
-    energy_before = float(pot[0]) + 0.5 * float(_sq_norms(v)[0])
-    return LeapfrogResult(
-        proposal=PhaseState(x_hat[0], v_hat[0]),
-        energy_before=energy_before,
-        energy_after=float(pot_hat[0]) + 0.5 * float(_sq_norms(v_hat)[0]),
-        energy_error=float(err[0]),
-    )
+    return LeapfrogResult(proposal=PhaseState(x_hat[0], v_hat[0]), energy_error=float(err[0]))
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -149,11 +141,13 @@ def exact_quadratic_flow(target: TargetModel, state: PhaseState, t: float) -> Ph
     return PhaseState(q_t, p_t)
 
 
-def log_accept_energy(energy_error: float) -> float:
-    """Log acceptance probability from the energy error: min(0, -dH)."""
-    if not np.isfinite(energy_error):
-        raise ValueError("energy error must be finite")
-    return min(0.0, -float(energy_error))
+def log_accept_energy(energy_error):
+    """Log acceptance probability from the energy error, elementwise:
+    min(0, -dH), and -inf (certain rejection) where dH is NaN.  A float in
+    gives a float out."""
+    err = np.asarray(energy_error, dtype=float)
+    log_accept = np.where(err > 0.0, -err, np.where(err <= 0.0, 0.0, -np.inf))
+    return float(log_accept) if log_accept.ndim == 0 else log_accept
 
 
 def log_accept_proposal_form(target: TargetModel, x: np.ndarray, x_hat: np.ndarray, eta: float) -> float:

@@ -48,6 +48,50 @@ seed = 11
 """
 
 
+ZERO_ONE = """\
+malakit-spec v1
+name = zo
+
+[target]
+kind = zero_one
+d = 3
+r = 100
+q0 = 0.7
+epsilon = 0.1
+c1 = 0.05
+data_seed = 5
+
+[sampler]
+kind = constrained-mala
+lazy = true
+
+[schedule]
+kind = explicit
+eta = 0.05
+
+[run]
+iterations = 200
+replicas = 2
+seed = 3
+
+[diagnostics]
+zero_one_summary angle_max=0.35
+"""
+
+# Each spec parsed at an earlier version of the parser and failed only once
+# the chains had run (or ran with a silently wrong value).
+MALFORMED = {
+    "etas": MINIMAL + "\n[diagnostics]\nenergy_error_scaling etas=abc\n",
+    "samples": MINIMAL + "\n[diagnostics]\nenergy_error_scaling samples=-5\n",
+    "bins": MINIMAL + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=2.5\n",
+    "lo2": MINIMAL + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=60 lo2=abc\n",
+    "angle_max": ZERO_ONE.replace("angle_max=0.35", "angle_max=-1"),
+    "probe_points": MINIMAL.replace("kind = explicit\neta = 0.5", "kind = theorem1\nprobe_points = 0"),
+    "probe_dirs": MINIMAL.replace("kind = explicit\neta = 0.5", "kind = theorem1\nprobe_dirs = abc"),
+    "precision": MINIMAL.replace("d = 1\nprecision = 1.0", "d = 3\nprecision = 1.0,2.0"),
+}
+
+
 def spec_with(**edits):
     text = MINIMAL
     for old, new in edits.items():
@@ -74,7 +118,13 @@ def _floats(low, high, exclude_low=False):
 
 
 POSITIVE = _floats(0.0, 1e6, exclude_low=True)
-FLOAT_LISTS = st.lists(POSITIVE, min_size=2, max_size=4).map(lambda vs: ",".join(map(repr, vs)))
+
+
+def _float_lists(min_size, max_size):
+    return st.lists(POSITIVE, min_size=min_size, max_size=max_size).map(lambda vs: ",".join(map(repr, vs)))
+
+
+FLOAT_LISTS = _float_lists(2, 4)
 
 
 @st.composite
@@ -84,7 +134,8 @@ def valid_specs(draw):
     sizes = {"d": draw(st.integers(1, 50)), "r": draw(st.integers(1, 5000)),
              "data_seed": draw(st.integers(-10**6, 10**6)), "q0": draw(_floats(0.0, 1.0, exclude_low=True))}
     if kind == "gaussian":
-        target = {"d": sizes["d"], "precision": draw(st.one_of(POSITIVE, FLOAT_LISTS))}
+        d = sizes["d"]  # a precision list has one entry per coordinate
+        target = {"d": d, "precision": draw(POSITIVE if d == 1 else st.one_of(POSITIVE, _float_lists(d, d)))}
     elif kind == "zero_one":
         target = {**sizes, "epsilon": draw(_floats(0.0, 0.1, exclude_low=True)), "c1": draw(POSITIVE)}
     else:
@@ -105,7 +156,9 @@ def valid_specs(draw):
         "acceptance_stats": st.just({}),
         "tv_vs_truth": st.fixed_dictionaries({"lo": _floats(-100.0, 0.0), "hi": _floats(0.0, 100.0, exclude_low=True),
                                               "bins": st.integers(2, 400)},
-                                             optional={"lo2": _floats(-100.0, 0.0), "bins2": st.integers(2, 400)}),
+                                             optional={"lo2": _floats(-100.0, 0.0),
+                                                       "hi2": _floats(0.0, 100.0, exclude_low=True),
+                                                       "bins2": st.integers(2, 400)}),
         "energy_error_scaling": st.fixed_dictionaries({}, optional={"etas": FLOAT_LISTS,
                                                                     "samples": st.integers(1, 10**4)}),
     }
@@ -201,37 +254,42 @@ class TestParsing:
         assert parse_spec(serialize_spec(spec)) == spec
 
     def test_round_trip_zero_one(self):
-        text = """\
-malakit-spec v1
-name = zo
-
-[target]
-kind = zero_one
-d = 3
-r = 100
-q0 = 0.7
-epsilon = 0.1
-c1 = 0.05
-data_seed = 5
-
-[sampler]
-kind = constrained-mala
-lazy = true
-
-[schedule]
-kind = explicit
-eta = 0.05
-
-[run]
-iterations = 200
-replicas = 2
-seed = 3
-
-[diagnostics]
-zero_one_summary angle_max=0.35
-"""
-        spec = parse_spec(text)
+        spec = parse_spec(ZERO_ONE)
         assert parse_spec(serialize_spec(spec)) == spec
+
+    @pytest.mark.parametrize("key", sorted(MALFORMED))
+    def test_malformed_value_names_its_key(self, key):
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(MALFORMED[key])
+        assert len(err.value.errors) == 1 and key in err.value.errors[0], err.value.errors
+
+    def test_readme_documents_every_key(self):
+        text = (ROOT / "README.md").read_text()
+        section = text.split("## Experiment spec format", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 5:
+                for where in cells[0].split(", "):
+                    documented[where, cells[1]] = cells[2:]
+        tables = {"top level": harness.SCHEMA[""]}
+        for section_name, table in harness.SCHEMA.items():
+            if section_name in ("target", "schedule"):
+                tables.update({f"`[{section_name}] {kind}`": keys for kind, keys in table.items()})
+            elif section_name == "diagnostics":
+                tables.update({f"`{name}`": keys for name, keys in table.items()})
+                assert all(name in section for name in table)
+            elif section_name:
+                tables[f"`[{section_name}]`"] = table
+        for where, keys in tables.items():
+            for name, key in keys.items():
+                bound = [f"{'>' if key.low_open else '>='} {key.low:g}"] if key.low is not None else []
+                bound += [f"<= {key.high:g}"] if key.high is not None else []
+                row = [key.type, ", ".join(bound + list(key.choices))]
+                if key.default is not None:  # a None default is described in words
+                    row.append("required" if key.required
+                               else f"`{key.same_as}`" if key.same_as else str(key.default))
+                assert documented.get((where, f"`{name}`"), [])[:len(row)] == row, (where, name)
 
 
 class TestRunExperiment:
@@ -373,6 +431,12 @@ class TestCli:
 
     def test_unknown_subcommand(self):
         assert cli_entry(["frobnicate"]) == 1
+
+    def test_malformed_value_fails_before_running(self, tmp_path):
+        bad = tmp_path / "bad.spec"
+        bad.write_text(MALFORMED["etas"])
+        assert cli_entry(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert list((tmp_path / "out").glob("*.csv")) == []
 
     def test_validation_failure_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.spec"
