@@ -16,13 +16,11 @@ from .targets import (  # noqa: F401
     KnownConstants,
     TargetModel,
     annulus,
-    full_space,
     load_dataset,
     make_gaussian,
     make_logistic_regression,
     make_sigmoid_regression,
     make_smoothed_zero_one,
-    max_gradient_fd_error,
     precondition,
     recommended_schedule,
     sample_sphere_dataset,
@@ -32,9 +30,6 @@ from .integrator import (  # noqa: F401
     LeapfrogResult,
     NumericFailure,
     PhaseState,
-    exact_quadratic_flow,
-    hamiltonian,
-    kinetic_error_bound,
     leapfrog,
     leapfrog_step,
     log_accept_energy,
@@ -51,7 +46,6 @@ from .chains import (  # noqa: F401
     run_mala,
     run_rwm,
     theorem1_step_size,
-    warmness_on_grid,
 )
 from .grids import (  # noqa: F401
     EmptySupportError,
@@ -66,16 +60,13 @@ from .regularity import (  # noqa: F401
     GoodSetParams,
     GradientBoundEstimate,
     RegularityReport,
-    TailDecayReport,
     build_regularity_report,
     constraint_exit_estimate,
     estimate_c3,
     estimate_c4,
     estimate_gradient_bound,
-    estimate_tail_rate,
     good_set_check,
     incoherence,
-    tail_decay_check,
     theorem3_bounds,
 )
 from .diagnostics import (  # noqa: F401
@@ -100,5 +91,4 @@ from .harness import (  # noqa: F401
     parse_spec,
     run_experiment,
     scaling_study,
-    serialize_spec,
 )

@@ -47,7 +47,6 @@ __all__ = [
     "run_ensemble",
     "extract_minimizer",
     "theorem1_step_size",
-    "warmness_on_grid",
 ]
 
 
@@ -444,20 +443,3 @@ def theorem1_step_size(c3: float, c4: float, gradient_bound: float, d: int,
         if t > 0:
             loglog_factor = min(1.0, 1.0 / max(1.0, math.log(t)))
     return safety_constant * min(terms) * min(1.0, gradient_bound ** -0.5) * loglog_factor
-
-
-def warmness_on_grid(start_dist, target_dist) -> float:
-    """Warmness beta = max cell ratio mu0 / pi on a shared grid.
-
-    On a grid the supremum over sets is attained cellwise.  Start mass on a
-    zero-target cell means the start is not warm at any finite level; the
-    returned value is ``inf`` in that case.
-    """
-    if start_dist.shape != target_dist.shape or start_dist.dims != target_dist.dims:
-        raise ValueError("distributions must share grid geometry")
-    mu = start_dist.mass.ravel()
-    pi = target_dist.mass.ravel()
-    live = mu > 0
-    if np.any(pi[live] == 0.0):
-        return math.inf
-    return float(np.max(mu[live] / pi[live])) if np.any(live) else 0.0

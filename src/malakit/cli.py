@@ -73,10 +73,10 @@ def _build_parser() -> _Parser:
     p_diag.add_argument("--bins", type=int, default=400)
     p_diag.add_argument("--seed", type=int, default=0)
 
-    p_scal = sub.add_parser("scaling", help="scaling study over eta or dimension")
-    p_scal.add_argument("spec", help="template spec file")
-    p_scal.add_argument("--axis", choices=["eta", "dimension"], required=True)
-    p_scal.add_argument("--values", required=True, help="comma-separated axis values (>= 3)")
+    p_scal = sub.add_parser("scaling", help="scaling study: mixing time against the step size eta")
+    p_scal.add_argument("spec", help="template spec file (eager mala or rwm, 1D or 2D target)")
+    p_scal.add_argument("--axis", choices=["eta"], required=True, help="the study's axis: eta")
+    p_scal.add_argument("--values", required=True, help="comma-separated eta values (>= 3)")
     p_scal.add_argument("--out", default=None, help="write the table CSV here")
 
     p_reg = sub.add_parser("regularity", help="regularity report for a dataset CSV")
@@ -268,11 +268,14 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    from .harness import parse_spec, scaling_study
+    from .harness import MAX_ITERATIONS, MIN_SLOPE_POINTS, parse_spec, scaling_study
 
     template = parse_spec(Path(args.spec).read_text())
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    result = scaling_study(template, args.axis, values)
+    result = scaling_study(template, values)
+    if result.slope is None:
+        _progress(f"no log-log slope: {len(result.resolved)} of {len(values)} mixing estimates resolved "
+                  f"within {MAX_ITERATIONS} steps, and a slope needs {MIN_SLOPE_POINTS}")
     table = result.table()
     if args.out:
         Path(args.out).write_text(table)

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _HALF_TOL = 1e-12
+CONTROL_DRAWS = 3  # exact-sample draws averaged into the binning floor of a mixing estimate
 
 
 class FitFailed(RuntimeError):
@@ -188,26 +189,24 @@ def mixing_time_estimate(
     grid_bounds,
     grid_bins,
     max_iterations: int,
-    constraint: ConstraintSet | None = None,
-    lazy: bool = False,
-    control_draws: int = 3,
 ) -> int | None:
     """First iteration at which the replica ensemble is TV-close to truth.
 
     Runs ``replicas`` chains from ``init`` and bins their positions at
     multiples of ``check_every``; the threshold applies to the binned TV
-    minus the binning floor (estimated by drawing the same number of exact
-    samples from the grid truth — raw TV cannot reach zero under finite
-    sampling).  Returns ``None`` when the budget runs out, never raises.
+    minus the binning floor (the mean TV of :data:`CONTROL_DRAWS` draws of
+    the same number of exact samples from the grid truth — raw TV cannot
+    reach zero under finite sampling).  Returns ``None`` when the budget
+    runs out, never raises.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a TV estimate")
     if check_every < 1 or max_iterations < 1:
         raise ValueError("check_every and max_iterations must be >= 1")
-    truth = grid_truth(target, grid_bounds, grid_bins, constraint)
+    truth = grid_truth(target, grid_bounds, grid_bins)
     control_rng = chain_rng(subseed(seed, 0))
     floors = []
-    for _ in range(max(1, control_draws)):
+    for _ in range(CONTROL_DRAWS):
         ref = histogram(truth.sample_midpoints(control_rng, replicas), grid_bounds, grid_bins)
         floors.append(tv_distance(ref, truth))
     floor = float(np.mean(floors))
@@ -227,7 +226,7 @@ def mixing_time_estimate(
         return False
 
     run_ensemble(target, sampler, eta, max_iterations, positions, subseed(seed, 2),
-                 constraint=constraint, lazy=lazy, callback=check, callback_every=check_every)
+                 callback=check, callback_every=check_every)
     return found[0] if found else None
 
 

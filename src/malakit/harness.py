@@ -72,7 +72,6 @@ __all__ = [
     "ExperimentSpec",
     "RunReport",
     "parse_spec",
-    "serialize_spec",
     "build_target",
     "resolve_etas",
     "warm_annulus_init",
@@ -379,7 +378,7 @@ def parse_spec(text: str) -> ExperimentSpec:
     )
 
 
-def serialize_spec(spec: ExperimentSpec) -> str:
+def _serialize_spec(spec: ExperimentSpec) -> str:
     """Inverse of :func:`parse_spec` (round-trips exactly)."""
     def fmt(v):
         if isinstance(v, bool):
@@ -572,9 +571,11 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
         out = Path(spec.output)
     else:
         out = Path(os.environ.get("MALAKIT_OUT", "runs")) / spec.name
-    out.mkdir(parents=True, exist_ok=True)
     built = build_target(spec)
+    if built.target.dimension > 2 and any(diag.name == "tv_vs_truth" for diag in spec.diagnostics):
+        raise SpecValidationError([f"tv_vs_truth needs a 1D or 2D target, got d = {built.target.dimension}"])
     etas, schedule_notes = resolve_etas(spec, built)
+    out.mkdir(parents=True, exist_ok=True)
 
     cells = [(e_idx, eta, rep) for e_idx, eta in enumerate(etas) for rep in range(spec.replicas)]
     cell_seeds = [subseed(spec.seed, k) for k in range(len(cells))]
@@ -618,7 +619,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
         diagnostics_path.write_text("\n".join(["diagnostic,key,value"] + diag_lines) + "\n")
 
     report = RunReport(
-        spec_text=serialize_spec(spec),
+        spec_text=_serialize_spec(spec),
         resolved_etas=[float(e) for e in etas],
         schedule_notes=schedule_notes,
         target_notes=built.notes,
@@ -660,12 +661,9 @@ def _run_diagnostics(spec, built, traces, stats):
             if target.dimension == 1:
                 bounds: object = (p["lo"], p["hi"])
                 nbins: object = p["bins"]
-            elif target.dimension == 2:
+            else:  # 2D; run_experiment refuses more
                 bounds = ((p["lo"], p["hi"]), (p["lo2"], p["hi2"]))
                 nbins = (p["bins"], p["bins2"])
-            else:
-                results["tv_vs_truth"] = {"error": "needs a 1D or 2D target"}
-                continue
             truth = grid_truth(target, bounds, nbins, built.constraint)
             finals = np.stack([tr.states[-1] for _, tr in sorted(traces.items())])
             emp = histogram(finals, bounds, nbins)
@@ -689,9 +687,6 @@ def _run_diagnostics(spec, built, traces, stats):
             emit("energy_error_scaling", "slope", fit.slope)
             emit("energy_error_scaling", "r_squared", fit.r_squared)
         elif diag.name == "regularity":
-            if built.dataset is None:
-                results["regularity"] = {"error": "no dataset"}
-                continue
             report = build_regularity_report(target, built.dataset, p["probe_points"], p["probe_dirs"],
                                              spec.seed)
             results["regularity"] = json.loads(report.to_json())
@@ -743,97 +738,86 @@ def _direction_cone(theta: np.ndarray, angle_max: float) -> ConstraintSet:
 # ---------------------------------------------------------------------------
 # scaling studies
 
+# The mixing measurement behind each point of a scaling study.
+MIXING_REPLICAS = 1000
+TV_THRESHOLD = 0.1
+CHECK_EVERY = 2
+MAX_ITERATIONS = 5000
+PILOT_REPLICAS = 200  # the acceptance pilot ensemble, run for min(500, iterations) steps
+MIN_SLOPE_POINTS = 3  # resolved mixing estimates a log-log slope is fit over
+
+
 @dataclass(frozen=True)
 class ScalingStudyResult:
-    axis: str
     values: list[float]
     mixing_estimates: list[int | None]
     acceptance_means: list[float]
     gradient_evals: list[int]
-    slope: float | None
+
+    @property
+    def resolved(self) -> list[tuple[float, int]]:
+        """(eta, mixing estimate) for each eta whose estimate resolved."""
+        return [(v, m) for v, m in zip(self.values, self.mixing_estimates) if m is not None and m > 0]
+
+    @property
+    def slope(self) -> float | None:
+        """Log-log slope of mixing time against eta; None with fewer than
+        :data:`MIN_SLOPE_POINTS` resolved estimates."""
+        if len(self.resolved) < MIN_SLOPE_POINTS:
+            return None
+        etas, estimates = zip(*self.resolved)
+        return ScalingFit.from_logs(np.log(etas), np.log(estimates)).slope
 
     def table(self) -> str:
-        header = f"{self.axis},mixing_estimate,acceptance_mean,gradient_evals"
-        rows = [header]
+        rows = ["eta,mixing_estimate,acceptance_mean,gradient_evals"]
         for v, m, a, g in zip(self.values, self.mixing_estimates, self.acceptance_means, self.gradient_evals):
             rows.append(f"{v:g},{'' if m is None else m},{a:.6f},{g}")
-        rows.append(f"# log-log slope vs {self.axis}: {'' if self.slope is None else f'{self.slope:.4f}'}")
+        rows.append(f"# log-log slope vs eta: {'' if self.slope is None else f'{self.slope:.4f}'}")
         return "\n".join(rows) + "\n"
 
 
-def scaling_study(template: ExperimentSpec, axis: str, values,
-                  mixing_replicas: int = 1000, tv_threshold: float = 0.1,
-                  check_every: int = 2, max_iterations: int = 5000) -> ScalingStudyResult:
-    """One linked-seed measurement per axis value, run sequentially.
+def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
+    """Mixing time against the step size: one linked-seed measurement per
+    eta in ``values``, run sequentially on the template's target.
 
-    ``axis`` is ``eta`` (explicit step-size override) or ``dimension``
-    (product-Gaussian dimension override).  Mixing estimates need a grid
-    truth and are only computed for targets of dimension <= 2; the log-log
-    slope is fit over values whose mixing estimate resolved.
+    Each eta gets a pilot ensemble (its acceptance rate) and a mixing
+    estimate against the grid truth.  The study measures the template as
+    written or refuses it: a lazy template, a constrained-mala template and
+    a target of more than 2 dimensions (no grid truth) raise ValueError.
     """
-    if axis not in ("eta", "dimension"):
-        raise ValueError("axis must be 'eta' or 'dimension'")
     values = [float(v) for v in values]
     if len(values) < 3:
-        raise ValueError("need at least 3 axis values")
+        raise ValueError("need at least 3 eta values")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValueError(f"eta values must be positive, got {values}")
+    if template.lazy:
+        raise ValueError("a scaling study runs eager chains; the template sets lazy = true")
+    if template.sampler == "constrained-mala":
+        raise ValueError("a scaling study runs unconstrained chains; the template is constrained-mala")
+    target = build_target(template).target
+    d = target.dimension
+    if d > 2:
+        raise ValueError(f"a scaling study needs a 1D or 2D target for its grid truth, got d = {d}")
+    precision = target.quadratic_precision
+    span = 6.0 if precision is None else 6.0 / math.sqrt(float(np.min(precision)))
+    bounds = (-span, span) if d == 1 else ((-span, span), (-span, span))
+    bins = 60 if d == 1 else 24
+
+    def warm_init(rng, n):
+        return 0.5 * rng.standard_normal((n, d))
 
     mixing: list[int | None] = []
     acc_means: list[float] = []
     gevals: list[int] = []
-    for idx, value in enumerate(values):
-        if axis == "eta":
-            spec = _with_schedule(template, value)
-        else:
-            d = int(value)
-            if template.target_kind != "gaussian":
-                raise ValueError("dimension axis needs a gaussian target template")
-            params = dict(template.target_params)
-            params["d"] = d
-            spec = _replace(template, target_params=params)
-        built = build_target(spec)
-        etas, _ = resolve_etas(spec, built)
-        eta = etas[0]
+    for idx, eta in enumerate(values):
         seed = subseed(template.seed, idx)
-
-        d = built.target.dimension
-        pilot_init = np.zeros((max(200, mixing_replicas // 5), d))
-        pilot = run_ensemble(built.target, "rwm" if spec.sampler == "rwm" else "mala", eta,
-                             min(500, spec.iterations), pilot_init, seed ^ 0xACC)
-        acc_means.append(pilot.accepted_fraction)
-        used = pilot.gradient_evals
-
-        estimate = None
-        if d <= 2:
-            span = 6.0 / math.sqrt(float(np.min(built.target.quadratic_precision))) if built.target.quadratic_precision is not None else 6.0
-            bounds = (-span, span) if d == 1 else ((-span, span), (-span, span))
-            bins = 60 if d == 1 else 24
-
-            def warm_init(rng, n, _d=d):
-                return 0.5 * rng.standard_normal((n, _d))
-
-            estimate = mixing_time_estimate(built.target, "rwm" if spec.sampler == "rwm" else "mala",
-                                            eta, warm_init, tv_threshold, mixing_replicas,
-                                            check_every, seed, bounds, bins, max_iterations)
-            if estimate is not None:
-                used += 2 * mixing_replicas * estimate if spec.sampler != "rwm" else 0
+        pilot = run_ensemble(target, template.sampler, eta, min(500, template.iterations),
+                             np.zeros((PILOT_REPLICAS, d)), seed ^ 0xACC)
+        estimate = mixing_time_estimate(target, template.sampler, eta, warm_init, TV_THRESHOLD,
+                                        MIXING_REPLICAS, CHECK_EVERY, seed, bounds, bins, MAX_ITERATIONS)
         mixing.append(estimate)
-        gevals.append(used)
-
-    slope = None
-    pairs = [(v, m) for v, m in zip(values, mixing) if m is not None and m > 0]
-    if len(pairs) >= 2:
-        xs = np.log([p[0] for p in pairs])
-        ys = np.log([p[1] for p in pairs])
-        slope = ScalingFit.from_logs(xs, ys).slope
-    return ScalingStudyResult(axis=axis, values=values, mixing_estimates=mixing,
-                              acceptance_means=acc_means, gradient_evals=gevals, slope=slope)
-
-
-def _replace(spec: ExperimentSpec, **kw) -> ExperimentSpec:
-    from dataclasses import replace as dc_replace
-
-    return dc_replace(spec, **kw)
-
-
-def _with_schedule(spec: ExperimentSpec, eta: float) -> ExperimentSpec:
-    return _replace(spec, schedule_kind="explicit", schedule_params={"eta": float(eta)})
+        acc_means.append(pilot.accepted_fraction)
+        mixing_evals = 2 * MIXING_REPLICAS * estimate if estimate is not None and template.sampler == "mala" else 0
+        gevals.append(pilot.gradient_evals + mixing_evals)
+    return ScalingStudyResult(values=values, mixing_estimates=mixing, acceptance_means=acc_means,
+                              gradient_evals=gevals)

@@ -23,13 +23,10 @@ __all__ = [
     "PhaseState",
     "LeapfrogResult",
     "NumericFailure",
-    "hamiltonian",
     "leapfrog",
     "leapfrog_step",
-    "exact_quadratic_flow",
     "log_accept_energy",
     "log_accept_proposal_form",
-    "kinetic_error_bound",
 ]
 
 
@@ -62,13 +59,6 @@ class LeapfrogResult:
     proposal: PhaseState
     energy_error: float
     gradient_evals: int = 2
-
-
-def hamiltonian(target: TargetModel, state: PhaseState) -> float:
-    """Total energy U(q) + |p|^2 / 2."""
-    if state.position.shape[-1] != target.dimension:
-        raise ValueError(f"state dimension {state.position.shape[-1]} != target dimension {target.dimension}")
-    return float(target.potential(state.position)) + 0.5 * float(np.dot(state.velocity, state.velocity))
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -118,29 +108,6 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise NumericFailure(f"non-finite {what} at coordinates {bad.tolist()}", bad.tolist())
 
 
-def exact_quadratic_flow(target: TargetModel, state: PhaseState, t: float) -> PhaseState:
-    """Closed-form Hamiltonian flow for diagonal quadratic potentials.
-
-    Each coordinate rotates independently at frequency sqrt(lambda_i);
-    zero-precision coordinates drift linearly.  Conserves the Hamiltonian
-    exactly, which is what makes it useful as an integration oracle.
-    """
-    if target.quadratic_precision is None:
-        raise ValueError(f"target {target.name!r} has no analytic flow (not diagonal quadratic)")
-    lam = target.quadratic_precision
-    q, p = state.position, state.velocity
-    # Free coordinates (lambda = 0) drift; treat them separately so the
-    # rotation formulas never divide by a zero frequency.
-    omega = np.sqrt(np.where(lam > 0, lam, 1.0))
-    c, s = np.cos(omega * t), np.sin(omega * t)
-    q_rot = q * c + (p / omega) * s
-    p_rot = p * c - q * omega * s
-    free = lam <= 0
-    q_t = np.where(free, q + p * t, q_rot)
-    p_t = np.where(free, p, p_rot)
-    return PhaseState(q_t, p_t)
-
-
 def log_accept_energy(energy_error):
     """Log acceptance probability from the energy error, elementwise:
     min(0, -dH), and -inf (certain rejection) where dH is NaN.  A float in
@@ -173,16 +140,3 @@ def log_accept_proposal_form(target: TargetModel, x: np.ndarray, x_hat: np.ndarr
         + (np.dot(forward, forward) - np.dot(backward, backward)) / (2.0 * eta * eta)
     )
     return min(0.0, log_ratio)
-
-
-def kinetic_error_bound(c3: float, c4: float, bad_directions: np.ndarray, v: np.ndarray, eta: float) -> float:
-    """Diagnostic upper bound on the kinetic-energy error of one step.
-
-    eta^3 C3 |X^T v|_inf^2 |X^T v|_2 + eta^4 C4 |X^T v|_inf^4.
-    """
-    if c3 < 0 or c4 < 0:
-        raise ValueError("c3 and c4 must be nonnegative")
-    proj = np.asarray(bad_directions, dtype=float).T @ np.asarray(v, dtype=float)
-    inf = float(np.max(np.abs(proj))) if proj.size else 0.0
-    two = float(np.linalg.norm(proj))
-    return eta**3 * c3 * inf**2 * two + eta**4 * c4 * inf**4

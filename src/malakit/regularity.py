@@ -27,7 +27,6 @@ __all__ = [
     "EstimationFailed",
     "GoodSetParams",
     "GradientBoundEstimate",
-    "TailDecayReport",
     "ExitProbabilityEstimate",
     "RegularityReport",
     "incoherence",
@@ -35,8 +34,6 @@ __all__ = [
     "estimate_c3",
     "estimate_c4",
     "estimate_gradient_bound",
-    "estimate_tail_rate",
-    "tail_decay_check",
     "good_set_check",
     "constraint_exit_estimate",
     "build_regularity_report",
@@ -79,8 +76,7 @@ def _bad_direction_projector(target: TargetModel) -> np.ndarray:
     return target.bad_directions
 
 
-def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: int,
-                center: np.ndarray | None = None) -> float:
+def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: int) -> float:
     """Probe-based lower bound on the third-order regularity constant.
 
     Maximizes |D^3 U(x)[u, v, w]| / (|X^T u|_inf |X^T v|_inf |w|_2) over
@@ -91,10 +87,9 @@ def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
         raise ValueError("probe counts must be >= 1")
     bd = _bad_direction_projector(target)
     d = target.dimension
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     best = None
     for i in range(probe_points):
-        x = c + chain_rng(seed, i, 0).standard_normal(d)
+        x = chain_rng(seed, i, 0).standard_normal(d)
         h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
         for j in range(1, probe_dirs + 1):
             rng = chain_rng(seed, i, j)
@@ -116,8 +111,7 @@ def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
     return float(best)
 
 
-def estimate_c4(target: TargetModel, probe_points: int, probe_dirs: int, seed: int,
-                center: np.ndarray | None = None) -> float:
+def estimate_c4(target: TargetModel, probe_points: int, probe_dirs: int, seed: int) -> float:
     """Probe-based lower bound on the fourth-order regularity constant.
 
     Maximizes |D^4 U(x)[u,u,u,u]| / |X^T u|_inf^4; the fallback is the
@@ -128,10 +122,9 @@ def estimate_c4(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
         raise ValueError("probe counts must be >= 1")
     bd = _bad_direction_projector(target)
     d = target.dimension
-    c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     best = None
     for i in range(probe_points):
-        x = c + chain_rng(seed, i, 0).standard_normal(d)
+        x = chain_rng(seed, i, 0).standard_normal(d)
         h = 3e-3 * (1.0 + float(np.linalg.norm(x)))
         for j in range(1, probe_dirs + 1):
             u = chain_rng(seed, i, j).standard_normal(d)
@@ -178,51 +171,7 @@ def estimate_gradient_bound(target: TargetModel, region_samples) -> GradientBoun
     return GradientBoundEstimate(gradient_bound=bound, smoothness=smooth, samples=len(points))
 
 
-@dataclass(frozen=True)
-class TailDecayReport:
-    """Empirical survival vs the exponential tail bound at distance deciles."""
-
-    deciles: tuple[float, ...]
-    empirical: tuple[float, ...]
-    bound: tuple[float, ...]
-    holds: tuple[bool, ...]
-    passed: bool
-    rate: float
-    samples: int
-
-
-def tail_decay_check(samples, x_star, a: float, d: int) -> TailDecayReport:
-    """Check P(|X - x*| > s) <= e^{-a s / sqrt(d)} at observed deciles.
-
-    Each decile passes when the empirical survival stays within three
-    binomial standard errors of the bound.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    star = np.asarray(x_star, dtype=float)
-    dist = np.linalg.norm(x - star, axis=1)
-    n = dist.size
-    if n == 0:
-        raise ValueError("samples must be nonempty")
-    qs = np.quantile(dist, np.arange(1, 10) / 10.0)
-    empirical, bound, holds = [], [], []
-    for s in qs:
-        emp = float(np.mean(dist > s))
-        b = math.exp(-a * s / math.sqrt(d))
-        se = math.sqrt(max(b * (1.0 - b), 0.0) / n)
-        ok = emp <= b + 3.0 * se + 1.0 / n
-        empirical.append(emp)
-        bound.append(b)
-        holds.append(bool(ok))
-    return TailDecayReport(deciles=tuple(float(s) for s in qs), empirical=tuple(empirical),
-                           bound=tuple(bound), holds=tuple(holds), passed=all(holds),
-                           rate=float(a), samples=n)
-
-
-def estimate_tail_rate(samples, x_star, d: int) -> float | None:
+def _estimate_tail_rate(samples, x_star, d: int) -> float | None:
     """Largest rate consistent with the empirical survival at deciles."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -365,24 +314,20 @@ class RegularityReport:
 
 
 def build_regularity_report(target: TargetModel, data: Dataset, probe_points: int,
-                            probe_dirs: int, seed: int, samples=None) -> RegularityReport:
+                            probe_dirs: int, seed: int) -> RegularityReport:
     """Assemble the full report for an empirical-loss target.
 
-    ``samples`` (chain states, say) feed the gradient-bound and tail-rate
-    estimates; when omitted, the probe cloud around the origin is reused
-    for both.
+    A standard Gaussian cloud around the origin feeds the gradient-bound
+    and tail-rate estimates.
     """
     phi = incoherence(data)
     c3_bound, c4_bound = theorem3_bounds(data.count, phi)
     c3_est = estimate_c3(target, probe_points, probe_dirs, seed)
     c4_est = estimate_c4(target, probe_points, probe_dirs, seed)
-    if samples is None:
-        rng = chain_rng(seed, 10**6)
-        samples = rng.standard_normal((max(probe_points, 16), target.dimension))
-    samples = np.asarray(samples, dtype=float)
+    samples = chain_rng(seed, 10**6).standard_normal((max(probe_points, 16), target.dimension))
     grad_est = estimate_gradient_bound(target, list(samples))
     center = target.minimizer if target.minimizer is not None else np.zeros(target.dimension)
-    tail = estimate_tail_rate(samples, center, target.dimension)
+    tail = _estimate_tail_rate(samples, center, target.dimension)
     return RegularityReport(
         incoherence=phi,
         c3_bound=c3_bound,

@@ -34,11 +34,9 @@ __all__ = [
     "recommended_schedule",
     "sample_sphere_dataset",
     "annulus",
-    "full_space",
     "precondition",
     "save_dataset",
     "load_dataset",
-    "max_gradient_fd_error",
 ]
 
 _UNIT_NORM_TOL = 1e-12
@@ -492,16 +490,6 @@ def annulus(inner: float, outer: float) -> ConstraintSet:
                          annulus_radii=(float(inner), float(outer)))
 
 
-def full_space() -> ConstraintSet:
-    """The vacuous constraint (all of R^d)."""
-
-    def membership(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1], dtype=bool)
-
-    return ConstraintSet(membership=membership, description="full-space")
-
-
 def precondition(target: TargetModel, scale: float) -> TargetModel:
     """Rescale the argument: new potential x -> U(scale * x).
 
@@ -612,28 +600,3 @@ def load_dataset(csv_path) -> Dataset:
             true_param = np.asarray(meta["theta_star"], dtype=float)
     return Dataset(features=features, responses=responses, true_param=true_param,
                    noise_floor=q0, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# consistency probe
-
-def max_gradient_fd_error(target: TargetModel, points) -> float:
-    """Worst relative mismatch between the gradient and central differences.
-
-    The step is ``1e-5 * (1 + |x|)`` per probe; the error is measured as
-    ``|fd - grad| / (1 + |grad|)`` so targets with vanishing gradient at a
-    probe do not produce spurious blowups.
-    """
-    worst = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        h = 1e-5 * (1.0 + np.linalg.norm(x))
-        grad = np.asarray(target.gradient(x), dtype=float)
-        fd = np.empty_like(grad)
-        for j in range(x.size):
-            e = np.zeros_like(x)
-            e[j] = h
-            fd[j] = (float(target.potential(x + e)) - float(target.potential(x - e))) / (2.0 * h)
-        err = np.linalg.norm(fd - grad) / (1.0 + np.linalg.norm(grad))
-        worst = max(worst, float(err))
-    return worst

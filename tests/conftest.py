@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from malakit.chains import ChainConfig, run_mala, run_rwm
 from malakit.diagnostics import acceptance_stats
 from malakit.harness import build_target
+from malakit.targets import ConstraintSet
 
 
 def _solo_mismatches(spec, out_dir, tmp_dir) -> list[str]:
@@ -39,3 +41,35 @@ def _solo_mismatches(spec, out_dir, tmp_dir) -> list[str]:
 @pytest.fixture
 def solo_mismatches():
     return _solo_mismatches
+
+
+def _full_space() -> ConstraintSet:
+    """The vacuous constraint (all of R^d)."""
+    return ConstraintSet(membership=lambda x: np.ones(np.shape(x)[:-1], dtype=bool), description="full-space")
+
+
+@pytest.fixture
+def full_space():
+    return _full_space
+
+
+def _warmness_on_grid(start_dist, target_dist) -> float:
+    """Warmness beta = max cell ratio mu0 / pi on a shared grid.
+
+    On a grid the supremum over sets is attained cellwise.  Start mass on a
+    zero-target cell means the start is not warm at any finite level; the
+    returned value is ``inf`` in that case.
+    """
+    if start_dist.shape != target_dist.shape or start_dist.dims != target_dist.dims:
+        raise ValueError("distributions must share grid geometry")
+    mu = start_dist.mass.ravel()
+    pi = target_dist.mass.ravel()
+    live = mu > 0
+    if np.any(pi[live] == 0.0):
+        return math.inf
+    return float(np.max(mu[live] / pi[live])) if np.any(live) else 0.0
+
+
+@pytest.fixture
+def warmness_on_grid():
+    return _warmness_on_grid

@@ -17,7 +17,6 @@ from malakit.chains import (
     run_mala,
     run_rwm,
     theorem1_step_size,
-    warmness_on_grid,
 )
 from malakit.grids import GridDistribution
 from malakit.integrator import NumericFailure
@@ -25,7 +24,6 @@ from malakit.rng import chain_rng
 from malakit.targets import (
     TargetModel,
     annulus,
-    full_space,
     make_gaussian,
     make_smoothed_zero_one,
     precondition,
@@ -159,14 +157,14 @@ class TestRwm:
         for a, b in zip(fracs, fracs[1:]):
             assert b <= a + 0.02
 
-    def test_rejects_constraint(self):
+    def test_rejects_constraint(self, full_space):
         cfg = ChainConfig(step_size=1.0, iterations=10, seed=0, constraint=full_space())
         with pytest.raises(ValueError):
             run_rwm(STD_1D, cfg, np.zeros(1))
 
 
 class TestConstrainedMala:
-    def test_vacuous_constraint_matches_unconstrained(self):
+    def test_vacuous_constraint_matches_unconstrained(self, full_space):
         cfg_free = ChainConfig(step_size=0.5, iterations=2000, seed=12)
         cfg_full = ChainConfig(step_size=0.5, iterations=2000, seed=12, constraint=full_space())
         a = run_mala(STD_1D, cfg_free, np.zeros(1))
@@ -247,27 +245,27 @@ class TestWarmness:
         mass = np.asarray(mass, dtype=float)
         return GridDistribution(lower=(0.0,), upper=(1.0,), bins=(mass.size,), mass=mass / mass.sum())
 
-    def test_stationary_start(self):
+    def test_stationary_start(self, warmness_on_grid):
         pi = self._grid([0.2, 0.3, 0.5])
         assert warmness_on_grid(pi, pi) == pytest.approx(1.0)
 
-    def test_restriction_warmness(self):
+    def test_restriction_warmness(self, warmness_on_grid):
         # restricting pi to an event E and renormalizing gives beta = 1 / pi(E)
         pi = self._grid([0.25, 0.25, 0.25, 0.25])
         mu = self._grid([0.5, 0.5, 0.0, 0.0])
         assert warmness_on_grid(mu, pi) == pytest.approx(2.0)
 
-    def test_two_cell_example(self):
+    def test_two_cell_example(self, warmness_on_grid):
         pi = self._grid([0.5, 0.5])
         mu = self._grid([1.0, 0.0])
         assert warmness_on_grid(mu, pi) == pytest.approx(2.0)
 
-    def test_infinite_warmness(self):
+    def test_infinite_warmness(self, warmness_on_grid):
         pi = GridDistribution(lower=(0.0,), upper=(1.0,), bins=(2,), mass=np.array([1.0, 0.0]))
         mu = GridDistribution(lower=(0.0,), upper=(1.0,), bins=(2,), mass=np.array([0.0, 1.0]))
         assert warmness_on_grid(mu, pi) == math.inf
 
-    def test_geometry_mismatch(self):
+    def test_geometry_mismatch(self, warmness_on_grid):
         pi = self._grid([0.5, 0.5])
         mu = self._grid([0.3, 0.3, 0.4])
         with pytest.raises(ValueError):

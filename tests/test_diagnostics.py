@@ -235,11 +235,9 @@ class TestTransitionMatrix:
             last = now
         assert last <= 0.01
 
-    def test_warm_start_preserved_under_kernel(self):
+    def test_warm_start_preserved_under_kernel(self, warmness_on_grid):
         # a detailed-balance kernel never increases warmness: if mu_0 is
         # beta-warm then so is every mu_k
-        from malakit.chains import warmness_on_grid
-
         grid = gaussian_grid(bins=200, lo=-6.0, hi=6.0)
         kernel = transition_matrix_1d(STD_1D, "mala", 0.5, grid)
         mass = grid.mass.copy()

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malakit import harness
+from malakit.chains import run_ensemble
 from malakit.cli import cli_entry
 from malakit.harness import (
     DiagnosticSpec,
@@ -18,8 +19,8 @@ from malakit.harness import (
     parse_spec,
     run_experiment,
     scaling_study,
-    serialize_spec,
 )
+from malakit.rng import subseed
 from malakit.targets import TargetModel, make_gaussian
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -180,9 +181,9 @@ class TestParsing:
     @settings(max_examples=200, deadline=None)
     @given(spec=valid_specs())
     def test_serialize_parse_round_trip(self, spec):
-        text = serialize_spec(spec)
+        text = harness._serialize_spec(spec)
         assert parse_spec(text) == spec
-        assert serialize_spec(parse_spec(text)) == text
+        assert harness._serialize_spec(parse_spec(text)) == text
 
     def test_minimal_valid(self):
         spec = parse_spec(MINIMAL)
@@ -251,11 +252,11 @@ class TestParsing:
     def test_round_trip(self):
         text = MINIMAL + "\n[diagnostics]\nacceptance_stats\ntv_vs_truth lo=-6 hi=6 bins=60\n\n[output]\ndir = runs/mini\n"
         spec = parse_spec(text)
-        assert parse_spec(serialize_spec(spec)) == spec
+        assert parse_spec(harness._serialize_spec(spec)) == spec
 
     def test_round_trip_zero_one(self):
         spec = parse_spec(ZERO_ONE)
-        assert parse_spec(serialize_spec(spec)) == spec
+        assert parse_spec(harness._serialize_spec(spec)) == spec
 
     @pytest.mark.parametrize("key", sorted(MALFORMED))
     def test_malformed_value_names_its_key(self, key):
@@ -304,6 +305,19 @@ class TestRunExperiment:
         assert Path(report.summary_path).exists()
         for p in report.trace_paths:
             assert Path(p).exists()
+
+    @pytest.mark.parametrize("target", [
+        "kind = gaussian\nd = 3\nprecision = 1.0",
+        f"kind = logistic\ndataset = {ROOT / 'data' / 'bundled_r50.csv'}\nprior = 1.0",
+    ], ids=["gaussian", "dataset"])
+    def test_tv_needs_one_or_two_dimensions(self, tmp_path, target):
+        # A d-dimensional target with d > 2 has no grid truth.  A dataset's d
+        # is known only once it is loaded, so the check follows build_target.
+        spec = parse_spec(spec_with(**{"kind = gaussian\nd = 1\nprecision = 1.0": target})
+                          + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=10\n")
+        with pytest.raises(SpecValidationError, match="tv_vs_truth needs a 1D or 2D target"):
+            run_experiment(spec, output_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_reruns_and_batch_invariance(self, tmp_path, solo_mismatches):
         spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = sweep\netas = 0.5,1.5"}))
@@ -399,27 +413,60 @@ zero_one_summary angle_max=0.35
 class TestScalingStudy:
     def test_eta_axis_slope_band(self):
         spec = parse_spec(MINIMAL)
-        result = scaling_study(spec, "eta", [0.5, 0.25, 0.125], mixing_replicas=1000,
-                               max_iterations=3000)
+        result = scaling_study(spec, [0.5, 0.25, 0.125])
         assert all(m is not None for m in result.mixing_estimates)
         assert -3.0 <= result.slope <= -1.3
         table = result.table()
         assert table.splitlines()[0].startswith("eta,")
 
     def test_dimension_axis_acceptance(self):
-        spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = theorem1\nsafety = 1.0"}))
-        result = scaling_study(spec, "dimension", [2, 4, 8, 16])
-        assert all(a >= 0.5 for a in result.acceptance_means)
+        # The theorem1 step keeps MALA acceptance at or above 1/2 as d grows,
+        # on a scaling study's acceptance pilot: 200 replicas, 500 steps.
+        for idx, d in enumerate([2, 4, 8, 16]):
+            spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = theorem1\nsafety = 1.0",
+                                           "d = 1": f"d = {d}"}))
+            built = harness.build_target(spec)
+            (eta,), _ = harness.resolve_etas(spec, built)
+            pilot = run_ensemble(built.target, "mala", eta, 500, np.zeros((200, d)),
+                                 subseed(spec.seed, idx) ^ 0xACC)
+            assert pilot.accepted_fraction >= 0.5, d
 
     def test_single_value_rejected(self):
         spec = parse_spec(MINIMAL)
         with pytest.raises(ValueError):
-            scaling_study(spec, "eta", [0.5])
+            scaling_study(spec, [0.5])
+        with pytest.raises(ValueError, match="positive"):
+            scaling_study(spec, [0.5, 0.25, 0.0])
 
-    def test_unknown_axis_rejected(self):
-        spec = parse_spec(MINIMAL)
-        with pytest.raises(ValueError):
-            scaling_study(spec, "temperature", [1, 2, 3])
+    @pytest.mark.parametrize("edits, reason", [
+        ({"kind = mala": "kind = mala\nlazy = true"}, "lazy"),
+        ({"kind = mala": "kind = constrained-mala\nlazy = false\n\n[constraint]\ninner = 0.5\nouter = 1.0"},
+         "constrained-mala"),
+        ({"d = 1": "d = 3"}, "d = 3"),
+    ], ids=["lazy", "constrained", "d3"])
+    def test_refuses_a_template_it_would_not_measure(self, edits, reason):
+        # Each template ran at an earlier version: the lazy coin and the
+        # constraint were dropped without notice, and d = 3 left every
+        # mixing estimate unresolved.
+        with pytest.raises(ValueError, match=reason):
+            scaling_study(parse_spec(spec_with(**edits)), [0.5, 0.25, 0.125])
+
+    def test_unknown_axis_rejected(self, capsys):
+        spec = str(ROOT / "specs" / "gaussian_demo.spec")
+        assert cli_entry(["scaling", spec, "--axis", "dimension", "--values", "1,2,4"]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_no_slope_from_two_points(self, tmp_path, capsys):
+        # eta = 0.001 cannot mix within the step budget, so two estimates
+        # resolve: the slope stays empty and stderr says why.
+        template = tmp_path / "mini.spec"
+        template.write_text(MINIMAL)
+        assert cli_entry(["scaling", str(template), "--axis", "eta", "--values", "0.5,0.25,0.001"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [row.split(",")[1] == "" for row in lines[1:-1]] == [False, False, True]
+        assert lines[-1] == "# log-log slope vs eta: "
+        assert "2 of 3 mixing estimates resolved" in captured.err
 
 
 class TestCli:

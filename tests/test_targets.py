@@ -18,7 +18,6 @@ from malakit.targets import (
     make_logistic_regression,
     make_sigmoid_regression,
     make_smoothed_zero_one,
-    max_gradient_fd_error,
     precondition,
     recommended_schedule,
     sample_sphere_dataset,
@@ -30,6 +29,22 @@ def e1(d):
     v = np.zeros(d)
     v[0] = 1.0
     return v
+
+
+def max_gradient_fd_error(target, points) -> float:
+    """Worst relative mismatch between the gradient and central differences
+    of the potential, with step ``1e-5 * (1 + |x|)``; the error is
+    ``|fd - grad| / (1 + |grad|)``, so a vanishing gradient does not blow
+    it up."""
+    worst = 0.0
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        h = 1e-5 * (1.0 + np.linalg.norm(x))
+        grad = np.asarray(target.gradient(x), dtype=float)
+        fd = np.array([(float(target.potential(x + h * e)) - float(target.potential(x - h * e))) / (2.0 * h)
+                       for e in np.eye(x.size)])
+        worst = max(worst, float(np.linalg.norm(fd - grad) / (1.0 + np.linalg.norm(grad))))
+    return worst
 
 
 def single_datum_dataset(d=3, label=1):
