@@ -370,7 +370,6 @@ def run_ensemble(
     init_positions: np.ndarray,
     seed: int,
     constraint: ConstraintSet | None = None,
-    lazy: bool = False,
     callback: Callable[[int, np.ndarray], None] | None = None,
     callback_every: int = 0,
 ) -> EnsembleResult:
@@ -379,11 +378,11 @@ def run_ensemble(
     This is the distribution-level driver behind the TV and mixing-time
     measurements: the replicas' positions at a fixed iteration estimate the
     chain's marginal law there.  All replicas draw from one counter-based
-    stream, per step the coin vector, then ``(n, d)`` normals, then ``n``
-    uniforms, so the result is a pure function of the arguments.  A
-    non-finite gradient at a proposal stops the run with
-    :class:`NumericFailure`.  A callback returning a truthy value stops the
-    run early (used by the mixing-time search).
+    stream, per step ``(n, d)`` normals, then ``n`` uniforms, so the result
+    is a pure function of the arguments.  A non-finite gradient at a
+    proposal stops the run with :class:`NumericFailure`.  A callback
+    returning a truthy value stops the run early (used by the mixing-time
+    search).
     """
     if kind not in ("mala", "rwm"):
         raise ValueError(f"unknown chain kind {kind!r}")
@@ -396,9 +395,8 @@ def run_ensemble(
     rng = chain_rng(seed)
 
     def draws():
-        act = np.flatnonzero(rng.random(n) >= 0.5) if lazy else None
         v = rng.standard_normal((n, d))
-        return act, v, np.log(1.0 - rng.random(n))
+        return None, v, np.log(1.0 - rng.random(n))
 
     x, proposals, accepted, _ = _lockstep(target, kind, float(eta), x, iterations, draws, constraint,
                                           callback=callback, callback_every=callback_every)

@@ -2,10 +2,11 @@
 
 A target is a potential ``U`` with its gradient; the samplers see nothing
 else.  ``TargetModel.value_and_grad`` returns both at once: the built-in
-targets fuse it so the shared work (``x @ a`` and, where bit-identical, the
-transcendental) is done once, and its results equal the separate calls
-bit-for-bit.  Regression-style targets additionally carry the matrix of unit
-"bad directions" (the data vectors), closed-form third/fourth directional
+targets fuse it so the shared work (``x @ a`` and the one transcendental per
+datum: ``exp(-|t|)`` for the logistic loss, ``expit`` for the sigmoid losses)
+is done once, and its results equal the separate calls bit-for-bit.
+Regression-style targets additionally carry the matrix of unit "bad
+directions" (the data vectors), closed-form third/fourth directional
 derivatives for the regularity estimators, and whatever constants are known
 a priori.  All built-in callables broadcast over leading axes, so an
 ``(n, d)`` array of positions evaluates ``n`` potentials in one call.
@@ -217,12 +218,24 @@ def _logistic_loss() -> _Loss:
     # phi(s) = log(1 + e^{-s}); the negative log-likelihood of a correct
     # label at margin s.  phi'' = sigma', so the k-th derivative of phi is
     # the (k-1)-th derivative of the sigmoid.  All derivatives bounded by 1.
-    # logaddexp and expit do not share a transcendental bit-exactly, so the
-    # fused form shares only t.
-    value = lambda t: np.logaddexp(0.0, -t)
-    d1 = lambda t: expit(t) - 1.0
-    return _Loss(value, d1, lambda t: (value(t), d1(t)),
-                 lambda t: _sigma_derivs(t, 2), lambda t: _sigma_derivs(t, 3))
+    # Value and slope come from the one transcendental e = exp(-|s|), in the
+    # stable forms of Maechler (Rmpfr vignette, 2012):
+    #   phi(s) = log1p(e) + max(-s, 0),
+    #   phi'(s) = -sigma(-s) = -e/(1+e) for s >= 0, -1/(1+e) otherwise.
+    # The separate and fused calls share these helpers, so they agree bit
+    # for bit; a NaN margin stays NaN in both.
+    def value_of(t, e):
+        return np.log1p(e) + np.maximum(-t, 0.0)
+
+    def d1_of(t, e):
+        return -np.where(t >= 0.0, e, 1.0) / (1.0 + e)
+
+    def value_d1(t):
+        e = np.exp(-np.abs(t))
+        return value_of(t, e), d1_of(t, e)
+
+    return _Loss(lambda t: value_of(t, np.exp(-np.abs(t))), lambda t: d1_of(t, np.exp(-np.abs(t))),
+                 value_d1, lambda t: _sigma_derivs(t, 2), lambda t: _sigma_derivs(t, 3))
 
 
 def _sigmoid_loss() -> _Loss:

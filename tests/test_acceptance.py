@@ -32,7 +32,7 @@ from malakit.diagnostics import (
     transition_matrix_1d,
 )
 from malakit.grids import GridDistribution, grid_truth, histogram, tv_distance
-from malakit.harness import parse_spec, run_experiment
+from malakit.harness import parse_spec, run_experiment, warm_annulus_init
 from malakit.integrator import PhaseState, leapfrog_step, log_accept_energy, log_accept_proposal_form
 from malakit.regularity import GoodSetParams, estimate_c3, estimate_c4, good_set_check, incoherence, theorem3_bounds
 from malakit.rng import chain_rng
@@ -266,12 +266,9 @@ def test_08_zero_one_loss_optimization():
         inv_temp, lam = recommended_schedule(q0, eps, d, ZERO_ONE_C1)
         target = precondition(make_smoothed_zero_one(data, inv_temp, lam), lam / math.sqrt(inv_temp))
         ring = annulus(0.5, 1.0)
-        # warm start: best of 64 uniform annulus points by potential
-        rng = chain_rng(seed + 10**6)
-        pts = rng.standard_normal((64, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts *= 0.5 + 0.5 * rng.random((64, 1))
-        init = pts[int(np.argmin(target.potential(pts)))]
+        # warm start: best of 64 uniform annulus points by potential, drawn
+        # from chain_rng(seed + 10**6) (warm_annulus_init xors in 0x5EED)
+        init = warm_annulus_init(target, ring, (seed + 10**6) ^ 0x5EED)
         config = ChainConfig(step_size=ZERO_ONE_ETA, iterations=ZERO_ONE_ITERATIONS,
                              seed=seed, lazy=True, constraint=ring)
         trace = run_constrained_mala(target, config, init)

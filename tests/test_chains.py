@@ -342,9 +342,9 @@ class TestFusedOracleEquivalence:
         t = zero_one_target()
         init = np.tile(np.array([0.0, 0.75, 0.0]), (50, 1))
         ring = annulus(0.5, 1.0)
-        a = run_ensemble(t, "mala", 0.05, 60, init, seed=4, constraint=ring, lazy=True)
+        a = run_ensemble(t, "mala", 0.05, 60, init, seed=4, constraint=ring)
         b = run_ensemble(dataclasses.replace(t, fused=None), "mala", 0.05, 60, init, seed=4,
-                         constraint=ring, lazy=True)
+                         constraint=ring)
         assert np.array_equal(a.positions, b.positions)
         assert (a.accepted_fraction, a.oracle_calls) == (b.accepted_fraction, b.oracle_calls)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit
 
 from malakit.rng import chain_rng
 from malakit.targets import (
@@ -23,6 +24,9 @@ from malakit.targets import (
     sample_sphere_dataset,
     save_dataset,
 )
+from malakit.targets import _logistic_loss
+
+TINY = np.finfo(float).tiny
 
 
 def e1(d):
@@ -126,6 +130,33 @@ class TestLogisticRegression:
         b = make_logistic_regression(binary, 0.0)
         x = np.array([0.3, -0.1, 0.7])
         assert float(a.potential(x)) == pytest.approx(float(b.potential(x)), rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 50), elements=st.floats(-745.0, 745.0)))
+    def test_loss_matches_logaddexp_and_expit_forms(self, t):
+        # The loss derives its value and slope from one exp(-|t|).  Below the
+        # normal range (|value| < TINY) only a few subnormal units can agree.
+        loss = _logistic_loss()
+        value, d1 = loss.value_d1(t)
+        np.testing.assert_allclose(value, np.logaddexp(0.0, -t), rtol=1e-15, atol=1e-15 * TINY)
+        # expit(t) - 1 cancels for t > 0: its error is relative to the slope's
+        # bound of 1, while -expit(-t) is accurate to the last place.
+        np.testing.assert_allclose(d1, expit(t) - 1.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(d1, -expit(-t), rtol=1e-15, atol=TINY)
+        assert _bits(value) == _bits(loss.value(t))
+        assert _bits(d1) == _bits(loss.d1(t))
+
+    def test_loss_non_finite_margins(self):
+        # +-inf give the values of logaddexp and expit, and NaN stays NaN, so
+        # the engines' non-finite rule sees the same inputs.
+        t = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            old_value, old_d1 = np.logaddexp(0.0, -t), expit(t) - 1.0
+        value, d1 = _logistic_loss().value_d1(t)
+        np.testing.assert_array_equal(value, old_value)
+        np.testing.assert_array_equal(d1, old_d1)
+        assert np.array_equal(value, [0.0, np.inf, np.nan], equal_nan=True)
+        assert np.array_equal(d1, [0.0, -1.0, np.nan], equal_nan=True)
 
 
 class TestSigmoidRegression:
