@@ -78,20 +78,18 @@ class ChainConfig:
 
 class ChainTrace:
     """Columnar record of one chain run.  Row ``k`` is step ``indices[k]``;
-    a rejected or lazy step repeats the previous state."""
+    a rejected or lazy step repeats the previous state.  ``log_accepts`` is
+    :func:`log_accept_energy` of ``energy_errors``."""
 
-    def __init__(self, config: ChainConfig, target_name: str, init_state: np.ndarray,
-                 indices, states, proposed, energy_errors, log_accepts, accepted,
+    def __init__(self, init_state: np.ndarray, indices, states, proposed, energy_errors, accepted,
                  in_constraint, potentials, gradient_evals: int, function_evals: int,
                  oracle_calls: int = 0):
-        self.config = config
-        self.target_name = target_name
         self.init_state = np.asarray(init_state, dtype=float)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.states = np.asarray(states, dtype=float)
         self.proposed = np.asarray(proposed, dtype=float)
         self.energy_errors = np.asarray(energy_errors, dtype=float)
-        self.log_accepts = np.asarray(log_accepts, dtype=float)
+        self.log_accepts = log_accept_energy(self.energy_errors)
         self.accepted = np.asarray(accepted, dtype=bool)
         self.in_constraint = None if in_constraint is None else np.asarray(in_constraint, dtype=bool)
         self.potentials = np.asarray(potentials, dtype=float)
@@ -300,15 +298,12 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
     _, proposals, _, failures = _lockstep(
         target, "mala" if mala else "rwm", np.array([[c.step_size] for c in configs]), inits,
         first.iterations, _CellDraws([c.seed for c in configs], d, first.lazy), constraint, cols)
-    err = cols.energy_errors
-    log_accepts = log_accept_energy(err)
     results: list[ChainTrace | NumericFailure] = []
-    for j, config in enumerate(configs):
+    for j in range(n):
         evals = 1 + int(proposals[j])  # one oracle call at the start and per non-lazy step
         results.append(failures[j] if j in failures else ChainTrace(
-            config=config, target_name=target.name, init_state=inits[j], indices=cols.indices,
-            states=cols.states[:, j].copy(), proposed=cols.proposed[:, j].copy(),
-            energy_errors=err[:, j].copy(), log_accepts=log_accepts[:, j].copy(),
+            init_state=inits[j], indices=cols.indices, states=cols.states[:, j].copy(),
+            proposed=cols.proposed[:, j].copy(), energy_errors=cols.energy_errors[:, j].copy(),
             accepted=cols.accepted[:, j].copy(),
             in_constraint=None if constraint is None else cols.in_constraint[:, j].copy(),
             potentials=cols.potentials[:, j].copy(), gradient_evals=2 * (evals - 1) if mala else 0,

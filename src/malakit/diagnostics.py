@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _HALF_TOL = 1e-12
-CONTROL_DRAWS = 3  # exact-sample draws averaged into the binning floor of a mixing estimate
 
 
 class FitFailed(RuntimeError):
@@ -111,15 +110,14 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     return kernel
 
 
-def _cut_ratios(flow_out: float, flow_in: float, mass: float) -> list[float]:
-    out = []
+def _min_cut_ratio(flow_out: np.ndarray, flow_in: np.ndarray, mass: np.ndarray) -> float:
+    """Least ratio over cuts S: flow out of S over pi(S), and flow into S over
+    pi(complement), each counted when its side has mass in (0, 1/2]."""
     cap = 0.5 + _HALF_TOL
-    if 0.0 < mass <= cap:
-        out.append(flow_out / mass)
     comp = 1.0 - mass
-    if 0.0 < comp <= cap:
-        out.append(flow_in / comp)
-    return out
+    own, other = (mass > 0.0) & (mass <= cap), (comp > 0.0) & (comp <= cap)
+    ratios = np.concatenate([flow_out[own] / mass[own], flow_in[other] / comp[other]])
+    return float(ratios.min()) if ratios.size else math.inf
 
 
 def conductance(kernel: np.ndarray, pi: GridDistribution,
@@ -138,42 +136,21 @@ def conductance(kernel: np.ndarray, pi: GridDistribution,
         raise ValueError("kernel and grid sizes differ")
     flux = p[:, None] * kernel
 
-    best = math.inf
-    # prefix cuts, incremental flows
+    # prefix cuts S = {0..k-1}, incremental flows
     suffix = np.cumsum(flux[:, ::-1], axis=1)[:, ::-1]     # suffix[i, k] = sum_{j >= k} flux[i, j]
     prefix = np.cumsum(flux, axis=1)                       # prefix[i, k] = sum_{j <= k} flux[i, j]
     top = np.cumsum(suffix, axis=0)                        # top[m, k] = sum_{i <= m} suffix[i, k]
     bottom = np.cumsum(prefix[::-1, :], axis=0)[::-1, :]   # bottom[m, k] = sum_{i >= m} prefix[i, k]
-    mass_prefix = np.cumsum(p)
-    for k in range(1, n):
-        flow_out = float(top[k - 1, k])        # i < k, j >= k
-        flow_in = float(bottom[k, k - 1])      # i >= k, j < k
-        for r in _cut_ratios(flow_out, flow_in, float(mass_prefix[k - 1])):
-            best = min(best, r)
+    # top[k-1, k]: flow from i < k to j >= k; bottom[k, k-1]: from i >= k to j < k
+    best = _min_cut_ratio(np.diagonal(top, 1), np.diagonal(bottom, -1), np.cumsum(p)[:-1])
 
-    if random_subsets > 0 and n >= 2:
-        rng = chain_rng(seed)
-        masks = rng.random((random_subsets, n)) < 0.5
-        best = min(best, _subset_min_ratio(flux, p, masks))
-    return best
-
-
-def _subset_min_ratio(flux: np.ndarray, p: np.ndarray, masks: np.ndarray) -> float:
-    m = masks.astype(float)
-    mass = m @ p
-    row_flow = m @ flux                       # (k, n): sum_{i in S} flux[i, j]
-    internal = np.einsum("kj,kj->k", row_flow, m)
-    flow_out = row_flow.sum(axis=1) - internal
-    col_totals = flux.sum(axis=0)
-    flow_in = m @ col_totals - internal
-    best = math.inf
-    cap = 0.5 + _HALF_TOL
-    for k in range(masks.shape[0]):
-        if 0.0 < mass[k] <= cap:
-            best = min(best, float(flow_out[k] / mass[k]))
-        comp = 1.0 - mass[k]
-        if 0.0 < comp <= cap:
-            best = min(best, float(flow_in[k] / comp))
+    if random_subsets > 0:
+        masks = (chain_rng(seed).random((random_subsets, n)) < 0.5).astype(float)
+        row_flow = masks @ flux                   # (k, n): sum_{i in S} flux[i, j]
+        internal = np.einsum("kj,kj->k", row_flow, masks)
+        flow_out = row_flow.sum(axis=1) - internal
+        flow_in = masks @ flux.sum(axis=0) - internal
+        best = min(best, _min_cut_ratio(flow_out, flow_in, masks @ p))
     return best
 
 
@@ -194,22 +171,16 @@ def mixing_time_estimate(
 
     Runs ``replicas`` chains from ``init`` and bins their positions at
     multiples of ``check_every``; the threshold applies to the binned TV
-    minus the binning floor (the mean TV of :data:`CONTROL_DRAWS` draws of
-    the same number of exact samples from the grid truth — raw TV cannot
-    reach zero under finite sampling).  Returns ``None`` when the budget
-    runs out, never raises.
+    minus the grid truth's :meth:`~GridDistribution.binning_floor` for as
+    many samples (raw TV cannot reach zero under finite sampling).  Returns
+    ``None`` when the budget runs out, never raises.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a TV estimate")
     if check_every < 1 or max_iterations < 1:
         raise ValueError("check_every and max_iterations must be >= 1")
     truth = grid_truth(target, grid_bounds, grid_bins)
-    control_rng = chain_rng(subseed(seed, 0))
-    floors = []
-    for _ in range(CONTROL_DRAWS):
-        ref = histogram(truth.sample_midpoints(control_rng, replicas), grid_bounds, grid_bins)
-        floors.append(tv_distance(ref, truth))
-    floor = float(np.mean(floors))
+    floor = truth.binning_floor(replicas, chain_rng(subseed(seed, 0)))
 
     init_rng = chain_rng(subseed(seed, 1))
     positions = np.asarray(init(init_rng, replicas), dtype=float)
@@ -246,10 +217,7 @@ def hitting_time(trace: ChainTrace, target_set: ConstraintSet) -> int | None:
 class ScalingFit:
     """OLS fit of log-values against log-step-sizes."""
 
-    log_etas: tuple[float, ...]
-    log_values: tuple[float, ...]
     slope: float
-    intercept: float
     r_squared: float
 
     @classmethod
@@ -264,8 +232,7 @@ class ScalingFit:
         resid = ys - (intercept + slope * xs)
         syy = float(np.sum((ys - y_mean) ** 2))
         r2 = 1.0 - float(np.sum(resid**2)) / syy if syy > 0 else 1.0
-        return cls(log_etas=tuple(float(v) for v in xs), log_values=tuple(float(v) for v in ys),
-                   slope=slope, intercept=intercept, r_squared=r2)
+        return cls(slope=slope, r_squared=r2)
 
 
 def energy_error_scaling(
@@ -312,23 +279,13 @@ def energy_error_scaling(
 @dataclass(frozen=True)
 class AcceptanceStats:
     mean: float
-    q05: float
-    q50: float
-    q95: float
     accepted_fraction: float
 
 
 def acceptance_stats(trace: ChainTrace) -> AcceptanceStats:
-    """Distribution of per-step acceptance probabilities over a trace."""
-    probs = np.exp(trace.log_accepts)
-    q05, q50, q95 = np.quantile(probs, [0.05, 0.5, 0.95])
-    return AcceptanceStats(
-        mean=float(probs.mean()),
-        q05=float(q05),
-        q50=float(q50),
-        q95=float(q95),
-        accepted_fraction=float(trace.accepted.mean()),
-    )
+    """Mean per-step acceptance probability and accepted fraction of a trace."""
+    return AcceptanceStats(mean=float(np.exp(trace.log_accepts).mean()),
+                           accepted_fraction=float(trace.accepted.mean()))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -169,9 +169,6 @@ class SpecValidationError(ValueError):
 class DiagnosticSpec:
     name: str
     params: dict = field(default_factory=dict)
-
-    def __hash__(self):
-        return hash((self.name, tuple(sorted(self.params.items()))))
 
 
 @dataclass(frozen=True)
@@ -484,21 +481,22 @@ def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float],
     return [eta], notes
 
 
-def warm_annulus_init(target: TargetModel, constraint: ConstraintSet, seed: int,
-                      candidates: int = 64) -> np.ndarray:
-    """Best-of-``candidates`` warm start inside an annulus constraint: the
-    uniform-radius candidate of least potential, drawn from
-    ``chain_rng(seed ^ 0x5EED)``."""
+def warm_annulus_init(target: TargetModel, constraint: ConstraintSet, seed: int) -> np.ndarray:
+    """Best-of-64 warm start inside an annulus constraint: the uniform-radius
+    candidate of least potential, drawn from ``chain_rng(seed ^ 0x5EED)``.
+    Raises ValueError on a constraint that is not an annulus."""
+    if constraint.annulus_radii is None:
+        raise ValueError("warm_annulus_init needs an annulus constraint")
     rng = chain_rng(seed ^ 0x5EED)
-    inner, outer = constraint.annulus_radii or (0.5, 1.0)
-    pts = rng.standard_normal((candidates, target.dimension))
+    inner, outer = constraint.annulus_radii
+    pts = rng.standard_normal((64, target.dimension))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= inner + (outer - inner) * rng.random((candidates, 1))
+    pts *= inner + (outer - inner) * rng.random((len(pts), 1))
     pot = np.asarray(target.batch_oracles()[0](pts), dtype=float)
     return pts[int(np.argmin(pot))]
 
 
-def _replica_init(spec: ExperimentSpec, built: BuiltTarget, replica_seed: int) -> np.ndarray:
+def _replica_init(built: BuiltTarget, replica_seed: int) -> np.ndarray:
     if built.constraint is not None:
         return warm_annulus_init(built.target, built.constraint, replica_seed)
     return np.zeros(built.target.dimension)
@@ -506,7 +504,7 @@ def _replica_init(spec: ExperimentSpec, built: BuiltTarget, replica_seed: int) -
 
 @dataclass(frozen=True)
 class RunReport:
-    spec_text: str
+    spec: str
     resolved_etas: list[float]
     schedule_notes: dict
     target_notes: dict
@@ -527,24 +525,9 @@ class RunReport:
         return "partial" if self.replica_errors else "ok"
 
     def to_json(self) -> str:
-        payload = {
-            "spec": self.spec_text,
-            "resolved_etas": self.resolved_etas,
-            "schedule_notes": self.schedule_notes,
-            "target_notes": self.target_notes,
-            "summary_path": self.summary_path,
-            "diagnostics_path": self.diagnostics_path,
-            "trace_paths": self.trace_paths,
-            "diagnostics": self.diagnostics,
-            "gradient_evals": self.gradient_evals,
-            "function_evals": self.function_evals,
-            "oracle_calls": self.oracle_calls,
-            "wall_time": self.wall_time,
-            "versions": self.versions,
-            "replica_errors": self.replica_errors,
-            "status": self.status,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+        """``report.json``: every field, and ``status``."""
+        return json.dumps({**asdict(self), "status": self.status}, sort_keys=True, indent=2,
+                          default=_json_default)
 
 
 def _json_default(obj):
@@ -582,7 +565,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     configs = [ChainConfig(step_size=eta, iterations=spec.iterations, seed=seed, lazy=spec.lazy,
                            constraint=built.constraint, record_every=spec.record_every)
                for (_, eta, _), seed in zip(cells, cell_seeds)]
-    inits = np.array([_replica_init(spec, built, seed) for seed in cell_seeds])
+    inits = np.array([_replica_init(built, seed) for seed in cell_seeds])
     results = run_chains(built.target, spec.sampler, configs, inits)
 
     errors = [f"cell {k} (eta={cells[k][1]:g}, replica {cells[k][2]}): {r}"
@@ -619,7 +602,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
         diagnostics_path.write_text("\n".join(["diagnostic,key,value"] + diag_lines) + "\n")
 
     report = RunReport(
-        spec_text=_serialize_spec(spec),
+        spec=_serialize_spec(spec),
         resolved_etas=[float(e) for e in etas],
         schedule_notes=schedule_notes,
         target_notes=built.notes,
@@ -668,11 +651,7 @@ def _run_diagnostics(spec, built, traces, stats):
             finals = np.stack([tr.states[-1] for _, tr in sorted(traces.items())])
             emp = histogram(finals, bounds, nbins)
             raw = tv_distance(emp, truth)
-            ctrl = chain_rng(spec.seed ^ 0xF100F)
-            floor = float(np.mean([
-                tv_distance(histogram(truth.sample_midpoints(ctrl, finals.shape[0]), bounds, nbins), truth)
-                for _ in range(3)
-            ]))
+            floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed ^ 0xF100F))
             results["tv_vs_truth"] = {"raw": float(raw), "binning_floor": floor,
                                       "corrected": float(raw - floor), "replicas": finals.shape[0]}
             emit("tv_vs_truth", "raw", raw)
@@ -732,7 +711,7 @@ def _direction_cone(theta: np.ndarray, angle_max: float) -> ConstraintSet:
             cosine = np.where(norms > 0, ips / np.where(norms > 0, norms, 1.0), -1.0)
         return cosine >= math.cos(angle_max)
 
-    return ConstraintSet(membership=membership, description=f"cone<{angle_max:g}rad")
+    return ConstraintSet(membership=membership)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ class PhaseState:
 class LeapfrogResult:
     proposal: PhaseState
     energy_error: float
-    gradient_evals: int = 2
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:

@@ -70,10 +70,33 @@ def theorem3_bounds(r: int, phi: float) -> tuple[float, float]:
     return math.sqrt(r * phi), float(r)
 
 
-def _bad_direction_projector(target: TargetModel) -> np.ndarray:
-    if target.bad_directions is None:
+def _probe_max(target: TargetModel, probe_points: int, probe_dirs: int, seed: int, step: float,
+               directions, value) -> float | None:
+    """Running maximum of ``value / denominator`` over the probe family.
+
+    Point ``i`` is drawn from ``chain_rng(seed, i, 0)`` and its directions
+    from ``chain_rng(seed, i, j)``, ``j >= 1``:
+    ``directions(rng, bad_directions)`` returns ``(dirs, denominator)``, and
+    ``value(x, h, *dirs)`` the derivative reading at ``x`` with difference
+    step ``h = step * (1 + |x|)``.  Probes with a denominator below 1e-12
+    are skipped; None when every probe was.
+    """
+    if probe_points < 1 or probe_dirs < 1:
+        raise ValueError("probe counts must be >= 1")
+    bd = target.bad_directions
+    if bd is None:
         raise ValueError(f"target {target.name!r} carries no bad-direction matrix")
-    return target.bad_directions
+    best = None
+    for i in range(probe_points):
+        x = chain_rng(seed, i, 0).standard_normal(target.dimension)
+        h = step * (1.0 + float(np.linalg.norm(x)))
+        for j in range(1, probe_dirs + 1):
+            dirs, denom = directions(chain_rng(seed, i, j), bd)
+            if denom < 1e-12:
+                continue
+            ratio = value(x, h, *dirs) / denom
+            best = ratio if best is None else max(best, ratio)
+    return best
 
 
 def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: int) -> float:
@@ -83,32 +106,22 @@ def estimate_c3(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
     random probes; closed-form derivatives are used when the target has
     them, second central differences of the gradient otherwise.
     """
-    if probe_points < 1 or probe_dirs < 1:
-        raise ValueError("probe counts must be >= 1")
-    bd = _bad_direction_projector(target)
-    d = target.dimension
-    best = None
-    for i in range(probe_points):
-        x = chain_rng(seed, i, 0).standard_normal(d)
-        h = 1e-3 * (1.0 + float(np.linalg.norm(x)))
-        for j in range(1, probe_dirs + 1):
-            rng = chain_rng(seed, i, j)
-            u, v, w = rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(d)
-            denom = float(np.max(np.abs(bd.T @ u)) * np.max(np.abs(bd.T @ v)) * np.linalg.norm(w))
-            if denom < 1e-12:
-                continue
-            if target.third_directional is not None:
-                value = abs(float(target.third_directional(x, u, v, w)))
-            else:
-                g = target.gradient
-                mixed = (np.asarray(g(x + h * u + h * v)) - np.asarray(g(x + h * u - h * v))
-                         - np.asarray(g(x - h * u + h * v)) + np.asarray(g(x - h * u - h * v)))
-                value = abs(float(mixed @ w) / (4.0 * h * h))
-            ratio = value / denom
-            best = ratio if best is None else max(best, ratio)
+    def directions(rng, bd):
+        u, v, w = (rng.standard_normal(target.dimension) for _ in range(3))
+        return (u, v, w), float(np.max(np.abs(bd.T @ u)) * np.max(np.abs(bd.T @ v)) * np.linalg.norm(w))
+
+    def value(x, h, u, v, w):
+        if target.third_directional is not None:
+            return abs(float(target.third_directional(x, u, v, w)))
+        g = target.gradient
+        mixed = (np.asarray(g(x + h * u + h * v)) - np.asarray(g(x + h * u - h * v))
+                 - np.asarray(g(x - h * u + h * v)) + np.asarray(g(x - h * u - h * v)))
+        return abs(float(mixed @ w) / (4.0 * h * h))
+
+    best = _probe_max(target, probe_points, probe_dirs, seed, 1e-3, directions, value)
     if best is None:
         raise EstimationFailed("all third-order probes were degenerate")
-    return float(best)
+    return best
 
 
 def estimate_c4(target: TargetModel, probe_points: int, probe_dirs: int, seed: int) -> float:
@@ -118,31 +131,22 @@ def estimate_c4(target: TargetModel, probe_points: int, probe_dirs: int, seed: i
     five-point fourth difference of the potential along the probe
     direction.
     """
-    if probe_points < 1 or probe_dirs < 1:
-        raise ValueError("probe counts must be >= 1")
-    bd = _bad_direction_projector(target)
-    d = target.dimension
-    best = None
-    for i in range(probe_points):
-        x = chain_rng(seed, i, 0).standard_normal(d)
-        h = 3e-3 * (1.0 + float(np.linalg.norm(x)))
-        for j in range(1, probe_dirs + 1):
-            u = chain_rng(seed, i, j).standard_normal(d)
-            denom = float(np.max(np.abs(bd.T @ u))) ** 4
-            if denom < 1e-12:
-                continue
-            if target.fourth_directional is not None:
-                value = abs(float(target.fourth_directional(x, u)))
-            else:
-                f = lambda p: float(target.potential(p))
-                stencil = (f(x + 2 * h * u) - 4.0 * f(x + h * u) + 6.0 * f(x)
-                           - 4.0 * f(x - h * u) + f(x - 2 * h * u))
-                value = abs(stencil / h**4)
-            ratio = value / denom
-            best = ratio if best is None else max(best, ratio)
+    def directions(rng, bd):
+        u = rng.standard_normal(target.dimension)
+        return (u,), float(np.max(np.abs(bd.T @ u))) ** 4
+
+    def value(x, h, u):
+        if target.fourth_directional is not None:
+            return abs(float(target.fourth_directional(x, u)))
+        f = lambda p: float(target.potential(p))
+        stencil = (f(x + 2 * h * u) - 4.0 * f(x + h * u) + 6.0 * f(x)
+                   - 4.0 * f(x - h * u) + f(x - 2 * h * u))
+        return abs(stencil / h**4)
+
+    best = _probe_max(target, probe_points, probe_dirs, seed, 3e-3, directions, value)
     if best is None:
         raise EstimationFailed("all fourth-order probes were degenerate")
-    return float(best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,6 @@ class GradientBoundEstimate:
 
     gradient_bound: float
     smoothness: float
-    samples: int
 
 
 def estimate_gradient_bound(target: TargetModel, region_samples) -> GradientBoundEstimate:
@@ -168,7 +171,7 @@ def estimate_gradient_bound(target: TargetModel, region_samples) -> GradientBoun
             gap = float(np.linalg.norm(points[a] - points[b]))
             if gap > 1e-12:
                 smooth = max(smooth, float(np.linalg.norm(grads[a] - grads[b])) / gap)
-    return GradientBoundEstimate(gradient_bound=bound, smoothness=smooth, samples=len(points))
+    return GradientBoundEstimate(gradient_bound=bound, smoothness=smooth)
 
 
 def _estimate_tail_rate(samples, x_star, d: int) -> float | None:

@@ -131,9 +131,7 @@ class TargetModel:
     bad_directions: np.ndarray | None = None
     known_constants: KnownConstants | None = None
     quadratic_precision: np.ndarray | None = None
-    log_normalizer: float | None = None
     minimizer: np.ndarray | None = None
-    nonconvex: bool = False
     vectorized: bool = True
     third_directional: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float] | None = None
     fourth_directional: Callable[[np.ndarray, np.ndarray], float] | None = None
@@ -181,7 +179,6 @@ class ConstraintSet:
     """
 
     membership: Callable[[np.ndarray], np.ndarray]
-    description: str = "constraint"
     annulus_radii: tuple[float, float] | None = None
 
     def contains(self, x: np.ndarray) -> np.ndarray:
@@ -266,7 +263,6 @@ def _linear_composite(
     weight: float,
     name: str,
     bad_directions: np.ndarray | None,
-    nonconvex: bool,
 ) -> TargetModel:
     """Target of the form (p/2)|x|^2 + weight * sum_i phi(a_i^T x)."""
     value, d1, value_d1, d3, d4 = loss
@@ -316,7 +312,6 @@ def _linear_composite(
         fused=value_and_grad,
         name=name,
         bad_directions=bad_directions,
-        nonconvex=nonconvex,
         third_directional=third_directional,
         fourth_directional=fourth_directional,
     )
@@ -328,9 +323,9 @@ def _linear_composite(
 def make_gaussian(d: int, precision_diag) -> TargetModel:
     """Diagonal Gaussian: U(x) = 1/2 sum_i lambda_i x_i^2.
 
-    The canonical zero-third/fourth-derivative test target.  Carries the
-    exact Hamiltonian flow (independent harmonic oscillators) and its log
-    normalizer.
+    The canonical zero-third/fourth-derivative test target.  Carries its
+    precisions as ``quadratic_precision``, which fix the exact Hamiltonian
+    flow (independent harmonic oscillators).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -351,7 +346,6 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
         grad = lam * x
         return 0.5 * (grad * x).sum(axis=-1), grad
 
-    log_z = float(0.5 * np.sum(np.log(2.0 * math.pi / lam)))
     return TargetModel(
         dimension=d,
         potential=potential,
@@ -360,7 +354,6 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
         name=f"gaussian-d{d}",
         known_constants=KnownConstants(gradient_bound=float(np.max(lam)), c3=0.0, c4=0.0),
         quadratic_precision=lam,
-        log_normalizer=log_z,
         minimizer=np.zeros(d),
     )
 
@@ -371,7 +364,7 @@ def make_logistic_regression(data: Dataset, prior_precision: float) -> TargetMod
     U(theta) = (p/2)|theta|^2 + sum_i [y_i phi(theta.x_i) + (1-y_i) phi(-theta.x_i)]
     with phi(s) = log(1 + e^{-s}).  Convex; stable for margins up to ~700.
     """
-    return _regression_target(data, prior_precision, _logistic_loss(), "logistic", nonconvex=False)
+    return _regression_target(data, prior_precision, _logistic_loss(), "logistic")
 
 
 def make_sigmoid_regression(data: Dataset, prior_precision: float) -> TargetModel:
@@ -380,10 +373,10 @@ def make_sigmoid_regression(data: Dataset, prior_precision: float) -> TargetMode
     phi(s) = sigmoid(-s); each datum contributes a loss in (0, 1), so the
     target is nonconvex but has all derivatives bounded by 1.
     """
-    return _regression_target(data, prior_precision, _sigmoid_loss(), "sigmoid", nonconvex=True)
+    return _regression_target(data, prior_precision, _sigmoid_loss(), "sigmoid")
 
 
-def _regression_target(data, prior_precision, loss, label, nonconvex):
+def _regression_target(data, prior_precision, loss, label):
     if prior_precision < 0:
         raise ValueError("prior_precision must be nonnegative")
     d, r = data.dimension, data.count
@@ -399,7 +392,6 @@ def _regression_target(data, prior_precision, loss, label, nonconvex):
         weight=1.0,
         name=f"{label}-d{d}-r{r}",
         bad_directions=data.features if r > 0 else None,
-        nonconvex=nonconvex,
     )
 
 
@@ -428,7 +420,6 @@ def make_smoothed_zero_one(data: Dataset, inverse_temperature: float, lam: float
         weight=float(inverse_temperature) / r,
         name=f"zero-one-d{d}-r{r}",
         bad_directions=data.features,
-        nonconvex=True,
     )
 
 
@@ -499,8 +490,7 @@ def annulus(inner: float, outer: float) -> ConstraintSet:
         norms = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
         return (norms >= inner) & (norms <= outer)
 
-    return ConstraintSet(membership=membership, description=f"annulus[{inner},{outer}]",
-                         annulus_radii=(float(inner), float(outer)))
+    return ConstraintSet(membership=membership, annulus_radii=(float(inner), float(outer)))
 
 
 def precondition(target: TargetModel, scale: float) -> TargetModel:
@@ -554,9 +544,7 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
         bad_directions=target.bad_directions,
         known_constants=constants,
         quadratic_precision=None if target.quadratic_precision is None else target.quadratic_precision * s * s,
-        log_normalizer=None if target.log_normalizer is None else target.log_normalizer - target.dimension * math.log(s),
         minimizer=None if target.minimizer is None else target.minimizer / s,
-        nonconvex=target.nonconvex,
         vectorized=target.vectorized,
         third_directional=third,
         fourth_directional=fourth,

@@ -45,7 +45,7 @@ def solo_mismatches():
 
 def _full_space() -> ConstraintSet:
     """The vacuous constraint (all of R^d)."""
-    return ConstraintSet(membership=lambda x: np.ones(np.shape(x)[:-1], dtype=bool), description="full-space")
+    return ConstraintSet(membership=lambda x: np.ones(np.shape(x)[:-1], dtype=bool))
 
 
 @pytest.fixture

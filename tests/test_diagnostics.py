@@ -384,10 +384,8 @@ class TestAcceptanceStats:
         from malakit.chains import ChainTrace
 
         trace = ChainTrace(
-            config=ChainConfig(step_size=0.1, iterations=3, seed=0),
-            target_name="synthetic", init_state=np.zeros(1),
-            indices=[1, 2, 3], states=np.zeros((3, 1)), proposed=np.ones((3, 1)),
-            energy_errors=[5.0, 5.0, 5.0], log_accepts=[-5.0, -5.0, -5.0],
+            init_state=np.zeros(1), indices=[1, 2, 3], states=np.zeros((3, 1)), proposed=np.ones((3, 1)),
+            energy_errors=[5.0, 5.0, 5.0],
             accepted=[False, False, False], in_constraint=None, potentials=[0.0, 0.0, 0.0],
             gradient_evals=6, function_evals=4,
         )

@@ -319,6 +319,21 @@ class TestRunExperiment:
             run_experiment(spec, output_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_report_json_keys(self, tmp_path):
+        spec = parse_spec(MINIMAL)
+        run_experiment(spec, output_dir=tmp_path)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(report) == sorted([
+            "spec", "resolved_etas", "schedule_notes", "target_notes", "summary_path",
+            "diagnostics_path", "trace_paths", "diagnostics", "gradient_evals", "function_evals",
+            "oracle_calls", "wall_time", "versions", "replica_errors", "status"])
+        assert parse_spec(report["spec"]) == spec
+        assert report["status"] == "ok"
+
+    def test_warm_start_needs_an_annulus(self, full_space):
+        with pytest.raises(ValueError, match="annulus"):
+            harness.warm_annulus_init(make_gaussian(2, 1.0), full_space(), seed=3)
+
     def test_byte_identical_reruns_and_batch_invariance(self, tmp_path, solo_mismatches):
         spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = sweep\netas = 0.5,1.5"}))
         a = run_experiment(spec, output_dir=tmp_path / "a")
