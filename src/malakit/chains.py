@@ -108,19 +108,33 @@ class ChainTrace:
         return int(np.argmin(self.potentials))
 
     def to_csv(self, path) -> Path:
-        """Write `i,accepted,energy_error,log_accept,potential,x_0..x_{d-1}`."""
+        """Write `i,accepted,energy_error,log_accept,potential,x_0..x_{d-1}`:
+        `accepted` as 0/1, each float as its shortest round-trip ``repr``."""
         path = Path(path)
         d = self.states.shape[1]
         header = "i,accepted,energy_error,log_accept,potential," + ",".join(f"x_{j}" for j in range(d))
-        lines = [header]
-        for k in range(len(self.indices)):
-            fields = [str(int(self.indices[k])), str(int(self.accepted[k])),
-                      repr(float(self.energy_errors[k])), repr(float(self.log_accepts[k])),
-                      repr(float(self.potentials[k]))]
-            fields.extend(repr(float(v)) for v in self.states[k])
-            lines.append(",".join(fields))
-        path.write_text("\n".join(lines) + "\n")
+        floats = [self.energy_errors, self.log_accepts, self.potentials, *self.states.T]
+        with path.open("w") as f:
+            f.write(header + "\n")
+            for lo in range(0, len(self), _CSV_BLOCK_ROWS):
+                rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+                columns = [map(str, self.indices[rows].tolist()),
+                           map(str, self.accepted[rows].view(np.uint8).tolist())]
+                columns += [_float_reprs(column[rows]) for column in floats]
+                f.write("\n".join(map(",".join, zip(*columns))) + "\n")
         return path
+
+
+_CSV_BLOCK_ROWS = 1024  # rows formatted per write, so the writer's memory does not grow with the trace
+
+
+def _float_reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of each float of ``column``, formatted once per distinct bit
+    pattern (so ``-0.0`` and ``0.0`` stay apart): a rejected or lazy step
+    repeats the previous state."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return reprs[inverse].tolist()
 
 
 def _gradient_failure(grad: np.ndarray, index: int) -> NumericFailure:
