@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 _HALF_TOL = 1e-12
+_ROW_SUM_TOL = 1e-9
+_FLUX_SCALE = 2.0**600  # a power of two, so scaling and unscaling are exact
+_MASK_BLOCK_ROWS = 1024  # random cuts judged per block, so memory does not grow with the family
 
 
 class FitFailed(RuntimeError):
@@ -104,7 +107,7 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     kernel = np.exp(log_q) * accept * width
     np.fill_diagonal(kernel, 0.0)
     off_mass = kernel.sum(axis=1)
-    if np.any(off_mass > 1.0 + 1e-9):
+    if np.any(off_mass > 1.0 + _ROW_SUM_TOL):
         raise ValueError("off-diagonal mass exceeds 1; refine the grid or shrink eta")
     np.fill_diagonal(kernel, np.maximum(0.0, 1.0 - off_mass))
     return kernel
@@ -127,13 +130,35 @@ def conductance(kernel: np.ndarray, pi: GridDistribution,
     min over evaluated S with 0 < pi(S) <= 1/2 of flow(S, complement) /
     pi(S).  Prefix cuts are exhaustive (and exact for monotone 1D
     kernels); the random-subset family is a safety net against
-    non-contiguous minimizers.
+    non-contiguous minimizers.  Its ``random_subsets`` masks are drawn and
+    judged in blocks of 1,024 (a multiple of 1,024 below 32 states) from
+    the one ``chain_rng(seed)`` stream, so memory does not grow with the
+    family.  The block products run on the flux scaled by 2**600, where no
+    operand is subnormal; scaling by a power of two is exact, so the value
+    is the same, bit for bit, as one product over all masks on the
+    unscaled flux.
+
+    Raises ``ValueError``, listing every problem, for a kernel with
+    non-finite or negative entries or rows that do not sum to 1 (within
+    1e-9), and for a negative ``random_subsets``.
     """
     kernel = np.asarray(kernel, dtype=float)
     p = pi.mass.ravel()
     n = p.size
     if kernel.shape != (n, n):
         raise ValueError("kernel and grid sizes differ")
+    problems = []
+    for what, bad in (("non-finite", ~np.isfinite(kernel)), ("negative", kernel < 0.0)):
+        if bad.any():
+            problems.append(f"{np.count_nonzero(bad)} {what} kernel entries")
+    off = np.flatnonzero(np.abs(kernel.sum(axis=1) - 1.0) > _ROW_SUM_TOL)
+    if off.size:
+        problems.append(f"{off.size} rows do not sum to 1 within {_ROW_SUM_TOL:g} "
+                        f"(first: row {off[0]})")
+    if random_subsets < 0:
+        problems.append(f"random_subsets must be >= 0, got {random_subsets}")
+    if problems:
+        raise ValueError("bad conductance input: " + "; ".join(problems))
     flux = p[:, None] * kernel
 
     # prefix cuts S = {0..k-1}, incremental flows
@@ -144,12 +169,27 @@ def conductance(kernel: np.ndarray, pi: GridDistribution,
     # top[k-1, k]: flow from i < k to j >= k; bottom[k, k-1]: from i >= k to j < k
     best = _min_cut_ratio(np.diagonal(top, 1), np.diagonal(bottom, -1), np.cumsum(p)[:-1])
 
-    if random_subsets > 0:
-        masks = (chain_rng(seed).random((random_subsets, n)) < 0.5).astype(float)
-        row_flow = masks @ flux                   # (k, n): sum_{i in S} flux[i, j]
+    # Subnormal flux entries (the tails of exp(log_q)) make every FMA that
+    # touches them slow; entries are <= 1, so 2**600 makes each one normal,
+    # and sums of 0/1-masked nonnegative normals stay normal.
+    scaled = flux * _FLUX_SCALE
+    col_sums = scaled.sum(axis=0)
+    # A block is the whole family or a product of at least 2**20 multiply-
+    # adds: OpenBLAS orders the sums of a smaller product otherwise (its
+    # small-matrix kernel up to 10**6, gemv for one row), which would move
+    # the last bits.  The last block is padded with empty masks, which are
+    # never cuts (their sides have mass 0 and 1).
+    block = min(random_subsets, _MASK_BLOCK_ROWS * math.ceil(2**20 / (_MASK_BLOCK_ROWS * n * n)))
+    masks = np.zeros((block, n))
+    rng = chain_rng(seed)
+    for lo in range(0, random_subsets, max(block, 1)):
+        rows = min(block, random_subsets - lo)
+        masks[:rows] = rng.random((rows, n)) < 0.5
+        masks[rows:] = 0.0
+        row_flow = masks @ scaled                 # (block, n): sum_{i in S} flux[i, j], scaled
         internal = np.einsum("kj,kj->k", row_flow, masks)
-        flow_out = row_flow.sum(axis=1) - internal
-        flow_in = masks @ flux.sum(axis=0) - internal
+        flow_out = (row_flow.sum(axis=1) - internal) / _FLUX_SCALE
+        flow_in = (masks @ col_sums - internal) / _FLUX_SCALE
         best = min(best, _min_cut_ratio(flow_out, flow_in, masks @ p))
     return best
 

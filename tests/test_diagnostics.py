@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -252,6 +253,50 @@ class TestTransitionMatrix:
             assert beta <= beta0 * (1.0 + 1e-10)
 
 
+def reference_conductance(kernel, pi, random_subsets=10000, seed=0):
+    """The one-shot dense implementation that ``conductance`` must match bit
+    for bit: every random mask at once, products on the unscaled flux."""
+    def min_cut_ratio(flow_out, flow_in, mass):
+        cap = 0.5 + 1e-12
+        comp = 1.0 - mass
+        own, other = (mass > 0.0) & (mass <= cap), (comp > 0.0) & (comp <= cap)
+        ratios = np.concatenate([flow_out[own] / mass[own], flow_in[other] / comp[other]])
+        return float(ratios.min()) if ratios.size else math.inf
+
+    kernel = np.asarray(kernel, dtype=float)
+    p = pi.mass.ravel()
+    flux = p[:, None] * kernel
+    suffix = np.cumsum(flux[:, ::-1], axis=1)[:, ::-1]
+    prefix = np.cumsum(flux, axis=1)
+    top = np.cumsum(suffix, axis=0)
+    bottom = np.cumsum(prefix[::-1, :], axis=0)[::-1, :]
+    best = min_cut_ratio(np.diagonal(top, 1), np.diagonal(bottom, -1), np.cumsum(p)[:-1])
+    if random_subsets > 0:
+        masks = (chain_rng(seed).random((random_subsets, p.size)) < 0.5).astype(float)
+        row_flow = masks @ flux
+        internal = np.einsum("kj,kj->k", row_flow, masks)
+        flow_out = row_flow.sum(axis=1) - internal
+        flow_in = masks @ flux.sum(axis=0) - internal
+        best = min(best, min_cut_ratio(flow_out, flow_in, masks @ p))
+    return best
+
+
+def line_grid(mass):
+    return GridDistribution(lower=(0.0,), upper=(1.0,), bins=(len(mass),), mass=np.asarray(mass))
+
+
+PLANTED_EPS = 1e-6
+
+
+def planted_cut_kernel(side):
+    """Kernel on uniform mass whose only cut of ratio ``PLANTED_EPS`` splits
+    ``side`` (a boolean mask) from its complement; every other cut moves
+    mass within a side and reads far higher."""
+    side_size = np.where(side, np.count_nonzero(side), np.count_nonzero(~side))
+    same = side[:, None] == side[None, :]
+    return np.where(same, 1.0 - PLANTED_EPS, PLANTED_EPS) / side_size[None, :]
+
+
 class TestConductance:
     def _two_state(self, p):
         pi = GridDistribution(lower=(0.0,), upper=(1.0,), bins=(2,), mass=np.array([0.5, 0.5]))
@@ -278,6 +323,102 @@ class TestConductance:
         for eta in (0.05, 0.1, 0.2):
             kernel = transition_matrix_1d(STD_1D, "mala", eta, grid)
             assert conductance(kernel, grid, random_subsets=1000, seed=2) >= 0.01 * eta * psi
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 40), data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+           subsets=st.sampled_from([0, 1, 1023, 1024, 1025, 3000]),
+           density=st.floats(0.05, 1.0), zero_mass=st.floats(0.0, 0.5),
+           subnormal=st.sampled_from([5e-324, 2.2e-310]), subnormal_frac=st.floats(0.0, 1.0))
+    def test_equals_the_reference(self, n, data_seed, seed, subsets, density, zero_mass,
+                                  subnormal, subnormal_frac):
+        rng = np.random.default_rng(data_seed)
+        mass = rng.random(n) * (rng.random(n) >= zero_mass)
+        mass[rng.integers(n)] += 0.1
+        kernel = rng.random((n, n)) * (rng.random((n, n)) < density) + np.eye(n) * 1e-3
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        # subnormals only where the kernel is 0, so every row still sums to 1
+        kernel[(kernel == 0.0) & (rng.random((n, n)) < subnormal_frac)] = subnormal
+        pi = line_grid(mass / mass.sum())
+        assert conductance(kernel, pi, subsets, seed) == reference_conductance(kernel, pi, subsets, seed)
+
+    def test_subnormal_flows_are_kept(self):
+        # the odd states hold subnormal mass, so every flow out of a set of
+        # them is subnormal; the least cut, {1, 3, 5} at 0.1, is no prefix
+        # cut, and a flush to zero would read it as 0
+        odd = np.arange(6) % 2 == 1
+        pi = line_grid(np.where(odd, 1e-310, (1.0 - 3e-310) / 3.0))
+        kernel = np.where(odd[:, None], np.where(odd, 0.3, 0.1 / 3.0), 1.0 / 6.0)
+        flux = pi.mass[:, None] * kernel
+        assert np.all((flux[1::2] > 0.0) & (flux[1::2] < np.finfo(float).tiny))
+        value = conductance(kernel, pi, random_subsets=1000, seed=4)
+        assert value == reference_conductance(kernel, pi, random_subsets=1000, seed=4)
+        assert value == pytest.approx(0.1, rel=1e-9)
+        assert conductance(kernel, pi, random_subsets=0) > 0.3
+
+    @pytest.mark.parametrize("index", [0, 1023, 1024, 2999])
+    def test_every_mask_of_every_block_is_judged(self, index):
+        # the family's mask number ``index`` is the kernel's only cheap cut
+        n, subsets, seed = 40, 3000, 6
+        side = chain_rng(seed).random((index + 1, n))[index] < 0.5
+        kernel, pi = planted_cut_kernel(side), line_grid(np.full(n, 1.0 / n))
+        value = conductance(kernel, pi, subsets, seed)
+        assert value == reference_conductance(kernel, pi, subsets, seed)
+        assert value == pytest.approx(PLANTED_EPS, rel=1e-6)
+        assert conductance(kernel, pi, index, seed) > 100 * PLANTED_EPS
+
+    @pytest.mark.parametrize("kind,eta", [("mala", 0.05), ("mala", 0.1), ("mala", 0.2), ("rwm", 0.1)])
+    def test_gate_and_benchmark_kernels_pinned(self, kind, eta):
+        grid = gaussian_grid()
+        kernel = transition_matrix_1d(STD_1D, kind, eta, grid)
+        for seed in (3, 11, 23):
+            assert conductance(kernel, grid, 10000, seed) == reference_conductance(kernel, grid, 10000, seed)
+
+    def test_memory_does_not_grow_with_the_family(self):
+        grid = gaussian_grid()
+        kernel = transition_matrix_1d(STD_1D, "mala", 0.1, grid)
+        peaks = []
+        for subsets in (2048, 20000):
+            tracemalloc.start()
+            try:
+                conductance(kernel, grid, subsets, 11)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_non_finite_entries_rejected(self):
+        kernel, pi = self._two_state(0.3)
+        for bad in (math.nan, math.inf):
+            kernel[0, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                conductance(kernel, pi, random_subsets=50)
+
+    def test_negative_entries_rejected(self):
+        kernel = np.array([[1.5, -0.5], [0.3, 0.7]])
+        _, pi = self._two_state(0.3)
+        with pytest.raises(ValueError, match="1 negative"):
+            conductance(kernel, pi, random_subsets=50)
+
+    def test_rows_off_one_rejected(self):
+        kernel, pi = self._two_state(0.3)
+        kernel[1] = [0.5 + 1e-10, 0.5 + 1e-10]  # off by 2e-10: inside the tolerance
+        conductance(kernel, pi, random_subsets=50)
+        kernel[0] *= 2.0
+        with pytest.raises(ValueError, match="1 rows do not sum to 1"):
+            conductance(kernel, pi, random_subsets=50)
+
+    def test_negative_subset_count_rejected(self):
+        kernel, pi = self._two_state(0.3)
+        with pytest.raises(ValueError, match="random_subsets must be >= 0"):
+            conductance(kernel, pi, random_subsets=-1)
+
+    def test_every_problem_listed_at_once(self):
+        kernel = np.array([[math.nan, 1.0], [-1.0, 3.0]])
+        _, pi = self._two_state(0.3)
+        with pytest.raises(ValueError) as err:
+            conductance(kernel, pi, random_subsets=-5)
+        for part in ("1 non-finite", "1 negative", "rows do not sum to 1", "random_subsets"):
+            assert part in str(err.value)
 
 
 class TestMixingTime:
