@@ -2,10 +2,10 @@
 
 Discretized transition kernels, Cheeger constants and conductance on 1D
 grids, replica-based mixing-time estimates, energy-error scaling fits,
-acceptance statistics, and the Gaussian-norm tail check.  Conductance
-minimization searches prefix cuts (exact for monotone 1D kernels) plus a
-randomized subset family, so reported values are upper bounds over the
-searched family and are labeled as such.
+acceptance statistics, and the Gaussian-norm tail check.  Conductance is
+exact up to 16 states, where every cut is searched; above that it is an
+upper bound over the prefix cuts (exact for monotone 1D kernels).  It is
+never negative.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ __all__ = [
 
 _HALF_TOL = 1e-12
 _ROW_SUM_TOL = 1e-9
-_FLUX_SCALE = 2.0**600  # a power of two, so scaling and unscaling are exact
-_MASK_BLOCK_ROWS = 1024  # random cuts judged per block, so memory does not grow with the family
+_EXACT_STATES = 16  # conductance enumerates all 2**n cuts up to here: a 65,534 x 16 mask matrix at 16
 
 
 class FitFailed(RuntimeError):
@@ -113,34 +112,27 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     return kernel
 
 
-def _min_cut_ratio(flow_out: np.ndarray, flow_in: np.ndarray, mass: np.ndarray) -> float:
-    """Least ratio over cuts S: flow out of S over pi(S), and flow into S over
-    pi(complement), each counted when its side has mass in (0, 1/2]."""
-    cap = 0.5 + _HALF_TOL
-    comp = 1.0 - mass
-    own, other = (mass > 0.0) & (mass <= cap), (comp > 0.0) & (comp <= cap)
-    ratios = np.concatenate([flow_out[own] / mass[own], flow_in[other] / comp[other]])
-    return float(ratios.min()) if ratios.size else math.inf
+def _min_cut_ratio(flow: np.ndarray, mass: np.ndarray) -> float:
+    """Least flow(S) / pi(S) over the cuts S whose mass lies in (0, 1/2]."""
+    cut = (mass > 0.0) & (mass <= 0.5 + _HALF_TOL)
+    return float((flow[cut] / mass[cut]).min()) if cut.any() else math.inf
 
 
-def conductance(kernel: np.ndarray, pi: GridDistribution,
-                random_subsets: int = 10000, seed: int = 0) -> float:
-    """Upper bound on the kernel conductance over prefix + random cuts.
+def conductance(kernel: np.ndarray, pi: GridDistribution) -> float:
+    """Kernel conductance: min over S with 0 < pi(S) <= 1/2 of
+    flow(S, complement) / pi(S), where flow sums pi_i K_ij over i in S and
+    j outside it.
 
-    min over evaluated S with 0 < pi(S) <= 1/2 of flow(S, complement) /
-    pi(S).  Prefix cuts are exhaustive (and exact for monotone 1D
-    kernels); the random-subset family is a safety net against
-    non-contiguous minimizers.  Its ``random_subsets`` masks are drawn and
-    judged in blocks of 1,024 (a multiple of 1,024 below 32 states) from
-    the one ``chain_rng(seed)`` stream, so memory does not grow with the
-    family.  The block products run on the flux scaled by 2**600, where no
-    operand is subnormal; scaling by a power of two is exact, so the value
-    is the same, bit for bit, as one product over all masks on the
-    unscaled flux.
+    Up to ``_EXACT_STATES`` (16) states every nonempty proper subset is
+    searched and the value is exact.  Above that only the prefix cuts
+    {0..k-1} and their complements are searched, so the value is an upper
+    bound (exact for monotone 1D kernels).  Every flow and side mass is
+    summed from nonnegative terms, never formed as a total minus a part, so
+    the value is never negative.
 
     Raises ``ValueError``, listing every problem, for a kernel with
     non-finite or negative entries or rows that do not sum to 1 (within
-    1e-9), and for a negative ``random_subsets``.
+    1e-9).
     """
     kernel = np.asarray(kernel, dtype=float)
     p = pi.mass.ravel()
@@ -155,43 +147,25 @@ def conductance(kernel: np.ndarray, pi: GridDistribution,
     if off.size:
         problems.append(f"{off.size} rows do not sum to 1 within {_ROW_SUM_TOL:g} "
                         f"(first: row {off[0]})")
-    if random_subsets < 0:
-        problems.append(f"random_subsets must be >= 0, got {random_subsets}")
     if problems:
         raise ValueError("bad conductance input: " + "; ".join(problems))
     flux = p[:, None] * kernel
 
-    # prefix cuts S = {0..k-1}, incremental flows
+    if n <= _EXACT_STATES:
+        # row k of ``inside`` is the subset with the bits of k + 1
+        inside = ((np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1).astype(bool)
+        flow = ((inside @ flux) * ~inside).sum(axis=1)
+        return _min_cut_ratio(flow, inside @ p)
+
+    # prefix cuts S = {0..k-1} and their complements, incremental flows
     suffix = np.cumsum(flux[:, ::-1], axis=1)[:, ::-1]     # suffix[i, k] = sum_{j >= k} flux[i, j]
     prefix = np.cumsum(flux, axis=1)                       # prefix[i, k] = sum_{j <= k} flux[i, j]
     top = np.cumsum(suffix, axis=0)                        # top[m, k] = sum_{i <= m} suffix[i, k]
     bottom = np.cumsum(prefix[::-1, :], axis=0)[::-1, :]   # bottom[m, k] = sum_{i >= m} prefix[i, k]
     # top[k-1, k]: flow from i < k to j >= k; bottom[k, k-1]: from i >= k to j < k
-    best = _min_cut_ratio(np.diagonal(top, 1), np.diagonal(bottom, -1), np.cumsum(p)[:-1])
-
-    # Subnormal flux entries (the tails of exp(log_q)) make every FMA that
-    # touches them slow; entries are <= 1, so 2**600 makes each one normal,
-    # and sums of 0/1-masked nonnegative normals stay normal.
-    scaled = flux * _FLUX_SCALE
-    col_sums = scaled.sum(axis=0)
-    # A block is the whole family or a product of at least 2**20 multiply-
-    # adds: OpenBLAS orders the sums of a smaller product otherwise (its
-    # small-matrix kernel up to 10**6, gemv for one row), which would move
-    # the last bits.  The last block is padded with empty masks, which are
-    # never cuts (their sides have mass 0 and 1).
-    block = min(random_subsets, _MASK_BLOCK_ROWS * math.ceil(2**20 / (_MASK_BLOCK_ROWS * n * n)))
-    masks = np.zeros((block, n))
-    rng = chain_rng(seed)
-    for lo in range(0, random_subsets, max(block, 1)):
-        rows = min(block, random_subsets - lo)
-        masks[:rows] = rng.random((rows, n)) < 0.5
-        masks[rows:] = 0.0
-        row_flow = masks @ scaled                 # (block, n): sum_{i in S} flux[i, j], scaled
-        internal = np.einsum("kj,kj->k", row_flow, masks)
-        flow_out = (row_flow.sum(axis=1) - internal) / _FLUX_SCALE
-        flow_in = (masks @ col_sums - internal) / _FLUX_SCALE
-        best = min(best, _min_cut_ratio(flow_out, flow_in, masks @ p))
-    return best
+    flow = np.concatenate([np.diagonal(top, 1), np.diagonal(bottom, -1)])
+    mass = np.concatenate([np.cumsum(p)[:-1], np.cumsum(p[::-1])[::-1][1:]])
+    return _min_cut_ratio(flow, mass)
 
 
 def mixing_time_estimate(

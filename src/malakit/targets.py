@@ -329,7 +329,10 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    lam = np.broadcast_to(np.asarray(precision_diag, dtype=float), (d,)).copy()
+    lam = np.asarray(precision_diag, dtype=float)
+    if lam.ndim > 1 or lam.size not in (1, d):
+        raise ValueError(f"precision has {lam.size} entries; d = {d} needs 1 or {d}")
+    lam = np.broadcast_to(lam, (d,)).copy()
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("precision entries must be positive and finite")
 

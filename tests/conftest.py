@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -73,3 +74,26 @@ def _warmness_on_grid(start_dist, target_dist) -> float:
 @pytest.fixture
 def warmness_on_grid():
     return _warmness_on_grid
+
+
+def _brute_force_conductance(kernel, mass, cuts=None) -> float:
+    """Least flow(S) / pi(S) over the cuts S with 0 < pi(S) <= 1/2, every
+    sum taken exactly by ``math.fsum``.  ``cuts`` (index tuples) defaults
+    to every nonempty proper subset."""
+    n = len(mass)
+    flux = (np.asarray(mass)[:, None] * np.asarray(kernel)).tolist()
+    if cuts is None:
+        cuts = (side for size in range(1, n) for side in itertools.combinations(range(n), size))
+    best = math.inf
+    for side in cuts:
+        side_mass = math.fsum(mass[i] for i in side)
+        if 0.0 < side_mass <= 0.5 + 1e-12:
+            inside = set(side)
+            out = [j for j in range(n) if j not in inside]
+            best = min(best, math.fsum(flux[i][j] for i in side for j in out) / side_mass)
+    return best
+
+
+@pytest.fixture
+def brute_force_conductance():
+    return _brute_force_conductance

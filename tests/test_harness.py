@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from malakit import harness
 from malakit.chains import run_ensemble
 from malakit.cli import cli_entry
+from malakit.diagnostics import transition_matrix_1d
+from malakit.grids import grid_truth
 from malakit.harness import (
     DiagnosticSpec,
     ExperimentSpec,
@@ -526,6 +528,21 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["holds"] is True
+
+    def test_diagnose_conductance_exact_on_a_small_grid(self, capsys, brute_force_conductance):
+        code = cli_entry(["diagnose", "conductance", "--bins", "16", "--eta", "0.2", "--seed", "11"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["cheeger", "conductance_upper_bound", "eta", "ratio_to_eta_cheeger"]
+        target = make_gaussian(1, 1.0)
+        truth = grid_truth(target, (-8.0, 8.0), 16)
+        exact = brute_force_conductance(transition_matrix_1d(target, "mala", 0.2, truth), truth.mass)
+        assert payload["conductance_upper_bound"] > 0.0
+        assert payload["conductance_upper_bound"] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_sample_rejects_precision_of_wrong_length(self, tmp_path, capsys):
+        assert cli_entry(["sample", "--dim", "3", "--precision", "1,4", "--out", str(tmp_path)]) == 1
+        assert "precision has 2 entries; d = 3 needs 1 or 3" in capsys.readouterr().err
 
     def test_sample_writes_trace(self, tmp_path, capsys):
         code = cli_entry(["sample", "--dim", "2", "--precision", "1,4", "--eta", "0.4",

@@ -78,6 +78,10 @@ class TestGaussian:
         with pytest.raises(ValueError):
             make_gaussian(2, [-1.0, 1.0])
 
+    def test_rejects_precision_of_wrong_length(self):
+        with pytest.raises(ValueError, match="precision has 2 entries; d = 3 needs 1 or 3"):
+            make_gaussian(3, [1.0, 4.0])
+
     def test_constants_and_normalizer(self):
         g = make_gaussian(2, [1.0, 4.0])
         assert g.known_constants.gradient_bound == 4.0
