@@ -68,8 +68,8 @@ class ChainConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.record_every < 1:
@@ -395,8 +395,10 @@ def run_ensemble(
     """
     if kind not in ("mala", "rwm"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    if eta <= 0 or iterations < 1:
-        raise ValueError("eta must be positive and iterations >= 1")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     x = np.asarray(init_positions, dtype=float)
     if x.ndim != 2 or x.shape[1] != target.dimension:
         raise ValueError("init_positions must be (replicas, d)")
@@ -431,14 +433,14 @@ def theorem1_step_size(c3: float, c4: float, gradient_bound: float, d: int,
     reciprocal iterated-log tail factor, clamped to (0, 1] so the schedule
     is computable for every tail rate.
     """
-    if gradient_bound <= 0:
-        raise ValueError("gradient_bound must be positive")
+    if not 0.0 < gradient_bound < math.inf:
+        raise ValueError(f"gradient_bound must be finite and positive, got {gradient_bound}")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if safety_constant <= 0:
-        raise ValueError("safety_constant must be positive")
-    if c3 < 0 or c4 < 0:
-        raise ValueError("c3 and c4 must be nonnegative")
+    if not 0.0 < safety_constant < math.inf:
+        raise ValueError(f"safety_constant must be finite and positive, got {safety_constant}")
+    if not (0.0 <= c3 < math.inf and 0.0 <= c4 < math.inf):
+        raise ValueError(f"c3 and c4 must be finite and nonnegative, got {c3} and {c4}")
     terms = [d ** (-1.0 / 3.0)]
     if c3 > 0:
         terms.append(c3 ** (-1.0 / 3.0) * d ** (-1.0 / 6.0))

@@ -146,74 +146,49 @@ def _cmd_run(args) -> int:
     return 0 if report.status == "ok" else 2
 
 
+def _run_one_cell(out, diagnostics, **fields):
+    """Run a spec of one step size and one replica through ``run_experiment``,
+    as ``malakit run`` runs the ``spec`` that its ``report.json`` records."""
+    from .harness import DiagnosticSpec, ExperimentSpec, run_experiment
+
+    spec = ExperimentSpec(replicas=1, record_every=1, diagnostics=tuple(map(DiagnosticSpec, diagnostics)),
+                          **fields)
+    report = run_experiment(spec, output_dir=out)
+    _progress(f"outputs in {Path(report.summary_path).parent}")
+    return report
+
+
 def _cmd_sample(args) -> int:
-    from .chains import ChainConfig, run_mala, run_rwm, theorem1_step_size
-    from .targets import make_gaussian
-
-    precision = [float(v) for v in str(args.precision).split(",")]
-    target = make_gaussian(args.dim, precision if len(precision) > 1 else precision[0])
-    eta = args.eta
-    if eta is None:
-        k = target.known_constants
-        eta = theorem1_step_size(k.c3, k.c4, k.gradient_bound, args.dim, k.tail_rate, args.safety)
-        _progress(f"theorem1 schedule: eta = {eta:g}")
-    config = ChainConfig(step_size=eta, iterations=args.iterations, seed=args.seed, lazy=args.lazy)
-    runner = run_mala if args.kind == "mala" else run_rwm
-    import time
-
-    t0 = time.perf_counter()
-    trace = runner(target, config, np.zeros(args.dim))
-    wall = time.perf_counter() - t0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = trace.to_csv(out / "trace.csv")
-    meta = {
-        "kind": args.kind, "target": target.name, "eta": eta, "iterations": args.iterations,
-        "seed": args.seed, "lazy": args.lazy, "record_every": config.record_every,
-        "accepted_fraction": float(trace.accepted.mean()),
-        "gradient_evals": trace.gradient_evals, "function_evals": trace.function_evals,
-        "wall_time": wall,
-    }
-    (out / "run.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    _progress(f"acceptance {meta['accepted_fraction']:.3f}; trace at {path}")
-    print(path)
+    schedule_kind, schedule_params = (("theorem1", {"safety": args.safety}) if args.eta is None
+                                      else ("explicit", {"eta": args.eta}))
+    report = _run_one_cell(
+        args.out, ["acceptance_stats"], name="sample", target_kind="gaussian",
+        target_params={"d": args.dim, "precision": args.precision}, sampler=args.kind, lazy=args.lazy,
+        schedule_kind=schedule_kind, schedule_params=schedule_params, iterations=args.iterations,
+        seed=args.seed)
+    acceptance = report.diagnostics["acceptance_stats"]["accepted_fraction_mean"]
+    _progress(f"eta {report.resolved_etas[0]:g} ({schedule_kind}), acceptance {acceptance:.3f}")
+    print(report.trace_paths[0])
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    from .chains import ChainConfig, extract_minimizer, run_constrained_mala
-    from .harness import ExperimentSpec, build_target, warm_annulus_init
-
-    spec = ExperimentSpec(
-        name="optimize", target_kind="zero_one",
+    report = _run_one_cell(
+        args.out, ["acceptance_stats", "zero_one_summary"], name="optimize", target_kind="zero_one",
         target_params={"d": args.dim, "r": args.count, "q0": args.q0, "epsilon": args.epsilon,
                        "c1": args.c1, "data_seed": args.seed},
         sampler="constrained-mala", lazy=not args.eager, schedule_kind="explicit",
-        schedule_params={"eta": args.eta}, iterations=args.iterations, replicas=1, seed=args.seed,
-        record_every=1, diagnostics=())
-    built = build_target(spec)
-    init = warm_annulus_init(built.target, built.constraint, args.seed)
-    config = ChainConfig(step_size=args.eta, iterations=args.iterations, seed=args.seed,
-                         lazy=spec.lazy, constraint=built.constraint)
-    notes = built.notes
+        schedule_params={"eta": args.eta}, iterations=args.iterations, seed=args.seed)
+    notes = report.target_notes
     _progress(f"inverse temperature {notes['inverse_temperature']:g}, annulus scale {notes['lam']:g}")
-    trace = run_constrained_mala(built.target, config, init)
-    x_star, value = extract_minimizer(trace)
-    direction = x_star / np.linalg.norm(x_star)
-    angle = math.acos(float(np.clip(direction @ built.theta_star, -1.0, 1.0)))
+    summary = report.diagnostics["zero_one_summary"]
     result = {
-        "minimizer": [float(v) for v in x_star],
-        "potential": value,
-        "angle_to_truth": angle,
-        "accepted_fraction": float(trace.accepted.mean()),
-        "gradient_evals": trace.gradient_evals,
+        "minimizer": summary["minimizers"][0],
+        "potential": summary["potentials"][0],
+        "angle_to_truth": summary["angles"][0],
+        "accepted_fraction": report.diagnostics["acceptance_stats"]["accepted_fraction_mean"],
+        "gradient_evals": report.gradient_evals,
     }
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        trace.to_csv(out / "trace.csv")
-        (out / "optimize.json").write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
-        _progress(f"outputs in {out}")
     print(json.dumps(result, sort_keys=True))
     return 0
 

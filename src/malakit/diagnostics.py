@@ -84,8 +84,8 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
         raise ValueError("transition_matrix_1d needs a 1D grid")
     if kernel_kind not in ("mala", "rwm"):
         raise ValueError(f"unknown kernel kind {kernel_kind!r}")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     mids = grid.midpoints(0)
     width = grid.widths()[0]
     potential, value_and_grad = target.batch_oracles()
@@ -266,6 +266,8 @@ def energy_error_scaling(
     etas = [float(e) for e in etas]
     if len(etas) < 3:
         raise ValueError("need at least 3 step sizes")
+    if not all(0.0 < e < math.inf for e in etas):
+        raise ValueError(f"step sizes must be finite and positive, got {etas}")
     if max(etas) / min(etas) < 10.0 * (1.0 - 1e-9):
         raise ValueError("step sizes must span at least one decade")
     k = target.known_constants

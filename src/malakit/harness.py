@@ -56,7 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chains import ChainConfig, ChainTrace, run_chains, run_ensemble, theorem1_step_size
+from .chains import (ChainConfig, ChainTrace, extract_minimizer, run_chains, run_ensemble,
+                     theorem1_step_size)
 from .diagnostics import (ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
                           mixing_time_estimate)
 from .grids import grid_truth, histogram, tv_distance
@@ -331,6 +332,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         errors.append("[constraint] needs inner < outer")
     if sampler == "constrained-mala" and "constraint" not in sections and kind != "zero_one":
         errors.append("constrained-mala needs a [constraint] section (or a zero_one target)")
+    if sampler in ("mala", "rwm") and "constraint" in sections:
+        errors.append(f"a [constraint] section needs sampler kind constrained-mala, got {sampler}")
 
     diagnostics = []
     for line in diag_lines:
@@ -621,25 +624,28 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     return report
 
 
+# The keys of each diagnostic's report.json block that diagnostics.csv carries, in order.
+_CSV_KEYS = {
+    "acceptance_stats": ("accepted_fraction_mean", "mean_accept_prob"),
+    "tv_vs_truth": ("raw", "binning_floor", "corrected"),
+    "energy_error_scaling": ("slope", "r_squared"),
+    "regularity": ("incoherence", "c3_estimate", "c4_estimate"),
+    "zero_one_summary": ("median_angle", "within_fraction"),
+}
+
+
 def _run_diagnostics(spec, built, traces, stats):
+    """Each diagnostic's block of ``report.json``, and the ``diagnostics.csv``
+    lines, which are read from those blocks."""
     results: dict = {}
     lines: list[str] = []
     target = built.target
-
-    def emit(diag: str, key: str, value):
-        lines.append(f"{diag},{key},{repr(float(value)) if isinstance(value, (int, float, np.floating)) else value}")
-
+    ordered = [tr for _, tr in sorted(traces.items())]
     for diag in spec.diagnostics:
         p = _values(diag.params, SCHEMA["diagnostics"][diag.name])
         if diag.name == "acceptance_stats":
-            fractions = [s.accepted_fraction for s in stats.values()]
-            means = [s.mean for s in stats.values()]
-            results["acceptance_stats"] = {
-                "accepted_fraction_mean": float(np.mean(fractions)),
-                "mean_accept_prob": float(np.mean(means)),
-            }
-            emit("acceptance_stats", "accepted_fraction_mean", float(np.mean(fractions)))
-            emit("acceptance_stats", "mean_accept_prob", float(np.mean(means)))
+            block = {"accepted_fraction_mean": float(np.mean([s.accepted_fraction for s in stats.values()])),
+                     "mean_accept_prob": float(np.mean([s.mean for s in stats.values()]))}
         elif diag.name == "tv_vs_truth":
             if target.dimension == 1:
                 bounds: object = (p["lo"], p["hi"])
@@ -648,50 +654,39 @@ def _run_diagnostics(spec, built, traces, stats):
                 bounds = ((p["lo"], p["hi"]), (p["lo2"], p["hi2"]))
                 nbins = (p["bins"], p["bins2"])
             truth = grid_truth(target, bounds, nbins, built.constraint)
-            finals = np.stack([tr.states[-1] for _, tr in sorted(traces.items())])
-            emp = histogram(finals, bounds, nbins)
-            raw = tv_distance(emp, truth)
+            finals = np.stack([tr.states[-1] for tr in ordered])
+            raw = float(tv_distance(histogram(finals, bounds, nbins), truth))
             floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed ^ 0xF100F))
-            results["tv_vs_truth"] = {"raw": float(raw), "binning_floor": floor,
-                                      "corrected": float(raw - floor), "replicas": finals.shape[0]}
-            emit("tv_vs_truth", "raw", raw)
-            emit("tv_vs_truth", "binning_floor", floor)
-            emit("tv_vs_truth", "corrected", raw - floor)
+            block = {"raw": raw, "binning_floor": floor, "corrected": raw - floor, "replicas": finals.shape[0]}
         elif diag.name == "energy_error_scaling":
             def phase(rng, n):
                 return rng.standard_normal((n, target.dimension)), rng.standard_normal((n, target.dimension))
 
             fit = energy_error_scaling(target, phase, p["etas"], p["samples"], spec.seed)
-            results["energy_error_scaling"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-            emit("energy_error_scaling", "slope", fit.slope)
-            emit("energy_error_scaling", "r_squared", fit.r_squared)
+            block = {"slope": fit.slope, "r_squared": fit.r_squared}
         elif diag.name == "regularity":
-            report = build_regularity_report(target, built.dataset, p["probe_points"], p["probe_dirs"],
-                                             spec.seed)
-            results["regularity"] = json.loads(report.to_json())
-            emit("regularity", "incoherence", report.incoherence)
-            emit("regularity", "c3_estimate", report.c3_estimate)
-            emit("regularity", "c4_estimate", report.c4_estimate)
-        elif diag.name == "zero_one_summary":
-            theta = built.theta_star
-            angle_max = p["angle_max"]
-            angles, hits = [], []
+            block = asdict(build_regularity_report(target, built.dataset, p["probe_points"], p["probe_dirs"],
+                                                   spec.seed))
+        else:  # zero_one_summary
+            theta, angle_max = built.theta_star, p["angle_max"]
             cone = _direction_cone(theta, angle_max)
-            for _, tr in sorted(traces.items()):
-                k = tr.argmin_index
-                x = tr.states[k]
-                angles.append(_angle_to(x, theta))
-                hit = hitting_time(tr, cone)
-                hits.append(-1 if hit is None else hit)
-            results["zero_one_summary"] = {
-                "angles": [float(a) for a in angles],
-                "hitting_iterations": hits,
+            minimizers = [extract_minimizer(tr) for tr in ordered]
+            angles = [_angle_to(x, theta) for x, _ in minimizers]
+            hits = [hitting_time(tr, cone) for tr in ordered]
+            block = {
+                "angles": angles,
+                "minimizers": [x.tolist() for x, _ in minimizers],
+                "potentials": [value for _, value in minimizers],
+                "hitting_iterations": [-1 if hit is None else hit for hit in hits],
                 "median_angle": float(np.median(angles)),
                 "within_fraction": float(np.mean([a <= angle_max for a in angles])),
                 "angle_max": angle_max,
             }
-            emit("zero_one_summary", "median_angle", float(np.median(angles)))
-            emit("zero_one_summary", "within_fraction", float(np.mean([a <= angle_max for a in angles])))
+        results[diag.name] = block
+        for key in _CSV_KEYS[diag.name]:
+            value = block[key]
+            lines.append(f"{diag.name},{key},"
+                         f"{repr(float(value)) if isinstance(value, (int, float, np.floating)) else value}")
     return results, lines
 
 

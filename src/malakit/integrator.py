@@ -13,6 +13,7 @@ accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ def leapfrog_step(target: TargetModel, state: PhaseState, eta: float) -> Leapfro
     Uses exactly two gradient evaluations (at the current and proposed
     positions); the energy error is the acceptance rule's input.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     _, value_and_grad = target.batch_oracles()
     x, v = state.position[None, :], state.velocity[None, :]
     pot, grad = value_and_grad(x)
@@ -125,8 +126,8 @@ def log_accept_proposal_form(target: TargetModel, x: np.ndarray, x_hat: np.ndarr
     the agreement is the testable form of the claim that the energy rule is
     the Metropolis-Hastings rule.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     x = np.asarray(x, dtype=float)
     x_hat = np.asarray(x_hat, dtype=float)
     pot_x, grad_x = target.value_and_grad(x)

@@ -259,6 +259,8 @@ def constraint_exit_estimate(target: TargetModel, constraint: ConstraintSet, eta
     v; the constraint-set regularity assumption asks this to be at least
     1/10 everywhere in the set.
     """
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     if n < 1:
         raise ValueError("n must be >= 1")
     z = np.asarray(z, dtype=float)

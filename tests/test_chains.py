@@ -22,8 +22,10 @@ from malakit.chains import (
     run_rwm,
     theorem1_step_size,
 )
-from malakit.grids import GridDistribution
-from malakit.integrator import NumericFailure
+from malakit.diagnostics import energy_error_scaling, transition_matrix_1d
+from malakit.grids import GridDistribution, grid_truth
+from malakit.integrator import NumericFailure, PhaseState, leapfrog_step, log_accept_proposal_form
+from malakit.regularity import constraint_exit_estimate
 from malakit.rng import chain_rng
 from malakit.targets import (
     TargetModel,
@@ -243,6 +245,43 @@ class TestTheorem1StepSize:
 
     def test_safety_constant(self):
         assert theorem1_step_size(0.0, 0.0, 1.0, 8, safety_constant=0.5) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("which", ["c3", "c4"])
+    def test_regularity_constants_finite_and_nonnegative(self, which, bad):
+        # A NaN constant gave a NaN step size at an earlier version.
+        constants = {"c3": 1.0, "c4": 1.0, which: bad}
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            theorem1_step_size(constants["c3"], constants["c4"], 1.0, 8)
+
+
+def _unit_phase(rng, n):
+    return rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+
+
+# Every entry point that takes a step size, called with ``eta`` in that place.
+STEP_SIZE_ENTRIES = {
+    "ChainConfig": lambda eta: ChainConfig(step_size=eta, iterations=10, seed=0),
+    "run_ensemble": lambda eta: run_ensemble(STD_1D, "rwm", eta, 10, np.zeros((4, 1)), 0),
+    "transition_matrix_1d": lambda eta: transition_matrix_1d(STD_1D, "mala", eta,
+                                                             grid_truth(STD_1D, (-6.0, 6.0), 20)),
+    "leapfrog_step": lambda eta: leapfrog_step(STD_1D, PhaseState(np.zeros(1), np.ones(1)), eta),
+    "log_accept_proposal_form": lambda eta: log_accept_proposal_form(STD_1D, np.zeros(1), np.ones(1), eta),
+    "constraint_exit_estimate": lambda eta: constraint_exit_estimate(
+        make_gaussian(2, 1.0), annulus(0.5, 1.0), eta, np.array([0.75, 0.0]), 100, 0),
+    "energy_error_scaling": lambda eta: energy_error_scaling(STD_1D, _unit_phase, [eta, 0.1, 0.01], 10, 0),
+    "theorem1_step_size safety": lambda eta: theorem1_step_size(1.0, 1.0, 1.0, 8, None, eta),
+    "theorem1_step_size gradient_bound": lambda eta: theorem1_step_size(1.0, 1.0, eta, 8),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("entry", sorted(STEP_SIZE_ENTRIES))
+def test_step_size_must_be_finite_and_positive(entry, bad):
+    # NaN and inf passed an ``eta <= 0`` check at an earlier version: RWM
+    # ran without moving, and the exit estimate read 0.0.
+    with pytest.raises(ValueError, match="finite and positive"):
+        STEP_SIZE_ENTRIES[entry](bad)
 
 
 class TestWarmness:

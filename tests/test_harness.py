@@ -92,6 +92,7 @@ MALFORMED = {
     "probe_points": MINIMAL.replace("kind = explicit\neta = 0.5", "kind = theorem1\nprobe_points = 0"),
     "probe_dirs": MINIMAL.replace("kind = explicit\neta = 0.5", "kind = theorem1\nprobe_dirs = abc"),
     "precision": MINIMAL.replace("d = 1\nprecision = 1.0", "d = 3\nprecision = 1.0,2.0"),
+    "constraint": MINIMAL + "\n[constraint]\ninner = 0.5\nouter = 1.0\n",
 }
 
 
@@ -145,7 +146,7 @@ def valid_specs(draw):
         target = {**sizes, "prior": draw(_floats(0.0, 1e6))}
     sampler = draw(st.sampled_from(["mala", "rwm", "constrained-mala"]))
     radii = None
-    if (sampler == "constrained-mala" and kind != "zero_one") or draw(st.booleans()):
+    if sampler == "constrained-mala" and (kind != "zero_one" or draw(st.booleans())):
         inner = draw(_floats(0.0, 10.0, exclude_low=True))
         radii = (inner, inner + draw(_floats(0.0, 10.0, exclude_low=True)))
         if not radii[0] < radii[1]:
@@ -548,6 +549,50 @@ class TestCli:
         code = cli_entry(["sample", "--dim", "2", "--precision", "1,4", "--eta", "0.4",
                           "--iterations", "200", "--seed", "9", "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "trace.csv").exists()
-        header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+        path = Path(capsys.readouterr().out.strip())
+        assert path.parent == tmp_path
+        header = path.read_text().splitlines()[0]
         assert header == "i,accepted,energy_error,log_accept,potential,x_0,x_1"
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--dim", "2", "--precision", "1,4", "--eta", "0.4", "--iterations", "200", "--seed", "9"],
+        ["sample", "--kind", "rwm", "--lazy", "--iterations", "200", "--seed", "9"],
+        ["optimize", "--count", "300", "--iterations", "500", "--seed", "0"],
+    ], ids=["sample", "sample-rwm-theorem1", "optimize"])
+    def test_report_spec_reproduces_the_command(self, tmp_path, capsys, argv):
+        # A chain command is a one-cell run_experiment: its report.json
+        # records the spec, and `malakit run` on it writes the same bytes.
+        assert cli_entry(argv + ["--out", str(tmp_path / "cmd")]) == 0
+        report = json.loads((tmp_path / "cmd" / "report.json").read_text())
+        assert report["status"] == "ok"
+        spec = tmp_path / "report.spec"
+        spec.write_text(report["spec"])
+        assert cli_entry(["run", str(spec), "--out", str(tmp_path / "run")]) == 0
+        for name in ("trace_0_0.csv", "summary.csv", "diagnostics.csv"):
+            assert (tmp_path / "cmd" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    def test_optimize_prints_the_trace_minimum(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MALAKIT_OUT", str(tmp_path))
+        assert cli_entry(["optimize", "--count", "300", "--iterations", "500", "--seed", "0"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert sorted(result) == ["accepted_fraction", "angle_to_truth", "gradient_evals", "minimizer", "potential"]
+        rows = [line.split(",") for line in (tmp_path / "optimize" / "trace_0_0.csv").read_text().splitlines()[1:]]
+        best = rows[int(np.argmin([float(row[4]) for row in rows]))]
+        assert result["potential"] == float(best[4])
+        assert result["minimizer"] == [float(v) for v in best[5:]]
+        assert result["accepted_fraction"] == float(np.mean([row[1] == "1" for row in rows]))
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kind", "rwm", "--eta", "nan"],
+        ["sample", "--eta", "inf"],
+        ["diagnose", "detailed-balance", "--eta", "nan", "--bins", "40"],
+        ["diagnose", "exit-probability", "--eta", "nan", "--draws", "1000"],
+    ], ids=["sample-rwm-nan", "sample-inf", "detailed-balance-nan", "exit-probability-nan"])
+    def test_non_finite_step_size_is_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # At an earlier version the NaN runs exited 0 (an RWM trace that never
+        # moved, a NaN in the JSON, an exit estimate of 0.0), and the inf run
+        # exited 2 as a runtime failure.
+        monkeypatch.chdir(tmp_path)
+        assert cli_entry(argv) == 1
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
