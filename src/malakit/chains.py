@@ -1,7 +1,7 @@
 """The three Markov chains: MALA, constrained MALA, and random-walk Metropolis.
 
 All chains are deterministic functions of ``(target, config, init)``; the
-seed owns a private counter-based stream.  Acceptance math stays in log
+seed owns private counter-based streams.  Acceptance math stays in log
 space until the single RNG comparison.  As printed in the source material
 the acceptance exponent has the sign that *raises* acceptance when energy
 increases; the implementations here use ``min(1, e^{-dH})`` (and
@@ -11,16 +11,16 @@ equations directly.
 
 One lockstep loop advances every chain: an ``(n, d)`` batch of rows, each
 with its own step size, carrying its position, potential and (for MALA)
-gradient.  A single chain is a batch of one.  :func:`run_chains` gives each
-row its own ``chain_rng(seed)``, drawn in the order lazy coin, velocity,
-uniform, so a row's draws do not depend on the rows beside it;
-:func:`run_ensemble` draws for all replicas from one stream.  Traces are
-written columnwise into preallocated arrays.
+gradient.  A single chain is a batch of one.  Each seed owns three Philox
+streams, ``chain_rng(seed, purpose)``: the lazy coin, the velocities and the
+uniforms.  :func:`run_chains` gives each row its own seed, so a row's draws
+do not depend on the rows beside it; :func:`run_ensemble` gives one seed
+all its replicas.  Traces are written columnwise into preallocated arrays.
 
 Each step makes one oracle call on the rows that propose (for MALA, the
 fused ``value_and_grad`` inside :func:`malakit.integrator.leapfrog`).  A proposal whose energy error is NaN is
-rejected, and a non-finite gradient at a proposal raises
-:class:`NumericFailure`; in :func:`run_chains` only that row stops.
+rejected.  A row with a non-finite gradient leaves the batch: :func:`run_chains`
+returns its :class:`NumericFailure`, and :func:`run_ensemble` raises the first.
 """
 
 from __future__ import annotations
@@ -81,13 +81,11 @@ class ChainTrace:
     a rejected or lazy step repeats the previous state.  ``log_accepts`` is
     :func:`log_accept_energy` of ``energy_errors``."""
 
-    def __init__(self, init_state: np.ndarray, indices, states, proposed, energy_errors, accepted,
-                 in_constraint, potentials, gradient_evals: int, function_evals: int,
-                 oracle_calls: int = 0):
+    def __init__(self, init_state: np.ndarray, indices, states, energy_errors, accepted,
+                 in_constraint, potentials, gradient_evals: int, function_evals: int):
         self.init_state = np.asarray(init_state, dtype=float)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.states = np.asarray(states, dtype=float)
-        self.proposed = np.asarray(proposed, dtype=float)
         self.energy_errors = np.asarray(energy_errors, dtype=float)
         self.log_accepts = log_accept_energy(self.energy_errors)
         self.accepted = np.asarray(accepted, dtype=bool)
@@ -95,7 +93,6 @@ class ChainTrace:
         self.potentials = np.asarray(potentials, dtype=float)
         self.gradient_evals = int(gradient_evals)
         self.function_evals = int(function_evals)
-        self.oracle_calls = int(oracle_calls)
         if len(self.indices) == 0:
             raise ValueError("a trace must contain at least one record")
 
@@ -143,52 +140,55 @@ def _gradient_failure(grad: np.ndarray, index: int) -> NumericFailure:
     return NumericFailure(f"non-finite gradient at step {index}, coordinates {bad}", bad)
 
 
-class _CellDraws:
-    """Row ``j`` draws from ``chain_rng(seeds[j])`` in the order of a chain run
-    alone: lazy coin, velocity, uniform.  Returns (proposing rows, or None
-    for all, velocities, log-uniforms); a failed row stops drawing."""
+_DRAW_BLOCK = 2**14  # velocity values per refill, over all rows: memory does not grow with the batch
 
-    def __init__(self, seeds, d: int, lazy: bool):
-        self.n, self.lazy = len(seeds), lazy
-        self.v, self.log_u = np.empty((self.n, d)), np.empty(self.n)
-        self.live = [(j, chain_rng(s), self.v[j]) for j, s in enumerate(seeds)]
+
+class _Draws:
+    """The draws of the lockstep rows.  Each seed owns ``width`` rows and
+    three streams: ``chain_rng(seed, 0)`` for the lazy coin (``random() <
+    0.5`` stays put), ``chain_rng(seed, 1)`` for the velocities and
+    ``chain_rng(seed, 2)`` for the uniforms ``u``, used as ``log(1 - u)``.
+    Every row draws a velocity and a uniform at every step, lazy or not, so
+    step ``i`` uses draw ``i``.  The streams refill in blocks of a fixed
+    number of values; Philox fills sequentially, so the block size never
+    changes a draw.  A call returns (the rows that move, or None for all,
+    velocities, log-uniforms)."""
+
+    def __init__(self, seeds, width: int, d: int, lazy: bool):
+        self.coins, self.velocities, self.uniforms = ([chain_rng(s, p) for s in seeds] for p in range(3))
+        self.shape = (max(1, _DRAW_BLOCK // (len(seeds) * width * d)), width)  # (steps per refill, width)
+        self.d, self.lazy, self.k = d, lazy, self.shape[0]
 
     def __call__(self):
-        act = []
-        for j, rng, v in self.live:
-            if not (self.lazy and rng.random() < 0.5):
-                rng.standard_normal(out=v)
-                self.log_u[j] = math.log(1.0 - rng.random())
-                act.append(j)
-        return (None if len(act) == self.n else np.array(act, dtype=np.intp)), self.v, self.log_u
-
-    def drop(self, rows) -> None:
-        self.live = [entry for entry in self.live if entry[0] not in rows]
+        if self.k == self.shape[0]:  # refill, one call per stream
+            self.k = 0
+            self.v = np.concatenate([rng.standard_normal((*self.shape, self.d)) for rng in self.velocities], axis=1)
+            self.log_u = np.log(1.0 - np.concatenate([rng.random(self.shape) for rng in self.uniforms], axis=1))
+            if self.lazy:
+                self.move = np.concatenate([rng.random(self.shape) for rng in self.coins], axis=1) >= 0.5
+        k, self.k = self.k, self.k + 1
+        return (self.move[k] if self.lazy else None), self.v[k], self.log_u[k]
 
 
 class _Columns:
     """Trace columns, preallocated and time-major: ``[k, j]`` is row ``j`` at
     the ``k``-th recorded step.  A row that did not propose keeps the
-    defaults: proposal = state, no energy error, rejected, inside the set."""
+    defaults: no energy error, rejected, inside the set."""
 
     def __init__(self, n: int, d: int, iterations: int, stride: int):
         self.indices = np.unique(np.append(np.arange(stride, iterations + 1, stride), iterations))
         m = len(self.indices)
-        self.states, self.proposed = np.empty((m, n, d)), np.empty((m, n, d))
-        self.potentials, self.energy_errors = np.empty((m, n)), np.zeros((m, n))
+        self.states, self.potentials, self.energy_errors = np.empty((m, n, d)), np.empty((m, n)), np.zeros((m, n))
         self.accepted, self.in_constraint = np.zeros((m, n), dtype=bool), np.ones((m, n), dtype=bool)
         self.k, self.stride, self.last = 0, stride, iterations
         self.next_index = int(self.indices[0])  # the step to record next
 
-    def write(self, x, pot, act, x_hat, err, acc, in_set) -> None:
+    def write(self, x, pot, act, err, acc, in_set) -> None:
         k = self.k
         self.states[k] = x
         self.potentials[k] = pot
-        if act is not None:
-            self.proposed[k] = x
-        at = (k,) if act is None else (k, act)
-        if x_hat is not None:
-            self.proposed[at] = x_hat
+        if err is not None:
+            at = (k,) if act is None else (k, act)
             self.energy_errors[at] = err
             self.accepted[at] = acc
             if in_set is not None:
@@ -197,27 +197,26 @@ class _Columns:
         self.next_index = min(self.next_index + self.stride, self.last)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values are handled below
 def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=None,
               callback=None, callback_every=0):
     """Advance the rows of ``x`` in lockstep: the only place that proposes and accepts.
 
-    ``eta`` is a float or an ``(n, 1)`` column of per-row step sizes.  With
-    ``_CellDraws`` a row whose gradient is non-finite leaves the batch;
-    otherwise it stops the run.  Returns the final rows, the proposals per
-    row, the accepted count and the failures by row.
+    ``eta`` is a float or an ``(n, 1)`` column of per-row step sizes.  A row
+    whose gradient is non-finite leaves the batch.  Returns the final rows,
+    the proposals per row, the accepted count and the failures by row, in
+    the order found: at the start, then step by step, lowest row first.
     """
     mala = kind == "mala"
     potential, value_and_grad = target.batch_oracles()
     x = np.array(x, dtype=float)
-    isolate = isinstance(draws, _CellDraws)
+    live = np.ones(len(x), dtype=bool)
     per_row = np.ndim(eta) > 0
     full_steps, proposals, accepted, failures = 0, np.zeros(len(x), dtype=np.int64), 0, {}
 
     def fail(rows, grads, step):
-        if not isolate:
-            raise _gradient_failure(grads, step)
         failures.update((j, _gradient_failure(g, step)) for j, g in zip(rows.tolist(), grads))
-        draws.drop(failures)
+        live[rows] = False
 
     if mala:
         pot, grad = (np.array(a, dtype=float) for a in value_and_grad(x))
@@ -228,8 +227,14 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         pot, grad = np.array(potential(x), dtype=float), None
 
     for i in range(1, iterations + 1):
-        act, v, log_u = draws()
-        x_hat = err = acc = in_set = None
+        if len(failures) == len(x):
+            break  # every row failed
+        move, v, log_u = draws()
+        act = err = acc = in_set = None
+        if move is not None or failures:
+            act = np.flatnonzero(live if move is None else live & move)
+            if act.size == len(x):
+                act = None
         if act is None:
             xa, pa, ga, va, lu, ea = x, pot, grad, v, log_u, eta
         elif act.size:
@@ -265,12 +270,10 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
                 if mala:
                     grad[took] = grad_hat[acc]
         if columns is not None and i == columns.next_index:
-            columns.write(x, pot, act, x_hat, err, acc, in_set)
+            columns.write(x, pot, act, err, acc, in_set)
         if callback is not None and callback_every > 0 and (i % callback_every == 0 or i == iterations):
             if callback(i, x):
                 break
-        if isolate and not draws.live:
-            break  # every row failed
     return x, proposals + full_steps, accepted, failures
 
 
@@ -281,11 +284,11 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
 
     ``kind`` is ``mala``, ``rwm`` or ``constrained-mala``.  The configs may
     differ only in ``step_size`` and ``seed``.  Each row draws from its own
-    seed's stream, so entry ``j`` is the run of ``configs[j]`` alone (bit for
+    seed's streams, so entry ``j`` is the run of ``configs[j]`` alone (bit for
     bit on elementwise targets; a dataset target's matrix product can round
-    differently with the number of rows).  A row whose proposal has a
-    non-finite gradient stops there, and its entry is the
-    :class:`NumericFailure`; the other rows carry on.
+    differently with the number of rows).  A row whose gradient is
+    non-finite stops there, and its entry is the :class:`NumericFailure`;
+    the other rows carry on.
     """
     if kind not in ("mala", "rwm", "constrained-mala"):
         raise ValueError(f"unknown chain kind {kind!r}")
@@ -311,17 +314,17 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
     cols = _Columns(n, d, first.iterations, first.record_every)
     _, proposals, _, failures = _lockstep(
         target, "mala" if mala else "rwm", np.array([[c.step_size] for c in configs]), inits,
-        first.iterations, _CellDraws([c.seed for c in configs], d, first.lazy), constraint, cols)
+        first.iterations, _Draws([c.seed for c in configs], 1, d, first.lazy), constraint, cols)
     results: list[ChainTrace | NumericFailure] = []
     for j in range(n):
         evals = 1 + int(proposals[j])  # one oracle call at the start and per non-lazy step
         results.append(failures[j] if j in failures else ChainTrace(
             init_state=inits[j], indices=cols.indices, states=cols.states[:, j].copy(),
-            proposed=cols.proposed[:, j].copy(), energy_errors=cols.energy_errors[:, j].copy(),
+            energy_errors=cols.energy_errors[:, j].copy(),
             accepted=cols.accepted[:, j].copy(),
             in_constraint=None if constraint is None else cols.in_constraint[:, j].copy(),
             potentials=cols.potentials[:, j].copy(), gradient_evals=2 * (evals - 1) if mala else 0,
-            function_evals=evals, oracle_calls=evals))
+            function_evals=evals))
     return results
 
 
@@ -368,7 +371,6 @@ class EnsembleResult:
     accepted_fraction: float
     gradient_evals: int
     function_evals: int
-    oracle_calls: int
 
 
 def run_ensemble(
@@ -386,12 +388,14 @@ def run_ensemble(
 
     This is the distribution-level driver behind the TV and mixing-time
     measurements: the replicas' positions at a fixed iteration estimate the
-    chain's marginal law there.  All replicas draw from one counter-based
-    stream, per step ``(n, d)`` normals, then ``n`` uniforms, so the result
-    is a pure function of the arguments.  A non-finite gradient at a
-    proposal stops the run with :class:`NumericFailure`.  A callback
-    returning a truthy value stops the run early (used by the mixing-time
-    search).
+    chain's marginal law there.  The replicas share the streams of ``seed``,
+    taking ``n`` draws of each per step, so the result is a pure function of
+    the arguments, and one replica is the :func:`run_mala` (or
+    :func:`run_rwm`) chain of ``seed``.  A replica whose gradient is
+    non-finite leaves the batch, and the first such
+    :class:`NumericFailure` (earliest step, lowest replica) is raised at the
+    end.  A callback returning a truthy value stops the run early (used by
+    the mixing-time search).
     """
     if kind not in ("mala", "rwm"):
         raise ValueError(f"unknown chain kind {kind!r}")
@@ -403,19 +407,16 @@ def run_ensemble(
     if x.ndim != 2 or x.shape[1] != target.dimension:
         raise ValueError("init_positions must be (replicas, d)")
     n, d = x.shape
-    rng = chain_rng(seed)
-
-    def draws():
-        v = rng.standard_normal((n, d))
-        return None, v, np.log(1.0 - rng.random(n))
-
-    x, proposals, accepted, _ = _lockstep(target, kind, float(eta), x, iterations, draws, constraint,
-                                          callback=callback, callback_every=callback_every)
+    x, proposals, accepted, failures = _lockstep(target, kind, float(eta), x, iterations,
+                                                 _Draws([seed], n, d, False), constraint, callback=callback,
+                                                 callback_every=callback_every)
+    if failures:
+        raise next(iter(failures.values()))
     decisions = int(proposals.sum())
     evals = n + decisions  # the start, then the proposing rows of each step
     return EnsembleResult(positions=x, accepted_fraction=accepted / decisions if decisions else 0.0,
                           gradient_evals=2 * decisions if kind == "mala" else 0,
-                          function_evals=evals, oracle_calls=evals)
+                          function_evals=evals)
 
 
 def extract_minimizer(trace: ChainTrace) -> tuple[np.ndarray, float]:

@@ -517,15 +517,14 @@ class RunReport:
     diagnostics: dict
     gradient_evals: int
     function_evals: int
-    oracle_calls: int
     wall_time: float
     versions: dict
     replica_errors: list[str]
 
     @property
     def status(self) -> str:
-        """``ok`` when every cell ran to the end, ``partial`` when some failed."""
-        return "partial" if self.replica_errors else "ok"
+        """``ok`` when every cell ran to the end, ``partial`` when some failed, ``failed`` when all did."""
+        return "failed" if not self.trace_paths else "partial" if self.replica_errors else "ok"
 
     def to_json(self) -> str:
         """``report.json``: every field, and ``status``."""
@@ -547,8 +546,8 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     All cells run in one lockstep batch, one step size per row.  Each cell
     draws from its own stream keyed by its index, and rows are written in
     cell order, so outputs do not depend on how cells are batched.  A cell
-    failure is recorded (``status`` becomes ``partial``), not raised, unless
-    every cell fails.
+    failure is recorded (``status`` becomes ``partial``), not raised; when
+    every cell fails, ``status`` is ``failed`` and ``RuntimeError`` follows.
     """
     start = time.perf_counter()
     if output_dir is not None:
@@ -574,8 +573,6 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     errors = [f"cell {k} (eta={cells[k][1]:g}, replica {cells[k][2]}): {r}"
               for k, r in enumerate(results) if not isinstance(r, ChainTrace)]
     traces = {k: r for k, r in enumerate(results) if isinstance(r, ChainTrace)}
-    if not traces:
-        raise RuntimeError("every replica failed:\n" + "\n".join(errors))
 
     stats = {k: acceptance_stats(tr) for k, tr in traces.items()}
     trace_paths = []
@@ -598,7 +595,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     summary_path = out / "summary.csv"
     summary_path.write_text("\n".join(summary_lines) + "\n")
 
-    diagnostics, diag_lines = _run_diagnostics(spec, built, traces, stats)
+    diagnostics, diag_lines = _run_diagnostics(spec, built, traces, stats) if traces else ({}, [])
     diagnostics_path = None
     if diag_lines:
         diagnostics_path = out / "diagnostics.csv"
@@ -615,12 +612,13 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
         diagnostics=diagnostics,
         gradient_evals=sum(tr.gradient_evals for tr in traces.values()),
         function_evals=sum(tr.function_evals for tr in traces.values()),
-        oracle_calls=sum(tr.oracle_calls for tr in traces.values()),
         wall_time=time.perf_counter() - start,
         versions={"malakit": __version__, "numpy": np.__version__, "python": platform.python_version()},
         replica_errors=errors,
     )
     (out / "report.json").write_text(report.to_json() + "\n")
+    if not traces:
+        raise RuntimeError("every replica failed:\n" + "\n".join(errors))
     return report
 
 

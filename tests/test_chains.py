@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from malakit import chains
 from malakit.chains import (
     _CSV_BLOCK_ROWS,
     ChainConfig,
     ChainTrace,
+    _Draws,
     extract_minimizer,
     run_chains,
     run_constrained_mala,
@@ -53,8 +55,8 @@ class TestMalaStep:
         trace = run_mala(flat_target(2), ChainConfig(step_size=0.3, iterations=200, seed=0), np.zeros(2))
         assert trace.accepted.all()
         assert np.all(trace.energy_errors == 0.0)
-        # proposals are Gaussian with scale eta around the current point
-        moves = trace.proposed - np.vstack([trace.init_state, trace.states[:-1]])
+        # every proposal is accepted, so the moves are the proposals: Gaussian with scale eta
+        moves = np.diff(np.vstack([trace.init_state, trace.states]), axis=0)
         assert np.std(moves) == pytest.approx(0.3, rel=0.15)
 
     def test_tiny_step_accepts_almost_surely(self):
@@ -74,17 +76,17 @@ class TestRunMala:
         cfg = ChainConfig(step_size=0.4, iterations=1, seed=99)
         x, eta = np.array([0.5]), 0.4
         trace = run_mala(STD_1D, cfg, x)
-        # One transition written out: velocity, leapfrog, then the uniform.
-        rng = chain_rng(99)
-        v = rng.standard_normal(1)
+        # One transition written out: the velocity from stream 1, the
+        # leapfrog, then the uniform from stream 2.
+        v = chain_rng(99, 1).standard_normal(1)
         x_hat = x + eta * v - 0.5 * eta * eta * STD_1D.gradient(x)
         v_hat = v - 0.5 * eta * (STD_1D.gradient(x) + STD_1D.gradient(x_hat))
         err = (STD_1D.potential(x_hat) + 0.5 * (v_hat @ v_hat)) - (STD_1D.potential(x) + 0.5 * (v @ v))
-        accepted = math.log(1.0 - rng.random()) <= min(0.0, -err)
-        assert np.array_equal(trace.proposed[0], x_hat)
+        accepted = np.log(1.0 - chain_rng(99, 2).random()) <= min(0.0, -err)
+        assert accepted  # so the recorded state is the proposal
         assert trace.energy_errors[0] == err
-        assert bool(trace.accepted[0]) == accepted
-        assert np.array_equal(trace.states[0], x_hat if accepted else x)
+        assert bool(trace.accepted[0])
+        assert np.array_equal(trace.states[0], x_hat)
 
     def test_seed_determinism(self):
         cfg = ChainConfig(step_size=0.5, iterations=500, seed=42)
@@ -143,7 +145,10 @@ class TestRwm:
     def test_acceptance_rule_recomputed_from_potentials(self):
         trace = run_rwm(STD_1D, ChainConfig(step_size=1.0, iterations=2000, seed=4), np.zeros(1))
         prev = np.vstack([trace.init_state, trace.states[:-1]])
-        gap = STD_1D.potential(trace.proposed) - STD_1D.potential(prev)
+        proposed = prev + 1.0 * chain_rng(4, 1).standard_normal((2000, 1))  # step i uses velocity i
+        accepted = trace.accepted[:, None]
+        assert np.array_equal(trace.states, np.where(accepted, proposed, prev))
+        gap = STD_1D.potential(proposed) - STD_1D.potential(prev)
         assert np.allclose(trace.energy_errors, gap, atol=1e-12)
         assert np.allclose(trace.log_accepts, np.minimum(0.0, -gap), atol=1e-12)
 
@@ -355,9 +360,9 @@ def zero_one_target():
 
 
 def trace_arrays(trace):
-    return (trace.indices, trace.states, trace.proposed, trace.energy_errors, trace.log_accepts,
+    return (trace.indices, trace.states, trace.energy_errors, trace.log_accepts,
             trace.accepted, trace.in_constraint, trace.potentials,
-            trace.gradient_evals, trace.function_evals, trace.oracle_calls)
+            trace.gradient_evals, trace.function_evals)
 
 
 def assert_traces_identical(a, b):
@@ -390,7 +395,7 @@ class TestFusedOracleEquivalence:
         b = run_ensemble(dataclasses.replace(t, fused=None), "mala", 0.05, 60, init, seed=4,
                          constraint=ring)
         assert np.array_equal(a.positions, b.positions)
-        assert (a.accepted_fraction, a.oracle_calls) == (b.accepted_fraction, b.oracle_calls)
+        assert (a.accepted_fraction, a.function_evals) == (b.accepted_fraction, b.function_evals)
 
 
 def counting(target):
@@ -416,7 +421,7 @@ class TestOracleCalls:
         non_lazy = trace.function_evals - 1
         assert 0 < non_lazy < 1000
         assert calls == {"potential": 0, "gradient": 0, "fused": non_lazy + 1}  # +1: the start
-        assert trace.oracle_calls == sum(calls.values())
+        assert trace.function_evals == sum(calls.values())
         assert trace.gradient_evals == 2 * non_lazy  # the paper's cost model is unchanged
 
     def test_constrained_mala(self):
@@ -424,19 +429,19 @@ class TestOracleCalls:
         cfg = ChainConfig(step_size=0.05, iterations=200, seed=2, constraint=annulus(0.5, 1.0))
         trace = run_constrained_mala(t, cfg, np.array([0.75, 0.0, 0.0]))
         assert calls == {"potential": 0, "gradient": 0, "fused": 201}
-        assert trace.oracle_calls == 201
+        assert trace.function_evals == 201
 
     def test_rwm_counts_potentials(self):
         t, calls = counting(STD_1D)
         trace = run_rwm(t, ChainConfig(step_size=1.0, iterations=300, seed=3), np.zeros(1))
         assert calls == {"potential": 301, "gradient": 0, "fused": 0}
-        assert trace.oracle_calls == trace.function_evals == 301
+        assert trace.function_evals == 301
 
     def test_ensemble_one_batched_call_per_step(self):
         t, calls = counting(STD_1D)
         res = run_ensemble(t, "mala", 0.5, 40, np.zeros((25, 1)), seed=5)
         assert calls == {"potential": 0, "gradient": 0, "fused": 41}
-        assert res.oracle_calls == 25 * 41
+        assert res.function_evals == 25 * 41
         assert res.gradient_evals == 2 * 25 * 40
 
 
@@ -450,12 +455,14 @@ def _nan_outside(radius):
                        gradient=lambda x: np.asarray(x, dtype=float), name="nan-outside")
 
 
-def _inf_gradient_outside(radius):
+def _inf_gradient_outside(radius, d=1):
+    """Standard Gaussian whose gradient is inf in each coordinate beyond ``radius``."""
     def gradient(x):
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) <= radius, x, np.inf)
 
-    return TargetModel(dimension=1, potential=STD_1D.potential, gradient=gradient, name="inf-grad")
+    return TargetModel(dimension=d, potential=make_gaussian(d, 1.0).potential, gradient=gradient,
+                       name="inf-grad")
 
 
 class TestNonFinite:
@@ -481,6 +488,12 @@ class TestNonFinite:
             run_mala(t, ChainConfig(step_size=0.5, iterations=200, seed=6), np.zeros(1))
         with pytest.raises(NumericFailure, match=pattern):
             run_ensemble(t, "mala", 0.5, 200, np.zeros((20, 1)), seed=6)
+        # An ensemble of one draws what the chain of its seed draws.
+        with pytest.raises(NumericFailure) as solo:
+            run_mala(t, ChainConfig(step_size=0.2, iterations=400, seed=6), np.zeros(1))
+        with pytest.raises(NumericFailure) as one:
+            run_ensemble(t, "mala", 0.2, 400, np.zeros((1, 1)), seed=6)
+        assert str(one.value) == str(solo.value)
 
     def test_ensemble_checks_initial_gradient(self):
         t = _inf_gradient_outside(0.3)
@@ -524,8 +537,8 @@ class TestLockstep:
         for j, config in enumerate(configs):
             solo = run_constrained_mala(t, config, inits[j])
             assert np.array_equal(batch[j].accepted, solo.accepted)
-            for got, want in zip(trace_arrays(batch[j])[1:4] + (batch[j].potentials,),
-                                 trace_arrays(solo)[1:4] + (solo.potentials,)):
+            for got, want in zip(trace_arrays(batch[j])[1:3] + (batch[j].potentials,),
+                                 trace_arrays(solo)[1:3] + (solo.potentials,)):
                 assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
     def test_failed_row_leaves_the_batch(self):
@@ -556,6 +569,86 @@ class TestLockstep:
             run_chains(STD_1D, "mala", configs, np.zeros((2, 1)))
 
 
+class TestOneEngine:
+    """One draw source and one failure rule for every engine."""
+
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_draws_do_not_depend_on_the_refill_size(self, monkeypatch, block, lazy):
+        monkeypatch.setattr(chains, "_DRAW_BLOCK", block)
+        seeds, width, d, steps = [3, 4, 5], 2, 3, 40
+        draws = _Draws(seeds, width, d, lazy)
+        got = [draws() for _ in range(steps)]
+        # The reference draws each stream in one call.
+        def each(purpose, draw):
+            return np.concatenate([draw(chain_rng(s, purpose)) for s in seeds], axis=1)
+
+        move = each(0, lambda rng: rng.random((steps, width))) >= 0.5
+        v = each(1, lambda rng: rng.standard_normal((steps, width, d)))
+        log_u = np.log(1.0 - each(2, lambda rng: rng.random((steps, width))))
+        for i, (move_i, v_i, log_u_i) in enumerate(got):
+            assert np.array_equal(move_i, move[i]) if lazy else move_i is None
+            assert np.array_equal(v_i, v[i]) and np.array_equal(log_u_i, log_u[i])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_runs_do_not_depend_on_the_refill_size(self, monkeypatch, block):
+        g = make_gaussian(2, [1.0, 3.0])
+        configs, inits = lockstep_case("mala", 2, [(0.4, 5), (0.9, 6), (0.2, 7)], lazy=True,
+                                       record_every=3, iterations=100)
+        want = (run_chains(g, "mala", configs, inits), run_ensemble(g, "rwm", 0.8, 50, inits, seed=8))
+        monkeypatch.setattr(chains, "_DRAW_BLOCK", block)
+        got = (run_chains(g, "mala", configs, inits), run_ensemble(g, "rwm", 0.8, 50, inits, seed=8))
+        for a, b in zip(got[0], want[0]):
+            assert_traces_identical(a, b)
+        assert np.array_equal(got[1].positions, want[1].positions)
+        assert got[1].accepted_fraction == want[1].accepted_fraction
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), kind=st.sampled_from(["mala", "rwm", "constrained-mala"]),
+           eta=st.floats(0.01, 3.0), seed=st.integers(0, 2**63 - 1), iterations=st.integers(1, 60))
+    def test_ensemble_of_one_is_the_chain(self, d, kind, eta, seed, iterations):
+        target = make_gaussian(d, [1.0, 2.0, 0.5][:d])
+        constraint = annulus(0.5, 1.0) if kind == "constrained-mala" else None
+        init = np.zeros(d)
+        init[0] = 0.7  # inside the annulus
+        runner = {"mala": run_mala, "rwm": run_rwm, "constrained-mala": run_constrained_mala}[kind]
+        trace = runner(target, ChainConfig(step_size=eta, iterations=iterations, seed=seed,
+                                           constraint=constraint), init)
+        res = run_ensemble(target, "rwm" if kind == "rwm" else "mala", eta, iterations, init[None, :], seed,
+                           constraint=constraint)
+        assert np.array_equal(res.positions[0], trace.states[-1])
+        assert res.accepted_fraction == np.mean(trace.accepted)
+        assert (res.gradient_evals, res.function_evals) == (trace.gradient_evals, trace.function_evals)
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), data=st.data())
+    def test_failing_row_raises_its_solo_error(self, d, data):
+        # Rows started where the gradient is inf fail at the start check;
+        # the others stay far inside the radius for the whole run.
+        rows = data.draw(st.lists(st.integers(0, 19), min_size=1, max_size=4, unique=True))
+        inits = np.zeros((20, d))
+        for j in rows:
+            inits[j] = np.where(data.draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any)), 6.0, 0.0)
+        t = _inf_gradient_outside(5.0, d)
+        with pytest.raises(NumericFailure) as solo:
+            run_mala(t, ChainConfig(step_size=0.5, iterations=30, seed=3), inits[min(rows)])
+        with pytest.raises(NumericFailure) as batch:
+            run_ensemble(t, "mala", 0.5, 30, inits, seed=3)
+        assert str(batch.value) == str(solo.value)
+        assert batch.value.coordinates == solo.value.coordinates
+
+    def test_ensemble_raises_its_earliest_failure(self):
+        t = _inf_gradient_outside(2.0)
+        with pytest.raises(NumericFailure) as full:
+            run_ensemble(t, "mala", 0.5, 300, np.zeros((20, 1)), seed=6)
+        step = int(str(full.value).split()[4].rstrip(","))
+        assert step > 1
+        run_ensemble(t, "mala", 0.5, step - 1, np.zeros((20, 1)), seed=6)  # no row fails before it
+        with pytest.raises(NumericFailure) as cut:
+            run_ensemble(t, "mala", 0.5, step, np.zeros((20, 1)), seed=6)
+        assert str(cut.value) == str(full.value)
+
+
 def reference_to_csv(trace, path) -> Path:
     """The row-at-a-time writer that ``ChainTrace.to_csv`` must match byte for byte."""
     path = Path(path)
@@ -575,7 +668,7 @@ def reference_to_csv(trace, path) -> Path:
 def synthetic_trace(indices, values, accepted) -> ChainTrace:
     """A trace whose row k is ``values[k] = (energy error, potential, x_0..x_{d-1})``."""
     states = values[:, 2:]
-    return ChainTrace(np.zeros(states.shape[1]), indices, states, states, values[:, 0], accepted,
+    return ChainTrace(np.zeros(states.shape[1]), indices, states, values[:, 0], accepted,
                       None, values[:, 1], gradient_evals=0, function_evals=0)
 
 

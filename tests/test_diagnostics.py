@@ -513,7 +513,7 @@ class TestAcceptanceStats:
         from malakit.chains import ChainTrace
 
         trace = ChainTrace(
-            init_state=np.zeros(1), indices=[1, 2, 3], states=np.zeros((3, 1)), proposed=np.ones((3, 1)),
+            init_state=np.zeros(1), indices=[1, 2, 3], states=np.zeros((3, 1)),
             energy_errors=[5.0, 5.0, 5.0],
             accepted=[False, False, False], in_constraint=None, potentials=[0.0, 0.0, 0.0],
             gradient_evals=6, function_evals=4,

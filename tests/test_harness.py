@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +330,7 @@ class TestRunExperiment:
         assert sorted(report) == sorted([
             "spec", "resolved_etas", "schedule_notes", "target_notes", "summary_path",
             "diagnostics_path", "trace_paths", "diagnostics", "gradient_evals", "function_evals",
-            "oracle_calls", "wall_time", "versions", "replica_errors", "status"])
+            "wall_time", "versions", "replica_errors", "status"])
         assert parse_spec(report["spec"]) == spec
         assert report["status"] == "ok"
 
@@ -553,6 +554,22 @@ class TestCli:
         assert path.parent == tmp_path
         header = path.read_text().splitlines()[0]
         assert header == "i,accepted,energy_error,log_accept,potential,x_0,x_1"
+
+    def test_run_whose_every_cell_fails_leaves_a_failed_report(self, tmp_path, capsys):
+        # An earlier version raised before writing report.json, left the
+        # output directory empty, and let overflow warnings reach stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_entry(["sample", "--eta", "1e200", "--out", str(tmp_path)])
+        assert code == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "failed"
+        assert report["replica_errors"] == ["cell 0 (eta=1e+200, replica 0): "
+                                            "non-finite gradient at step 1, coordinates [0]"]
+        assert report["trace_paths"] == []
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert "every replica failed" in err and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--dim", "2", "--precision", "1,4", "--eta", "0.4", "--iterations", "200", "--seed", "9"],
