@@ -102,6 +102,8 @@ def cli_entry(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # every command, before any output
+            parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     except _UsageError as exc:
         _progress(f"error: {exc}")
         parser.print_usage(sys.stderr)

@@ -27,15 +27,12 @@ class GridDistribution:
     """Cell masses over a regular 1D or 2D grid.
 
     ``mass`` has shape ``bins`` and sums to 1 within 1e-12.
-    ``out_of_bounds`` counts samples that fell off the grid when the
-    distribution came from binning (never silently dropped).
     """
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     bins: tuple[int, ...]
     mass: np.ndarray
-    out_of_bounds: int = 0
 
     def __post_init__(self):
         lower = tuple(float(v) for v in np.atleast_1d(self.lower))
@@ -161,9 +158,8 @@ def _warn_boundary_mass(mass: np.ndarray) -> None:
 def histogram(samples, bounds, bins) -> GridDistribution:
     """Bin samples into a grid distribution.
 
-    Out-of-bounds samples are excluded from the normalization but counted
-    in ``out_of_bounds``.  Raises :class:`EmptySupportError` when nothing
-    lands inside.
+    Out-of-bounds samples are excluded from the normalization.  Raises
+    :class:`EmptySupportError` when nothing lands inside.
     """
     lower, upper, bins = _normalize_geometry(bounds, bins)
     x = np.asarray(samples, dtype=float)
@@ -180,8 +176,7 @@ def histogram(samples, bounds, bins) -> GridDistribution:
     edges = [np.linspace(lower[a], upper[a], bins[a] + 1) for a in range(len(bins))]
     counts, _ = np.histogramdd(kept, bins=edges)
     mass = counts / counts.sum()
-    return GridDistribution(lower=lower, upper=upper, bins=bins, mass=mass,
-                            out_of_bounds=int(x.shape[0] - kept.shape[0]))
+    return GridDistribution(lower=lower, upper=upper, bins=bins, mass=mass)
 
 
 def tv_distance(p: GridDistribution, q: GridDistribution) -> float:

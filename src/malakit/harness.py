@@ -61,9 +61,10 @@ from .chains import (ChainConfig, ChainTrace, extract_minimizer, run_chains, run
 from .diagnostics import (ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
                           mixing_time_estimate)
 from .grids import grid_truth, histogram, tv_distance
-from .regularity import build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound
+from .regularity import (build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound,
+                         gradient_cloud)
 from .rng import chain_rng, subseed
-from .targets import (ConstraintSet, Dataset, TargetModel, annulus, load_dataset,
+from .targets import (ConstraintSet, Dataset, KnownConstants, TargetModel, annulus, load_dataset,
                       make_gaussian, make_logistic_regression, make_sigmoid_regression,
                       make_smoothed_zero_one, precondition, recommended_schedule,
                       sample_sphere_dataset)
@@ -112,7 +113,7 @@ class _Key:
 
 def _sizes(**kw) -> dict:
     return {"d": _Key("int", 1, **kw), "r": _Key("int", 1, **kw),
-            "q0": _Key("number", 0.0, 1.0, low_open=True, **kw), "data_seed": _Key("int", **kw)}
+            "q0": _Key("number", 0.0, 1.0, low_open=True, **kw), "data_seed": _Key("int", 0, **kw)}
 
 
 _POSITIVE = {"low": 0.0, "low_open": True}
@@ -140,7 +141,7 @@ SCHEMA = {
         "theorem1": {"safety": _Key("number", **_POSITIVE, default=1.0), **_PROBES},
         "sweep": {"etas": _Key("numbers", **_POSITIVE)},
     },
-    "run": {"iterations": _Key("int", 1), "replicas": _Key("int", 1), "seed": _Key("int"),
+    "run": {"iterations": _Key("int", 1), "replicas": _Key("int", 1), "seed": _Key("int", 0),
             "record_every": _Key("int", 1, default=1)},
     "diagnostics": {
         "acceptance_stats": {},
@@ -462,47 +463,29 @@ def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float],
         return p["etas"], notes
     # theorem1
     target = built.target
-    k = target.known_constants
+    k = target.known_constants or KnownConstants()
     probe_points, probe_dirs = p["probe_points"], p["probe_dirs"]
-    if k is not None and k.c3 is not None:
-        c3 = k.c3
-    else:
-        c3 = estimate_c3(target, probe_points, probe_dirs, spec.seed)
-    if k is not None and k.c4 is not None:
-        c4 = k.c4
-    else:
-        c4 = estimate_c4(target, probe_points, probe_dirs, spec.seed)
-    if k is not None and k.gradient_bound is not None:
-        m = k.gradient_bound
-    else:
-        rng = chain_rng(spec.seed)
-        samples = rng.standard_normal((max(16, probe_points), target.dimension))
-        m = estimate_gradient_bound(target, list(samples)).gradient_bound
-    tail = k.tail_rate if k is not None else None
-    eta = theorem1_step_size(c3, c4, m, target.dimension, tail, p["safety"])
+    c3 = k.c3 if k.c3 is not None else estimate_c3(target, probe_points, probe_dirs, spec.seed)
+    c4 = k.c4 if k.c4 is not None else estimate_c4(target, probe_points, probe_dirs, spec.seed)
+    m = k.gradient_bound if k.gradient_bound is not None else estimate_gradient_bound(
+        target, list(gradient_cloud(target, probe_points, spec.seed))).gradient_bound
+    eta = theorem1_step_size(c3, c4, m, target.dimension, safety_constant=p["safety"])
     notes.update(c3=c3, c4=c4, gradient_bound=m, safety=p["safety"])
     return [eta], notes
 
 
-def warm_annulus_init(target: TargetModel, constraint: ConstraintSet, seed: int) -> np.ndarray:
+def warm_annulus_init(target: TargetModel, constraint: ConstraintSet, rng: np.random.Generator) -> np.ndarray:
     """Best-of-64 warm start inside an annulus constraint: the uniform-radius
-    candidate of least potential, drawn from ``chain_rng(seed ^ 0x5EED)``.
-    Raises ValueError on a constraint that is not an annulus."""
+    candidate of least potential, drawn from ``rng``.  Raises ValueError on
+    a constraint that is not an annulus."""
     if constraint.annulus_radii is None:
         raise ValueError("warm_annulus_init needs an annulus constraint")
-    rng = chain_rng(seed ^ 0x5EED)
     inner, outer = constraint.annulus_radii
     pts = rng.standard_normal((64, target.dimension))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= inner + (outer - inner) * rng.random((len(pts), 1))
     pot = np.asarray(target.batch_oracles()[0](pts), dtype=float)
     return pts[int(np.argmin(pot))]
-
-
-def _replica_init(built: BuiltTarget, replica_seed: int) -> np.ndarray:
-    if built.constraint is not None:
-        return warm_annulus_init(built.target, built.constraint, replica_seed)
-    return np.zeros(built.target.dimension)
 
 
 @dataclass(frozen=True)
@@ -567,7 +550,10 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     configs = [ChainConfig(step_size=eta, iterations=spec.iterations, seed=seed, lazy=spec.lazy,
                            constraint=built.constraint, record_every=spec.record_every)
                for (_, eta, _), seed in zip(cells, cell_seeds)]
-    inits = np.array([_replica_init(built, seed) for seed in cell_seeds])
+    # A cell starts at the origin, or warm from its seed's key 3, beside its chain's keys 0, 1 and 2.
+    inits = np.array([warm_annulus_init(built.target, built.constraint, chain_rng(seed, 3))
+                      if built.constraint is not None else np.zeros(built.target.dimension)
+                      for seed in cell_seeds])
     results = run_chains(built.target, spec.sampler, configs, inits)
 
     errors = [f"cell {k} (eta={cells[k][1]:g}, replica {cells[k][2]}): {r}"
@@ -654,7 +640,7 @@ def _run_diagnostics(spec, built, traces, stats):
             truth = grid_truth(target, bounds, nbins, built.constraint)
             finals = np.stack([tr.states[-1] for tr in ordered])
             raw = float(tv_distance(histogram(finals, bounds, nbins), truth))
-            floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed ^ 0xF100F))
+            floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed, 10**6 + 1))
             block = {"raw": raw, "binning_floor": floor, "corrected": raw - floor, "replicas": finals.shape[0]}
         elif diag.name == "energy_error_scaling":
             def phase(rng, n):
@@ -782,9 +768,9 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
     acc_means: list[float] = []
     gevals: list[int] = []
     for idx, eta in enumerate(values):
-        seed = subseed(template.seed, idx)
+        seed = subseed(template.seed, idx)  # mixing_time_estimate keys 0, 1 and 2 of it; the pilot runs on 3
         pilot = run_ensemble(target, template.sampler, eta, min(500, template.iterations),
-                             np.zeros((PILOT_REPLICAS, d)), seed ^ 0xACC)
+                             np.zeros((PILOT_REPLICAS, d)), subseed(seed, 3))
         estimate = mixing_time_estimate(target, template.sampler, eta, warm_init, TV_THRESHOLD,
                                         MIXING_REPLICAS, CHECK_EVERY, seed, bounds, bins, MAX_ITERATIONS)
         mixing.append(estimate)

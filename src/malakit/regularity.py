@@ -159,6 +159,13 @@ class GradientBoundEstimate:
     smoothness: float
 
 
+def gradient_cloud(target: TargetModel, probe_points: int, seed: int) -> np.ndarray:
+    """The standard Gaussian cloud around the origin that the gradient-bound
+    and tail-rate estimates read: ``max(probe_points, 16)`` points from
+    ``chain_rng(seed, 10**6)``, a node apart from every probe and cell."""
+    return chain_rng(seed, 10**6).standard_normal((max(probe_points, 16), target.dimension))
+
+
 def estimate_gradient_bound(target: TargetModel, region_samples) -> GradientBoundEstimate:
     points = [np.asarray(p, dtype=float) for p in region_samples]
     if not points:
@@ -320,16 +327,13 @@ class RegularityReport:
 
 def build_regularity_report(target: TargetModel, data: Dataset, probe_points: int,
                             probe_dirs: int, seed: int) -> RegularityReport:
-    """Assemble the full report for an empirical-loss target.
-
-    A standard Gaussian cloud around the origin feeds the gradient-bound
-    and tail-rate estimates.
-    """
+    """Assemble the full report for an empirical-loss target; the
+    :func:`gradient_cloud` feeds the gradient-bound and tail-rate estimates."""
     phi = incoherence(data)
     c3_bound, c4_bound = theorem3_bounds(data.count, phi)
     c3_est = estimate_c3(target, probe_points, probe_dirs, seed)
     c4_est = estimate_c4(target, probe_points, probe_dirs, seed)
-    samples = chain_rng(seed, 10**6).standard_normal((max(probe_points, 16), target.dimension))
+    samples = gradient_cloud(target, probe_points, seed)
     grad_est = estimate_gradient_bound(target, list(samples))
     center = target.minimizer if target.minimizer is not None else np.zeros(target.dimension)
     tail = _estimate_tail_rate(samples, center, target.dimension)

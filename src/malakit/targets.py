@@ -23,6 +23,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import expit
 
+from .rng import chain_rng
+
 __all__ = [
     "Dataset",
     "KnownConstants",
@@ -112,7 +114,6 @@ class KnownConstants:
     gradient_bound: float | None = None
     c3: float | None = None
     c4: float | None = None
-    tail_rate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -465,8 +466,6 @@ def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> D
     theta = theta / norm
     if not (0.0 < q0 <= 1.0):
         raise ValueError("q0 must lie in (0, 1]")
-    from .rng import chain_rng
-
     rng = chain_rng(seed)
     features = np.empty((d, r))
     for i in range(r):
@@ -536,7 +535,6 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
             gradient_bound=None if k.gradient_bound is None else k.gradient_bound * s,
             c3=None if k.c3 is None else k.c3 * s**3,
             c4=None if k.c4 is None else k.c4 * s**4,
-            tail_rate=None if k.tail_rate is None else k.tail_rate * s,
         )
     return TargetModel(
         dimension=target.dimension,

@@ -98,9 +98,9 @@ class TestHistogram:
         h = histogram(np.repeat(mids, 5), (0.0, 1.0), 8)
         assert np.allclose(h.mass, 1.0 / 8.0)
 
-    def test_out_of_bounds_counted(self):
-        h = histogram(np.array([0.5, 2.0, -3.0]), (0.0, 1.0), 4)
-        assert h.out_of_bounds == 2
+    def test_off_grid_samples_stay_out_of_the_mass(self):
+        h = histogram(np.array([0.5, 2.0, -3.0, 0.1]), (0.0, 1.0), 4)
+        assert h.mass.tolist() == [0.5, 0.0, 0.5, 0.0]
 
     def test_empty_support(self):
         with pytest.raises(EmptySupportError):

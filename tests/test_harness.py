@@ -23,7 +23,7 @@ from malakit.harness import (
     run_experiment,
     scaling_study,
 )
-from malakit.rng import subseed
+from malakit.rng import chain_rng, subseed
 from malakit.targets import TargetModel, make_gaussian
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +94,8 @@ MALFORMED = {
     "probe_dirs": MINIMAL.replace("kind = explicit\neta = 0.5", "kind = theorem1\nprobe_dirs = abc"),
     "precision": MINIMAL.replace("d = 1\nprecision = 1.0", "d = 3\nprecision = 1.0,2.0"),
     "constraint": MINIMAL + "\n[constraint]\ninner = 0.5\nouter = 1.0\n",
+    "seed": MINIMAL.replace("seed = 11", "seed = -5"),
+    "data_seed": ZERO_ONE.replace("data_seed = 5", "data_seed = -1"),
 }
 
 
@@ -137,7 +139,7 @@ def valid_specs(draw):
     """Valid specs: every target, sampler and schedule kind, with optional keys."""
     kind = draw(st.sampled_from(["gaussian", "logistic", "sigmoid", "zero_one"]))
     sizes = {"d": draw(st.integers(1, 50)), "r": draw(st.integers(1, 5000)),
-             "data_seed": draw(st.integers(-10**6, 10**6)), "q0": draw(_floats(0.0, 1.0, exclude_low=True))}
+             "data_seed": draw(st.integers(0, 10**6)), "q0": draw(_floats(0.0, 1.0, exclude_low=True))}
     if kind == "gaussian":
         d = sizes["d"]  # a precision list has one entry per coordinate
         target = {"d": d, "precision": draw(POSITIVE if d == 1 else st.one_of(POSITIVE, _float_lists(d, d)))}
@@ -175,7 +177,7 @@ def valid_specs(draw):
     return ExperimentSpec(
         name=draw(WORDS), target_kind=kind, target_params=target, sampler=sampler, lazy=draw(st.booleans()),
         schedule_kind=schedule, schedule_params=draw(params), iterations=draw(st.integers(1, 10**6)),
-        replicas=draw(st.integers(1, 1000)), seed=draw(st.integers(-2**62, 2**62)),
+        replicas=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2**62)),
         record_every=draw(st.integers(1, 100)),
         diagnostics=tuple(DiagnosticSpec(n, draw(diag_params[n])) for n in names),
         output=draw(st.one_of(st.none(), WORDS)), constraint_radii=radii)
@@ -336,7 +338,7 @@ class TestRunExperiment:
 
     def test_warm_start_needs_an_annulus(self, full_space):
         with pytest.raises(ValueError, match="annulus"):
-            harness.warm_annulus_init(make_gaussian(2, 1.0), full_space(), seed=3)
+            harness.warm_annulus_init(make_gaussian(2, 1.0), full_space(), chain_rng(3))
 
     def test_byte_identical_reruns_and_batch_invariance(self, tmp_path, solo_mismatches):
         spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = sweep\netas = 0.5,1.5"}))
@@ -447,7 +449,7 @@ class TestScalingStudy:
             built = harness.build_target(spec)
             (eta,), _ = harness.resolve_etas(spec, built)
             pilot = run_ensemble(built.target, "mala", eta, 500, np.zeros((200, d)),
-                                 subseed(spec.seed, idx) ^ 0xACC)
+                                 subseed(subseed(spec.seed, idx), 3))
             assert pilot.accepted_fraction >= 0.5, d
 
     def test_single_value_rejected(self):
@@ -503,6 +505,26 @@ class TestCli:
         bad.write_text(MALFORMED["etas"])
         assert cli_entry(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
         assert list((tmp_path / "out").glob("*.csv")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "mini.spec", "--seed", "-5"],
+        ["run", "negative.spec"],
+        ["sample", "--seed", "-1"],
+        ["optimize", "--count", "300", "--seed", "-1"],
+        ["diagnose", "hanson-wright", "--seed", "-1"],
+        ["dataset", "--dim", "2", "--count", "5", "--seed", "-1", "--out", "ds.csv"],
+    ], ids=["run", "run-spec", "sample", "optimize", "diagnose", "dataset"])
+    def test_negative_seed_is_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # At an earlier version each one printed its progress, made its output
+        # directory and failed in numpy with an error that named no key.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mini.spec").write_text(MINIMAL)
+        (tmp_path / "negative.spec").write_text(MALFORMED["seed"])
+        assert cli_entry(argv) == 1
+        err = capsys.readouterr().err
+        assert ("seed must be >= 0" if argv[0] == "run" and len(argv) == 2 else "--seed: must be >= 0") in err
+        assert "running" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.spec", "negative.spec"]
 
     def test_validation_failure_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.spec"
