@@ -27,11 +27,8 @@ from .targets import (  # noqa: F401
     save_dataset,
 )
 from .integrator import (  # noqa: F401
-    LeapfrogResult,
     NumericFailure,
-    PhaseState,
     leapfrog,
-    leapfrog_step,
     log_accept_energy,
     log_accept_proposal_form,
 )

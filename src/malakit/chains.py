@@ -208,7 +208,7 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
     the order found: at the start, then step by step, lowest row first.
     """
     mala = kind == "mala"
-    potential, value_and_grad = target.batch_oracles()
+    potential, value_and_grad = target.potential, target.value_and_grad
     x = np.array(x, dtype=float)
     live = np.ones(len(x), dtype=bool)
     per_row = np.ndim(eta) > 0

@@ -104,6 +104,8 @@ def cli_entry(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:  # every command, before any output
             parser.error(f"argument --seed: must be >= 0, got {args.seed}")
+        if getattr(args, "dim", None) is not None and args.dim < 1:
+            parser.error(f"argument --dim: the dimension must be >= 1, got {args.dim}")
     except _UsageError as exc:
         _progress(f"error: {exc}")
         parser.print_usage(sys.stderr)

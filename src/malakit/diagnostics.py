@@ -44,7 +44,7 @@ _EXACT_STATES = 16  # conductance enumerates all 2**n cuts up to here: a 65,534 
 
 
 class FitFailed(RuntimeError):
-    """Too few usable step sizes survived to fit a scaling exponent."""
+    """Too few usable step sizes, or no spread among them, to fit a scaling exponent."""
 
 
 def cheeger_1d(pi: GridDistribution, density: Callable[[float], float]) -> float:
@@ -88,12 +88,11 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
         raise ValueError(f"eta must be finite and positive, got {eta}")
     mids = grid.midpoints(0)
     width = grid.widths()[0]
-    potential, value_and_grad = target.batch_oracles()
     if kernel_kind == "mala":
-        pot, grad = value_and_grad(mids[:, None])
+        pot, grad = target.value_and_grad(mids[:, None])
         mean = mids - 0.5 * eta * eta * np.asarray(grad, dtype=float)[:, 0]
     else:
-        pot, mean = potential(mids[:, None]), mids
+        pot, mean = target.potential(mids[:, None]), mids
     log_pi = -np.asarray(pot, dtype=float)
     # log q[i, j]: proposal density from midpoint i to midpoint j
     diff = mids[None, :] - mean[:, None]
@@ -240,6 +239,8 @@ class ScalingFit:
         xs, ys = np.asarray(log_x, dtype=float), np.asarray(log_y, dtype=float)
         x_mean, y_mean = xs.mean(), ys.mean()
         sxx = float(np.sum((xs - x_mean) ** 2))
+        if sxx == 0.0:
+            raise FitFailed(f"no spread in the log step sizes {xs.tolist()}")
         sxy = float(np.sum((xs - x_mean) * (ys - y_mean)))
         slope = sxy / sxx
         intercept = float(y_mean - slope * x_mean)
@@ -274,13 +275,12 @@ def energy_error_scaling(
     if k is not None and k.gradient_bound:
         if any(e * e * k.gradient_bound >= 2.0 for e in etas):
             raise ValueError("all step sizes must satisfy eta^2 M < 2 (stability)")
-    _, value_and_grad = target.batch_oracles()
     log_e, log_v = [], []
     for idx, eta in enumerate(etas):
         rng = chain_rng(subseed(seed, idx))
         x, v = (np.asarray(a, dtype=float) for a in phase_dist(rng, samples_per_eta))
-        pot, grad = (np.asarray(a, dtype=float) for a in value_and_grad(x))
-        *_, d_h = leapfrog(value_and_grad, x, v, pot, grad, eta)
+        pot, grad = (np.asarray(a, dtype=float) for a in target.value_and_grad(x))
+        *_, d_h = leapfrog(target.value_and_grad, x, v, pot, grad, eta)
         mean_abs = float(np.mean(np.abs(d_h)))
         if not np.isfinite(mean_abs) or mean_abs <= 0.0:
             warnings.warn(f"dropping eta={eta:g}: non-finite or zero mean energy error", stacklevel=2)
@@ -321,6 +321,8 @@ def hanson_wright_check(d: int, xi: float, n: int, seed: int) -> HansonWrightRep
     Only valid for xi >= sqrt(2d); holds when the empirical tail stays
     within three binomial standard errors of the bound.
     """
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     if xi < math.sqrt(2.0 * d) * (1.0 - 1e-12):
         raise ValueError("the bound needs xi >= sqrt(2 d)")
     if n < 10**4:
@@ -328,7 +330,7 @@ def hanson_wright_check(d: int, xi: float, n: int, seed: int) -> HansonWrightRep
     rng = chain_rng(seed)
     exceed = 0
     remaining = n
-    chunk_rows = max(1, 2_000_000 // max(d, 1))
+    chunk_rows = max(1, 2_000_000 // d)
     while remaining > 0:
         rows = min(chunk_rows, remaining)
         z = rng.standard_normal((rows, d))

@@ -131,7 +131,7 @@ def grid_truth(target: TargetModel, bounds, bins, constraint: ConstraintSet | No
     if target.dimension != len(bins):
         raise ValueError(f"target dimension {target.dimension} does not match {len(bins)}D grid")
     points = _midpoint_mesh(lower, upper, bins)
-    log_w = -np.asarray(target.batch_oracles()[0](points), dtype=float)
+    log_w = -np.asarray(target.potential(points), dtype=float)
     if constraint is not None:
         inside = np.asarray(constraint.contains(points), dtype=bool)
         log_w = np.where(inside, log_w, -np.inf)

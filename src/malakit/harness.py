@@ -484,7 +484,7 @@ def warm_annulus_init(target: TargetModel, constraint: ConstraintSet, rng: np.ra
     pts = rng.standard_normal((64, target.dimension))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= inner + (outer - inner) * rng.random((len(pts), 1))
-    pot = np.asarray(target.batch_oracles()[0](pts), dtype=float)
+    pot = np.asarray(target.potential(pts), dtype=float)
     return pts[int(np.argmin(pot))]
 
 
@@ -748,6 +748,8 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
         raise ValueError("need at least 3 eta values")
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise ValueError(f"eta values must be positive, got {values}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"eta values must be distinct, got {values}")
     if template.lazy:
         raise ValueError("a scaling study runs eager chains; the template sets lazy = true")
     if template.sampler == "constrained-mala":

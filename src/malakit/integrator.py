@@ -1,8 +1,9 @@
-"""Phase-space state, the leapfrog kernel, and the acceptance rule.
+"""The leapfrog kernel and the acceptance rule.
 
-:func:`leapfrog` is the one leapfrog step in the package: the chain engine,
-:func:`leapfrog_step` (a batch of one) and the energy-error diagnostics all
-call it, so the checks of the step check the step the chains run.
+:func:`leapfrog` is the one leapfrog step in the package, on an ``(n, d)``
+batch of phase points: the chain engine, the energy-error diagnostics and
+the good-set check all call it, so the checks of the step check the step
+the chains run.  A single phase point is a batch of one.
 The Metropolis correction is driven entirely by the energy-conservation
 error of a single leapfrog step: the log acceptance probability is
 ``min(0, -dH)``.  An independent formulation of the same rule — the
@@ -14,18 +15,14 @@ accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .targets import TargetModel
 
 __all__ = [
-    "PhaseState",
-    "LeapfrogResult",
     "NumericFailure",
     "leapfrog",
-    "leapfrog_step",
     "log_accept_energy",
     "log_accept_proposal_form",
 ]
@@ -37,28 +34,6 @@ class NumericFailure(RuntimeError):
     def __init__(self, message: str, coordinates=()):
         super().__init__(message)
         self.coordinates = tuple(coordinates)
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Position/velocity pair the integrator acts on."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.position, dtype=float)
-        p = np.asarray(self.velocity, dtype=float)
-        if q.shape != p.shape:
-            raise ValueError("position and velocity must have equal shape")
-        object.__setattr__(self, "position", q)
-        object.__setattr__(self, "velocity", p)
-
-
-@dataclass(frozen=True)
-class LeapfrogResult:
-    proposal: PhaseState
-    energy_error: float
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -81,31 +56,6 @@ def leapfrog(value_and_grad, x, v, pot, grad, eta):
     v_hat = v - half * (grad + grad_hat)
     err = (pot_hat + 0.5 * _sq_norms(v_hat)) - (pot + 0.5 * _sq_norms(v))
     return x_hat, v_hat, pot_hat, grad_hat, err
-
-
-def leapfrog_step(target: TargetModel, state: PhaseState, eta: float) -> LeapfrogResult:
-    """One leapfrog step of size ``eta`` and its energy error: the batched
-    :func:`leapfrog` on a batch of one.
-
-    Uses exactly two gradient evaluations (at the current and proposed
-    positions); the energy error is the acceptance rule's input.
-    """
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and positive, got {eta}")
-    _, value_and_grad = target.batch_oracles()
-    x, v = state.position[None, :], state.velocity[None, :]
-    pot, grad = value_and_grad(x)
-    pot, grad = np.asarray(pot, dtype=float), np.asarray(grad, dtype=float)
-    _require_finite(grad, "gradient at current position")
-    x_hat, v_hat, pot_hat, grad_hat, err = leapfrog(value_and_grad, x, v, pot, grad, eta)
-    _require_finite(grad_hat, "gradient at proposal")
-    return LeapfrogResult(proposal=PhaseState(x_hat[0], v_hat[0]), energy_error=float(err[0]))
-
-
-def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        raise NumericFailure(f"non-finite {what} at coordinates {bad.tolist()}", bad.tolist())
 
 
 def log_accept_energy(energy_error):

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .targets import ConstraintSet, Dataset, TargetModel
-from .integrator import PhaseState
+from .integrator import leapfrog
 from .rng import chain_rng
 
 __all__ = [
@@ -65,8 +65,8 @@ def theorem3_bounds(r: int, phi: float) -> tuple[float, float]:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if phi < 1:
-        raise ValueError("incoherence is never below 1 for unit columns")
+    if not 1.0 <= phi < math.inf:
+        raise ValueError(f"incoherence must be finite and at least 1 for unit columns, got {phi}")
     return math.sqrt(r * phi), float(r)
 
 
@@ -207,48 +207,44 @@ class GoodSetParams:
     substeps: int = 8
 
     def __post_init__(self):
-        if self.alpha <= math.sqrt(2.0):
-            raise ValueError("alpha must exceed sqrt(2)")
-        if self.radius <= 0 or self.grad_bound <= 0 or self.horizon <= 0:
-            raise ValueError("radius, grad_bound and horizon must be positive")
+        floors = {"alpha": math.sqrt(2.0), "radius": 0.0, "grad_bound": 0.0, "horizon": 0.0}
+        problems = [f"{name} must be finite and above {floor:g}, got {getattr(self, name)}"
+                    for name, floor in floors.items() if not floor < getattr(self, name) < math.inf]
         if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+            problems.append(f"substeps must be >= 1, got {self.substeps}")
+        if problems:
+            raise ValueError("bad good-set parameters: " + "; ".join(problems))
 
 
-def good_set_check(target: TargetModel, state: PhaseState, params: GoodSetParams) -> bool:
-    """Does the Hamiltonian trajectory from ``state`` stay in the good set?
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows is outside the set
+def good_set_check(target: TargetModel, positions, velocities, params: GoodSetParams) -> np.ndarray:
+    """Does the Hamiltonian trajectory from each row of ``(positions,
+    velocities)``, an ``(n, d)`` pair, stay in the good set?  One bool per row.
 
-    Checks, along a fine leapfrog approximation of the flow on
-    ``[0, horizon]``: bad-direction velocity components below ``alpha``,
-    distance to the minimizer below ``(3/sqrt(2)) radius / sqrt(grad_bound)``,
-    and initial speed below ``radius``.  Targets without a bad-direction
-    matrix are checked against the coordinate directions.
+    A row is in the set when its initial speed is at most ``radius`` and, at
+    the start and after each of ``params.substeps`` :func:`leapfrog` steps of
+    ``horizon / substeps`` on the whole batch, its bad-direction velocity
+    components are at most ``alpha`` and its distance to the minimizer at
+    most ``(3/sqrt(2)) radius / sqrt(grad_bound)``.  Targets without a
+    bad-direction matrix are checked against the coordinate directions.
     """
     d = target.dimension
+    x, v = np.array(positions, dtype=float), np.array(velocities, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d or v.shape != x.shape:
+        raise ValueError(f"positions and velocities must both be (n, {d}), got {x.shape} and {v.shape}")
     bd = target.bad_directions if target.bad_directions is not None else np.eye(d)
     x_star = target.minimizer if target.minimizer is not None else np.zeros(d)
-    q = np.asarray(state.position, dtype=float)
-    p = np.asarray(state.velocity, dtype=float)
-    if float(np.linalg.norm(p)) > params.radius:
-        return False
     pos_bound = (3.0 / math.sqrt(2.0)) * params.radius / math.sqrt(params.grad_bound)
-    dt = params.horizon / params.substeps
 
-    def ok(qq, pp):
-        return (float(np.max(np.abs(bd.T @ pp))) <= params.alpha
-                and float(np.linalg.norm(qq - x_star)) <= pos_bound)
+    def ok(q, p):
+        return (np.max(np.abs(p @ bd), axis=1) <= params.alpha) & (np.linalg.norm(q - x_star, axis=1) <= pos_bound)
 
-    if not ok(q, p):
-        return False
-    grad = np.asarray(target.gradient(q), dtype=float)
+    good = (np.linalg.norm(v, axis=1) <= params.radius) & ok(x, v)
+    pot, grad = target.value_and_grad(x)
     for _ in range(params.substeps):
-        p_half = p - 0.5 * dt * grad
-        q = q + dt * p_half
-        grad = np.asarray(target.gradient(q), dtype=float)
-        p = p_half - 0.5 * dt * grad
-        if not ok(q, p):
-            return False
-    return True
+        x, v, pot, grad, _ = leapfrog(target.value_and_grad, x, v, pot, grad, params.horizon / params.substeps)
+        good &= ok(x, v)
+    return good
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,11 @@ class KnownConstants:
 class TargetModel:
     """A potential with gradient and optional higher-order structure.
 
-    ``fused`` is an optional ``x -> (potential(x), gradient(x))`` that must
-    agree with the separate callables bit-for-bit; read it through
+    ``potential``, ``gradient`` and ``fused`` must broadcast over leading
+    axes: the engines, grids and diagnostics pass an ``(n, d)`` batch and
+    read ``n`` potentials and an ``(n, d)`` gradient.  ``fused`` is
+    an optional ``x -> (potential(x), gradient(x))`` that must agree with
+    the separate callables bit-for-bit; read it through
     :attr:`value_and_grad`, which falls back to the separate calls.
     """
 
@@ -133,7 +136,6 @@ class TargetModel:
     known_constants: KnownConstants | None = None
     quadratic_precision: np.ndarray | None = None
     minimizer: np.ndarray | None = None
-    vectorized: bool = True
     third_directional: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float] | None = None
     fourth_directional: Callable[[np.ndarray, np.ndarray], float] | None = None
     fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
@@ -157,18 +159,6 @@ class TargetModel:
         if self.fused is not None:
             return self.fused
         return lambda x: (self.potential(x), self.gradient(x))
-
-    def batch_oracles(self):
-        """``(potential, value_and_grad)`` over an ``(n, d)`` batch of rows; a
-        target without vectorized callables is evaluated row by row."""
-        if self.vectorized:
-            return self.potential, self.value_and_grad
-
-        def value_and_grad(x):
-            pots, grads = zip(*(self.value_and_grad(row) for row in x))
-            return np.array(pots, dtype=float), np.array(grads, dtype=float)
-
-        return (lambda x: np.array([float(self.potential(row)) for row in x])), value_and_grad
 
 
 @dataclass(frozen=True)
@@ -457,6 +447,8 @@ def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> D
     minimal noise function compatible with the model's lower bound.
     Deterministic given ``seed``.
     """
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     theta = np.asarray(theta_star, dtype=float)
     if theta.shape != (d,):
         raise ValueError("theta_star must have length d")
@@ -504,8 +496,8 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
     ``scale**2`` — C3 by ``scale**3``, C4 by ``scale**4``, tail rate by
     ``scale``).  Bad directions are unchanged.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     s = float(scale)
     base_pot, base_grad, base_fused = target.potential, target.gradient, target.value_and_grad
 
@@ -546,7 +538,6 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
         known_constants=constants,
         quadratic_precision=None if target.quadratic_precision is None else target.quadratic_precision * s * s,
         minimizer=None if target.minimizer is None else target.minimizer / s,
-        vectorized=target.vectorized,
         third_directional=third,
         fourth_directional=fourth,
     )

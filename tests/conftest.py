@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -42,6 +43,23 @@ def _solo_mismatches(spec, out_dir, tmp_dir) -> list[str]:
 @pytest.fixture
 def solo_mismatches():
     return _solo_mismatches
+
+
+def _row_by_row(target):
+    """A copy of ``target`` whose oracles take an ``(n, d)`` batch one row
+    at a time: the reference that batched evaluation is checked against."""
+    def value_and_grad(x):
+        pots, grads = zip(*(target.value_and_grad(row) for row in x))
+        return np.array(pots, dtype=float), np.array(grads, dtype=float)
+
+    return dataclasses.replace(target, potential=lambda x: np.array([float(target.potential(row)) for row in x]),
+                               gradient=lambda x: np.array([target.gradient(row) for row in x], dtype=float),
+                               fused=value_and_grad)
+
+
+@pytest.fixture(scope="session")  # session scope: a plain function, safe under hypothesis
+def row_by_row():
+    return _row_by_row
 
 
 def _full_space() -> ConstraintSet:

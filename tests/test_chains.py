@@ -26,7 +26,7 @@ from malakit.chains import (
 )
 from malakit.diagnostics import energy_error_scaling, transition_matrix_1d
 from malakit.grids import GridDistribution, grid_truth
-from malakit.integrator import NumericFailure, PhaseState, leapfrog_step, log_accept_proposal_form
+from malakit.integrator import NumericFailure, log_accept_proposal_form
 from malakit.regularity import constraint_exit_estimate
 from malakit.rng import chain_rng
 from malakit.targets import (
@@ -270,7 +270,6 @@ STEP_SIZE_ENTRIES = {
     "run_ensemble": lambda eta: run_ensemble(STD_1D, "rwm", eta, 10, np.zeros((4, 1)), 0),
     "transition_matrix_1d": lambda eta: transition_matrix_1d(STD_1D, "mala", eta,
                                                              grid_truth(STD_1D, (-6.0, 6.0), 20)),
-    "leapfrog_step": lambda eta: leapfrog_step(STD_1D, PhaseState(np.zeros(1), np.ones(1)), eta),
     "log_accept_proposal_form": lambda eta: log_accept_proposal_form(STD_1D, np.zeros(1), np.ones(1), eta),
     "constraint_exit_estimate": lambda eta: constraint_exit_estimate(
         make_gaussian(2, 1.0), annulus(0.5, 1.0), eta, np.array([0.75, 0.0]), 100, 0),
@@ -554,11 +553,11 @@ class TestLockstep:
         for j in (0, 2):
             assert_traces_identical(batch[j], run_mala(t, configs[j], inits[j]))
 
-    def test_row_by_row_target(self):
+    def test_row_by_row_target(self, row_by_row):
         g = make_gaussian(2, [1.0, 3.0])
         configs, inits = lockstep_case("mala", 2, [(0.4, 5), (0.9, 6)], lazy=True,
                                        record_every=2, iterations=100)
-        rowwise = run_chains(dataclasses.replace(g, vectorized=False), "mala", configs, inits)
+        rowwise = run_chains(row_by_row(g), "mala", configs, inits)
         for a, b in zip(run_chains(g, "mala", configs, inits), rowwise):
             assert_traces_identical(a, b)
 

@@ -1,6 +1,5 @@
 """Grids, TV, Cheeger/conductance, kernels, mixing, scaling, tails."""
 
-import dataclasses
 import math
 import warnings
 
@@ -14,6 +13,7 @@ from scipy.special import ndtr
 from malakit.chains import ChainConfig, run_mala
 from malakit.diagnostics import (
     FitFailed,
+    ScalingFit,
     acceptance_stats,
     cheeger_1d,
     conductance,
@@ -201,7 +201,7 @@ class TestTransitionMatrix:
     @settings(max_examples=40, deadline=None)
     @given(c1=st.floats(-1.0, 1.0), c2=st.floats(-1.0, 1.0), c3=st.floats(-0.3, 0.3),
            c4=st.floats(0.1, 1.0), kind=st.sampled_from(["mala", "rwm"]), eta=st.floats(0.2, 0.6))
-    def test_detailed_balance_on_random_potentials(self, c1, c2, c3, c4, kind, eta):
+    def test_detailed_balance_on_random_potentials(self, c1, c2, c3, c4, kind, eta, row_by_row):
         # U(x) = c1 x + c2 x^2 + c3 x^3 + c4 x^4: smooth, confining, possibly
         # double-welled.  Only + and * so a row-by-row copy rounds identically.
         def potential(x):
@@ -213,7 +213,7 @@ class TestTransitionMatrix:
             return c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4)))
 
         target = TargetModel(dimension=1, potential=potential, gradient=gradient, name="quartic")
-        rowwise = dataclasses.replace(target, vectorized=False)
+        rowwise = row_by_row(target)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             grid = grid_truth(target, (-8.0, 8.0), 200)
@@ -499,6 +499,11 @@ class TestEnergyScaling:
         with pytest.raises(ValueError):
             energy_error_scaling(STD_1D, self.phase(1), [2.0, 0.2, 0.02], 100, 0)  # unstable eta
 
+    def test_no_fit_without_spread(self):
+        # Repeated step sizes divided by zero at an earlier version.
+        with pytest.raises(FitFailed, match="no spread"):
+            ScalingFit.from_logs([math.log(0.5)] * 3, [1.0, 2.0, 3.0])
+
 
 class TestAcceptanceStats:
     GOLDEN_ACCEPT = 0.9900  # long-run accepted fraction, 1D unit Gaussian, eta = 0.5
@@ -549,3 +554,10 @@ class TestHansonWright:
     def test_xi_validation(self):
         with pytest.raises(ValueError):
             hanson_wright_check(10, math.sqrt(20.0) - 0.1, 10**4, 0)
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_dimension_validation(self, d):
+        # d = 0 reported on a 0-dimensional Gaussian at an earlier version,
+        # and d = -3 failed with "math domain error".
+        with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
+            hanson_wright_check(d, 1.0, 10**4, 0)

@@ -458,6 +458,8 @@ class TestScalingStudy:
             scaling_study(spec, [0.5])
         with pytest.raises(ValueError, match="positive"):
             scaling_study(spec, [0.5, 0.25, 0.0])
+        with pytest.raises(ValueError, match="distinct"):
+            scaling_study(spec, [0.5, 0.25, 0.5])
 
     @pytest.mark.parametrize("edits, reason", [
         ({"kind = mala": "kind = mala\nlazy = true"}, "lazy"),
@@ -525,6 +527,25 @@ class TestCli:
         assert ("seed must be >= 0" if argv[0] == "run" and len(argv) == 2 else "--seed: must be >= 0") in err
         assert "running" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.spec", "negative.spec"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dataset", "--dim", "0", "--count", "5", "--out", "ds.csv"], "--dim: the dimension must be >= 1, got 0"),
+        (["dataset", "--dim", "-3", "--count", "5", "--out", "ds.csv"], "--dim: the dimension must be >= 1, got -3"),
+        (["diagnose", "hanson-wright", "--dim", "0"], "--dim: the dimension must be >= 1, got 0"),
+        (["diagnose", "hanson-wright", "--dim", "-3"], "--dim: the dimension must be >= 1, got -3"),
+        (["scaling", "mini.spec", "--axis", "eta", "--values", "0.5,0.5,0.5"], "eta values must be distinct"),
+    ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated"])
+    def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
+        # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
+        # index error, ``hanson-wright --dim 0`` reported at exit 0, and
+        # repeated eta values ran every chain before a division by zero.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mini.spec").write_text(MINIMAL)
+        assert cli_entry(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["mini.spec"]
 
     def test_validation_failure_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.spec"

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from malakit.integrator import PhaseState
 from malakit.regularity import (
     GoodSetParams,
     _estimate_tail_rate,
@@ -93,6 +94,10 @@ class TestTheorem3Bounds:
             theorem3_bounds(0, 1.0)
         with pytest.raises(ValueError):
             theorem3_bounds(3, 0.5)
+        # NaN passed a ``phi < 1`` check at an earlier version: (nan, 3.0).
+        for phi in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                theorem3_bounds(3, phi)
 
 
 class TestDerivativeEstimators:
@@ -197,32 +202,111 @@ class TestTailDecay:
         assert tail_decay_holds(samples, np.zeros(1), min(rate, 5.0) * 0.99, 1)
 
 
+def _verlet_path(target, q, p, horizon, substeps):
+    """The start and each substep of the scalar velocity-Verlet loop that
+    ``good_set_check`` ran before it stepped ``leapfrog``."""
+    yield q, p
+    dt = horizon / substeps
+    grad = np.asarray(target.gradient(q), dtype=float)
+    for _ in range(substeps):
+        p_half = p - 0.5 * dt * grad
+        q = q + dt * p_half
+        grad = np.asarray(target.gradient(q), dtype=float)
+        p = p_half - 0.5 * dt * grad
+        yield q, p
+
+
+def _frame(target):
+    d = target.dimension
+    return (target.bad_directions if target.bad_directions is not None else np.eye(d),
+            target.minimizer if target.minimizer is not None else np.zeros(d))
+
+
+def verlet_good_set(target, q, p, params) -> bool:
+    """The reference: the scalar check of one phase point, stopping at the
+    first point of the path outside the set."""
+    bd, x_star = _frame(target)
+    if float(np.linalg.norm(p)) > params.radius:
+        return False
+    pos_bound = (3.0 / math.sqrt(2.0)) * params.radius / math.sqrt(params.grad_bound)
+    return all(float(np.max(np.abs(bd.T @ pp))) <= params.alpha and float(np.linalg.norm(qq - x_star)) <= pos_bound
+               for qq, pp in _verlet_path(target, q, p, params.horizon, params.substeps))
+
+
 class TestGoodSet:
     PARAMS = GoodSetParams(alpha=4.0, radius=3.0 * math.sqrt(10.0), grad_bound=1.0, horizon=0.3, substeps=8)
 
     def test_rest_at_minimizer(self):
         g = make_gaussian(10, 1.0)
-        assert good_set_check(g, PhaseState(np.zeros(10), np.zeros(10)), self.PARAMS)
+        assert good_set_check(g, np.zeros((1, 10)), np.zeros((1, 10)), self.PARAMS).tolist() == [True]
 
     def test_fast_velocity_fails(self):
         g = make_gaussian(10, 1.0)
-        v = np.zeros(10)
-        v[0] = self.PARAMS.radius + 1.0
-        assert not good_set_check(g, PhaseState(np.zeros(10), v), self.PARAMS)
+        v = np.zeros((2, 10))
+        v[0, 0] = self.PARAMS.radius + 1.0
+        assert good_set_check(g, np.zeros((2, 10)), v, self.PARAMS).tolist() == [False, True]
 
     def test_monotone_in_thresholds(self):
         g = make_gaussian(10, 1.0)
         rng = chain_rng(16)
         bigger = GoodSetParams(alpha=6.0, radius=self.PARAMS.radius * 2.0, grad_bound=0.5,
                                horizon=0.3, substeps=8)
-        for _ in range(200):
-            s = PhaseState(rng.standard_normal(10), rng.standard_normal(10))
-            if good_set_check(g, s, self.PARAMS):
-                assert good_set_check(g, s, bigger)
+        x, v = rng.standard_normal((200, 10)), rng.standard_normal((200, 10))
+        inside = good_set_check(g, x, v, self.PARAMS)
+        assert np.all(good_set_check(g, x, v, bigger)[inside])
+
+    def test_rows_must_match_the_target(self):
+        g = make_gaussian(3, 1.0)
+        for x, v in ((np.zeros(3), np.zeros(3)), (np.zeros((2, 3)), np.zeros((3, 3))), (np.zeros((2, 4)),) * 2):
+            with pytest.raises(ValueError, match=r"\(n, 3\)"):
+                good_set_check(g, x, v, self.PARAMS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "logistic"]), d=st.integers(1, 4), n=st.integers(1, 6),
+           seed=st.integers(0, 2**31), horizon=st.floats(0.05, 1.0), substeps=st.integers(1, 8),
+           slack=st.tuples(*[st.floats(1e-6, 0.1).flatmap(lambda e: st.sampled_from([-e, e]))] * 3))
+    def test_rows_equal_single_rows_and_the_verlet_loop(self, kind, d, n, seed, horizon, substeps, slack):
+        rng = chain_rng(seed)
+        if kind == "gaussian":
+            target = make_gaussian(d, 0.5 + rng.random(d))
+        else:
+            target = make_logistic_regression(sample_sphere_dataset(d, 20, e1(d), 0.7, seed), 1.0)
+        x, v = rng.standard_normal((n, d)), 3.0 * rng.standard_normal((n, d))
+        # Thresholds within a relative ``slack`` (1e-6 to 0.1, either side)
+        # of row 0's extremes along its path, so row 0 sits near the boundary.
+        bd, x_star = _frame(target)
+        path = list(_verlet_path(target, x[0], v[0], horizon, substeps))
+        alpha = max(float(np.max(np.abs(bd.T @ pp))) for _, pp in path) * (1.0 + slack[0])
+        radius = float(np.linalg.norm(v[0])) * (1.0 + slack[1])
+        reach = max(float(np.linalg.norm(qq - x_star)) for qq, _ in path) * (1.0 + slack[2])
+        assume(alpha > math.sqrt(2.0) and reach > 0.0)
+        params = GoodSetParams(alpha=alpha, radius=radius, grad_bound=(3.0 / math.sqrt(2.0) * radius / reach) ** 2,
+                               horizon=horizon, substeps=substeps)
+        batched = good_set_check(target, x, v, params)
+        assert batched.dtype == bool and batched.shape == (n,)
+        for j in range(n):
+            assert batched[j] == good_set_check(target, x[j:j + 1], v[j:j + 1], params)[0]
+            assert batched[j] == verlet_good_set(target, x[j], v[j], params)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             GoodSetParams(alpha=1.0, radius=1.0, grad_bound=1.0, horizon=0.1)
+
+    @pytest.mark.parametrize("field, bad", [("alpha", math.nan), ("radius", math.nan),
+                                            ("grad_bound", math.nan), ("horizon", math.inf)])
+    def test_thresholds_must_be_finite(self, field, bad):
+        # Each built at an earlier version; the check then answered False
+        # for every phase point, and horizon = inf warned from numpy.
+        fields = {"alpha": 4.0, "radius": 1.0, "grad_bound": 1.0, "horizon": 0.1, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite") as err:
+            GoodSetParams(**fields)
+        assert str(err.value).count("must be") == 1
+
+    def test_every_problem_listed(self):
+        with pytest.raises(ValueError) as err:
+            GoodSetParams(alpha=math.nan, radius=math.nan, grad_bound=math.nan, horizon=math.inf, substeps=0)
+        assert [part.split(" must")[0] for part in str(err.value).split(": ", 1)[1].split("; ")] == [
+            "alpha", "radius", "grad_bound", "horizon", "substeps"]
 
 
 class TestExitEstimate:

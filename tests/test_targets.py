@@ -266,6 +266,9 @@ class TestSphereDataset:
             sample_sphere_dataset(3, 5, 2.0 * e1(3), 0.5, 1)
         with pytest.raises(ValueError):
             sample_sphere_dataset(3, 5, e1(3), 0.0, 1)
+        for d in (0, -3):
+            with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
+                sample_sphere_dataset(d, 5, np.zeros(0), 0.5, 1)
 
 
 class TestAnnulus:
@@ -317,6 +320,12 @@ class TestPrecondition:
         for _ in range(20):
             x = rng.standard_normal(3)
             assert float(roundtrip.potential(x)) == pytest.approx(float(base.potential(x)), abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        # NaN and inf passed a ``scale <= 0`` check at an earlier version.
+        with pytest.raises(ValueError, match="finite and positive"):
+            precondition(make_gaussian(1, 1.0), scale)
 
     def test_constant_rescaling(self):
         g = make_gaussian(2, [1.0, 2.0])
