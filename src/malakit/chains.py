@@ -426,13 +426,11 @@ def extract_minimizer(trace: ChainTrace) -> tuple[np.ndarray, float]:
 
 
 def theorem1_step_size(c3: float, c4: float, gradient_bound: float, d: int,
-                       tail_rate: float | None = None, safety_constant: float = 1.0) -> float:
+                       safety_constant: float = 1.0) -> float:
     """Step size from the higher-order regularity constants.
 
-    eta = c * min(C3^{-1/3} d^{-1/6}, d^{-1/3}, C4^{-1/4}) * min(1, M^{-1/2}) * f
-    where terms with a zero constant drop out of the min and ``f`` is the
-    reciprocal iterated-log tail factor, clamped to (0, 1] so the schedule
-    is computable for every tail rate.
+    eta = c * min(C3^{-1/3} d^{-1/6}, d^{-1/3}, C4^{-1/4}) * min(1, M^{-1/2}),
+    where terms with a zero constant drop out of the min.
     """
     if not 0.0 < gradient_bound < math.inf:
         raise ValueError(f"gradient_bound must be finite and positive, got {gradient_bound}")
@@ -447,9 +445,4 @@ def theorem1_step_size(c3: float, c4: float, gradient_bound: float, d: int,
         terms.append(c3 ** (-1.0 / 3.0) * d ** (-1.0 / 6.0))
     if c4 > 0:
         terms.append(c4 ** (-0.25))
-    loglog_factor = 1.0
-    if tail_rate is not None and tail_rate > 0:
-        t = -math.log(tail_rate)  # log(1/a)
-        if t > 0:
-            loglog_factor = min(1.0, 1.0 / max(1.0, math.log(t)))
-    return safety_constant * min(terms) * min(1.0, gradient_bound ** -0.5) * loglog_factor
+    return safety_constant * min(terms) * min(1.0, gradient_bound ** -0.5)

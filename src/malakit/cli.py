@@ -229,20 +229,14 @@ def _cmd_diagnose(args) -> int:
                           "ratio_to_eta_cheeger": cond / (args.eta * psi)}, sort_keys=True))
         return 0
     if args.check == "energy-scaling":
-        target_d = make_gaussian(args.dim, 1.0)
-
-        def phase(rng, n):
-            return rng.standard_normal((n, args.dim)), rng.standard_normal((n, args.dim))
-
-        fit = energy_error_scaling(target_d, phase, [0.4, 0.2, 0.1, 0.05, 0.025], 4000, args.seed)
+        fit = energy_error_scaling(make_gaussian(args.dim, 1.0), [0.4, 0.2, 0.1, 0.05, 0.025], 4000, args.seed)
         print(json.dumps({"slope": fit.slope, "r_squared": fit.r_squared}, sort_keys=True))
         return 0
     # exit-probability
-    target_d = make_gaussian(max(args.dim, 2), 1.0)
-    ring = annulus(0.5, 1.0)
-    z = np.zeros(target_d.dimension)
+    z = np.zeros(args.dim)
     z[0] = 0.75
-    report = constraint_exit_estimate(target_d, ring, args.eta, z, args.draws, args.seed)
+    report = constraint_exit_estimate(make_gaussian(args.dim, 1.0), annulus(0.5, 1.0), args.eta, z, args.draws,
+                                      args.seed)
     print(json.dumps(report.__dict__, sort_keys=True))
     return 0
 

@@ -643,10 +643,7 @@ def _run_diagnostics(spec, built, traces, stats):
             floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed, 10**6 + 1))
             block = {"raw": raw, "binning_floor": floor, "corrected": raw - floor, "replicas": finals.shape[0]}
         elif diag.name == "energy_error_scaling":
-            def phase(rng, n):
-                return rng.standard_normal((n, target.dimension)), rng.standard_normal((n, target.dimension))
-
-            fit = energy_error_scaling(target, phase, p["etas"], p["samples"], spec.seed)
+            fit = energy_error_scaling(target, p["etas"], p["samples"], spec.seed)
             block = {"slope": fit.slope, "r_squared": fit.r_squared}
         elif diag.name == "regularity":
             block = asdict(build_regularity_report(target, built.dataset, p["probe_points"], p["probe_dirs"],

@@ -1,4 +1,4 @@
-"""Empirical regularity analysis: incoherence, C3/C4, tails, good set.
+"""Empirical regularity analysis: incoherence, C3/C4, gradient bound, good set.
 
 The probe-based estimators certify *lower* bounds only — a finite probe
 family can never certify an upper bound over all of space — and are
@@ -161,7 +161,7 @@ class GradientBoundEstimate:
 
 def gradient_cloud(target: TargetModel, probe_points: int, seed: int) -> np.ndarray:
     """The standard Gaussian cloud around the origin that the gradient-bound
-    and tail-rate estimates read: ``max(probe_points, 16)`` points from
+    estimate reads: ``max(probe_points, 16)`` points from
     ``chain_rng(seed, 10**6)``, a node apart from every probe and cell."""
     return chain_rng(seed, 10**6).standard_normal((max(probe_points, 16), target.dimension))
 
@@ -179,21 +179,6 @@ def estimate_gradient_bound(target: TargetModel, region_samples) -> GradientBoun
             if gap > 1e-12:
                 smooth = max(smooth, float(np.linalg.norm(grads[a] - grads[b])) / gap)
     return GradientBoundEstimate(gradient_bound=bound, smoothness=smooth)
-
-
-def _estimate_tail_rate(samples, x_star, d: int) -> float | None:
-    """Largest rate consistent with the empirical survival at deciles."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    dist = np.linalg.norm(x - np.asarray(x_star, dtype=float), axis=1)
-    qs = np.quantile(dist, np.arange(1, 10) / 10.0)
-    rates = []
-    for s in qs:
-        emp = float(np.mean(dist > s))
-        if s > 1e-12 and emp > 0.0:
-            rates.append(-math.sqrt(d) * math.log(emp) / s)
-    return min(rates) if rates else None
 
 
 @dataclass(frozen=True)
@@ -224,7 +209,7 @@ def good_set_check(target: TargetModel, positions, velocities, params: GoodSetPa
     A row is in the set when its initial speed is at most ``radius`` and, at
     the start and after each of ``params.substeps`` :func:`leapfrog` steps of
     ``horizon / substeps`` on the whole batch, its bad-direction velocity
-    components are at most ``alpha`` and its distance to the minimizer at
+    components are at most ``alpha`` and its distance to the origin at
     most ``(3/sqrt(2)) radius / sqrt(grad_bound)``.  Targets without a
     bad-direction matrix are checked against the coordinate directions.
     """
@@ -233,11 +218,10 @@ def good_set_check(target: TargetModel, positions, velocities, params: GoodSetPa
     if x.ndim != 2 or x.shape[1] != d or v.shape != x.shape:
         raise ValueError(f"positions and velocities must both be (n, {d}), got {x.shape} and {v.shape}")
     bd = target.bad_directions if target.bad_directions is not None else np.eye(d)
-    x_star = target.minimizer if target.minimizer is not None else np.zeros(d)
     pos_bound = (3.0 / math.sqrt(2.0)) * params.radius / math.sqrt(params.grad_bound)
 
     def ok(q, p):
-        return (np.max(np.abs(p @ bd), axis=1) <= params.alpha) & (np.linalg.norm(q - x_star, axis=1) <= pos_bound)
+        return (np.max(np.abs(p @ bd), axis=1) <= params.alpha) & (np.linalg.norm(q, axis=1) <= pos_bound)
 
     good = (np.linalg.norm(v, axis=1) <= params.radius) & ok(x, v)
     pot, grad = target.value_and_grad(x)
@@ -295,7 +279,6 @@ class RegularityReport:
     c4_estimate: float
     gradient_bound_estimate: float
     smoothness_estimate: float
-    tail_rate_estimate: float | None
     probe_points: int
     probe_dirs: int
     seed: int
@@ -306,9 +289,9 @@ class RegularityReport:
     def rows(self) -> list[tuple[str, str, str, str]]:
         """(quantity, bound, estimate, status) rows for table printers."""
         def fmt(v):
-            return "-" if v is None else f"{v:.6g}"
+            return f"{v:.6g}"
 
-        rows = [
+        return [
             ("incoherence", "-", fmt(self.incoherence), "exact"),
             ("C3", fmt(self.c3_bound), fmt(self.c3_estimate),
              "ok" if self.c3_estimate <= self.c3_bound * 1.05 else "VIOLATED"),
@@ -316,23 +299,19 @@ class RegularityReport:
              "ok" if self.c4_estimate <= self.c4_bound * 1.05 else "VIOLATED"),
             ("gradient bound", "-", fmt(self.gradient_bound_estimate), "lower bound"),
             ("smoothness", "-", fmt(self.smoothness_estimate), "lower bound"),
-            ("tail rate", "-", fmt(self.tail_rate_estimate), "estimate"),
         ]
-        return rows
 
 
 def build_regularity_report(target: TargetModel, data: Dataset, probe_points: int,
                             probe_dirs: int, seed: int) -> RegularityReport:
     """Assemble the full report for an empirical-loss target; the
-    :func:`gradient_cloud` feeds the gradient-bound and tail-rate estimates."""
+    :func:`gradient_cloud` feeds the gradient-bound and smoothness estimates."""
     phi = incoherence(data)
     c3_bound, c4_bound = theorem3_bounds(data.count, phi)
     c3_est = estimate_c3(target, probe_points, probe_dirs, seed)
     c4_est = estimate_c4(target, probe_points, probe_dirs, seed)
     samples = gradient_cloud(target, probe_points, seed)
     grad_est = estimate_gradient_bound(target, list(samples))
-    center = target.minimizer if target.minimizer is not None else np.zeros(target.dimension)
-    tail = _estimate_tail_rate(samples, center, target.dimension)
     return RegularityReport(
         incoherence=phi,
         c3_bound=c3_bound,
@@ -341,7 +320,6 @@ def build_regularity_report(target: TargetModel, data: Dataset, probe_points: in
         c4_estimate=c4_est,
         gradient_bound_estimate=grad_est.gradient_bound,
         smoothness_estimate=grad_est.smoothness,
-        tail_rate_estimate=tail,
         probe_points=probe_points,
         probe_dirs=probe_dirs,
         seed=seed,

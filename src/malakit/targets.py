@@ -135,7 +135,6 @@ class TargetModel:
     bad_directions: np.ndarray | None = None
     known_constants: KnownConstants | None = None
     quadratic_precision: np.ndarray | None = None
-    minimizer: np.ndarray | None = None
     third_directional: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float] | None = None
     fourth_directional: Callable[[np.ndarray, np.ndarray], float] | None = None
     fused: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
@@ -147,10 +146,10 @@ class TargetModel:
             bd = np.asarray(self.bad_directions, dtype=float)
             if bd.shape[0] != self.dimension:
                 raise ValueError("bad_directions must have d rows")
-            if bd.shape[1] > 0:
-                norms = np.linalg.norm(bd, axis=0)
-                if np.any(np.abs(norms - 1.0) > 1e-9):
-                    raise ValueError("bad_directions columns must be unit norm")
+            if bd.shape[1] == 0:
+                raise ValueError("bad_directions has no columns; pass None for a target without bad directions")
+            if np.any(np.abs(np.linalg.norm(bd, axis=0) - 1.0) > 1e-9):
+                raise ValueError("bad_directions columns must be unit norm")
             object.__setattr__(self, "bad_directions", bd)
 
     @property
@@ -262,16 +261,12 @@ def _linear_composite(
     def potential(x):
         x = np.asarray(x, dtype=float)
         quad = 0.5 * prior_precision * (x * x).sum(axis=-1)
-        if a.shape[1] == 0:
-            return quad
         t = x @ a
         return quad + weight * value(t).sum(axis=-1)
 
     def gradient(x):
         x = np.asarray(x, dtype=float)
         grad = prior_precision * x
-        if a.shape[1] == 0:
-            return grad
         t = x @ a
         return grad + weight * (d1(t) @ a.T)
 
@@ -279,20 +274,14 @@ def _linear_composite(
         x = np.asarray(x, dtype=float)
         quad = 0.5 * prior_precision * (x * x).sum(axis=-1)
         grad = prior_precision * x
-        if a.shape[1] == 0:
-            return quad, grad
         val, der = value_d1(x @ a)
         return quad + weight * val.sum(axis=-1), grad + weight * (der @ a.T)
 
     def third_directional(x, u, v, w):
-        if a.shape[1] == 0:
-            return 0.0
         t = np.asarray(x, dtype=float) @ a
         return float(weight * np.sum(d3(t) * (u @ a) * (v @ a) * (w @ a)))
 
     def fourth_directional(x, u):
-        if a.shape[1] == 0:
-            return 0.0
         t = np.asarray(x, dtype=float) @ a
         return float(weight * np.sum(d4(t) * (u @ a) ** 4))
 
@@ -348,7 +337,6 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
         name=f"gaussian-d{d}",
         known_constants=KnownConstants(gradient_bound=float(np.max(lam)), c3=0.0, c4=0.0),
         quadratic_precision=lam,
-        minimizer=np.zeros(d),
     )
 
 
@@ -493,8 +481,8 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
     The gradient picks up one factor of ``scale`` by the chain rule; known
     constants rescale accordingly (gradient bound by ``scale`` in the
     gradient-norm reading — the Lipschitz-smoothness reading would scale by
-    ``scale**2`` — C3 by ``scale**3``, C4 by ``scale**4``, tail rate by
-    ``scale``).  Bad directions are unchanged.
+    ``scale**2`` — C3 by ``scale**3``, C4 by ``scale**4``).  Bad directions
+    are unchanged.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale}")
@@ -537,7 +525,6 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
         bad_directions=target.bad_directions,
         known_constants=constants,
         quadratic_precision=None if target.quadratic_precision is None else target.quadratic_precision * s * s,
-        minimizer=None if target.minimizer is None else target.minimizer / s,
         third_directional=third,
         fourth_directional=fourth,
     )

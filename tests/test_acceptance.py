@@ -104,7 +104,7 @@ def test_02_stationarity():
     rng = chain_rng(123)
     init = 0.5 * rng.standard_normal((replicas, 1))  # exactly 2-warm vs N(0,1)
 
-    eta = theorem1_step_size(0.0, 0.0, 1.0, 1, None, 0.5)
+    eta = theorem1_step_size(0.0, 0.0, 1.0, 1, 0.5)
     res = run_ensemble(STD_1D, "mala", eta, iterations, init, seed=77)
     tv_mala = tv_distance(histogram(res.positions, (-6.0, 6.0), 60), truth) - floor
 
@@ -140,17 +140,10 @@ def test_02_stationarity():
 def test_03_energy_error_order():
     """Energy error scales as eta^3 .. eta^4 over one decade of step sizes."""
     etas = [0.4, 0.2, 0.1, 0.05, 0.025]
-
-    def phase(d):
-        def draw(rng, n):
-            return rng.standard_normal((n, d)), rng.standard_normal((n, d))
-
-        return draw
-
-    fit_g = energy_error_scaling(STD_1D, phase(1), etas, 4000, 90)
+    fit_g = energy_error_scaling(STD_1D, etas, 4000, 90)
     data = sample_sphere_dataset(5, 20, e1(5), 0.7, 2)
     logistic = make_logistic_regression(data, 1.0)
-    fit_l = energy_error_scaling(logistic, phase(5), etas, 4000, 91)
+    fit_l = energy_error_scaling(logistic, etas, 4000, 91)
     ok = 2.5 <= fit_g.slope <= 4.5 and 2.5 <= fit_l.slope <= 4.5 and fit_l.slope >= 2.5
     report(3, "energy-error-order", ok,
            f"slopes: gaussian={fit_g.slope:.3f}, logistic={fit_l.slope:.3f} (band [2.5, 4.5])")

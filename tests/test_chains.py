@@ -239,15 +239,6 @@ class TestTheorem1StepSize:
     def test_c4_term(self):
         assert theorem1_step_size(0.0, 16.0, 1.0, 1) == pytest.approx(0.5)
 
-    def test_tail_factor_clamped(self):
-        # large rates and rates above 1/e collapse to factor 1
-        assert theorem1_step_size(0.0, 0.0, 1.0, 8, tail_rate=0.5) == pytest.approx(0.5)
-        assert theorem1_step_size(0.0, 0.0, 1.0, 8, tail_rate=2.0) == pytest.approx(0.5)
-        # tiny rate engages the reciprocal iterated log
-        tiny = theorem1_step_size(0.0, 0.0, 1.0, 8, tail_rate=1e-10)
-        expect = 0.5 / math.log(math.log(1e10))
-        assert tiny == pytest.approx(expect)
-
     def test_safety_constant(self):
         assert theorem1_step_size(0.0, 0.0, 1.0, 8, safety_constant=0.5) == pytest.approx(0.25)
 
@@ -260,10 +251,6 @@ class TestTheorem1StepSize:
             theorem1_step_size(constants["c3"], constants["c4"], 1.0, 8)
 
 
-def _unit_phase(rng, n):
-    return rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
-
-
 # Every entry point that takes a step size, called with ``eta`` in that place.
 STEP_SIZE_ENTRIES = {
     "ChainConfig": lambda eta: ChainConfig(step_size=eta, iterations=10, seed=0),
@@ -273,8 +260,8 @@ STEP_SIZE_ENTRIES = {
     "log_accept_proposal_form": lambda eta: log_accept_proposal_form(STD_1D, np.zeros(1), np.ones(1), eta),
     "constraint_exit_estimate": lambda eta: constraint_exit_estimate(
         make_gaussian(2, 1.0), annulus(0.5, 1.0), eta, np.array([0.75, 0.0]), 100, 0),
-    "energy_error_scaling": lambda eta: energy_error_scaling(STD_1D, _unit_phase, [eta, 0.1, 0.01], 10, 0),
-    "theorem1_step_size safety": lambda eta: theorem1_step_size(1.0, 1.0, 1.0, 8, None, eta),
+    "energy_error_scaling": lambda eta: energy_error_scaling(STD_1D, [eta, 0.1, 0.01], 10, 0),
+    "theorem1_step_size safety": lambda eta: theorem1_step_size(1.0, 1.0, 1.0, 8, eta),
     "theorem1_step_size gradient_bound": lambda eta: theorem1_step_size(1.0, 1.0, eta, 8),
 }
 

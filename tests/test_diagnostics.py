@@ -471,15 +471,8 @@ class TestHittingTime:
 class TestEnergyScaling:
     ETAS = [0.4, 0.2, 0.1, 0.05, 0.025]
 
-    @staticmethod
-    def phase(d):
-        def draw(rng, n):
-            return rng.standard_normal((n, d)), rng.standard_normal((n, d))
-
-        return draw
-
     def test_gaussian_slope_band(self):
-        fit = energy_error_scaling(STD_1D, self.phase(1), self.ETAS, 4000, 10)
+        fit = energy_error_scaling(STD_1D, self.ETAS, 4000, 10)
         assert 2.5 <= fit.slope <= 4.5
         assert fit.r_squared >= 0.99
 
@@ -488,16 +481,16 @@ class TestEnergyScaling:
 
         data = sample_sphere_dataset(5, 20, np.eye(5)[0], 0.7, 2)
         t = make_logistic_regression(data, 1.0)
-        fit = energy_error_scaling(t, self.phase(5), self.ETAS, 4000, 10)
+        fit = energy_error_scaling(t, self.ETAS, 4000, 10)
         assert fit.slope >= 2.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            energy_error_scaling(STD_1D, self.phase(1), [0.1, 0.2], 100, 0)
+            energy_error_scaling(STD_1D, [0.1, 0.2], 100, 0)
         with pytest.raises(ValueError):
-            energy_error_scaling(STD_1D, self.phase(1), [0.1, 0.2, 0.3], 100, 0)  # < one decade
+            energy_error_scaling(STD_1D, [0.1, 0.2, 0.3], 100, 0)  # < one decade
         with pytest.raises(ValueError):
-            energy_error_scaling(STD_1D, self.phase(1), [2.0, 0.2, 0.02], 100, 0)  # unstable eta
+            energy_error_scaling(STD_1D, [2.0, 0.2, 0.02], 100, 0)  # unstable eta
 
     def test_no_fit_without_spread(self):
         # Repeated step sizes divided by zero at an earlier version.

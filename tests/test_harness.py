@@ -24,7 +24,8 @@ from malakit.harness import (
     scaling_study,
 )
 from malakit.rng import chain_rng, subseed
-from malakit.targets import TargetModel, make_gaussian
+from malakit.regularity import constraint_exit_estimate
+from malakit.targets import TargetModel, annulus, make_gaussian
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDENS = json.loads((ROOT / "tests" / "goldens.json").read_text())
@@ -641,6 +642,22 @@ class TestCli:
         assert result["potential"] == float(best[4])
         assert result["minimizer"] == [float(v) for v in best[5:]]
         assert result["accepted_fraction"] == float(np.mean([row[1] == "1" for row in rows]))
+
+    def test_diagnose_exit_probability_runs_the_asked_dimension(self, capsys):
+        # An earlier version ran a 2-D target for --dim 1 and exited 0.
+        code = cli_entry(["diagnose", "exit-probability", "--dim", "1", "--eta", "0.1", "--draws", "20000",
+                          "--seed", "4"])
+        assert code == 0
+        expect = constraint_exit_estimate(make_gaussian(1, 1.0), annulus(0.5, 1.0), 0.1, np.array([0.75]), 20000, 4)
+        assert json.loads(capsys.readouterr().out) == expect.__dict__
+
+    def test_energy_scaling_spec_and_cli_share_one_draw_rule(self, tmp_path, capsys):
+        text = MINIMAL.replace("iterations = 1000", "iterations = 10") + (
+            "\n[diagnostics]\nenergy_error_scaling etas=0.4,0.2,0.1,0.05,0.025 samples=4000\n")
+        run_experiment(parse_spec(text), tmp_path)
+        block = json.loads((tmp_path / "report.json").read_text())["diagnostics"]["energy_error_scaling"]
+        assert cli_entry(["diagnose", "energy-scaling", "--dim", "1", "--seed", "11"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"slope": block["slope"], "r_squared": block["r_squared"]}
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--kind", "rwm", "--eta", "nan"],

@@ -413,3 +413,12 @@ class TestValueAndGrad:
         pot, grad = hand.value_and_grad(x)
         assert np.array_equal(pot, g.potential(x))
         assert np.array_equal(grad, g.gradient(x))
+
+
+class TestTargetModel:
+    def test_bad_directions_without_columns_refused(self):
+        # An earlier version accepted a (d, 0) matrix, and the good-set check
+        # and the probes then failed on numpy's empty-reduction error.
+        g = make_gaussian(2, 1.0)
+        with pytest.raises(ValueError, match="bad_directions has no columns"):
+            TargetModel(dimension=2, potential=g.potential, gradient=g.gradient, bad_directions=np.empty((2, 0)))
