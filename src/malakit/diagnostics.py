@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .chains import ChainTrace, run_ensemble
-from .grids import EmptySupportError, GridDistribution, grid_truth, histogram, tv_distance
+from .grids import EmptySupportError, GridDistribution, grid_truth
 from .integrator import leapfrog
 from .rng import chain_rng, subseed
 from .targets import ConstraintSet, TargetModel
@@ -182,11 +182,13 @@ def mixing_time_estimate(
 ) -> int | None:
     """First iteration at which the replica ensemble is TV-close to truth.
 
-    Runs ``replicas`` chains from ``init`` and bins their positions at
-    multiples of ``check_every``; the threshold applies to the binned TV
-    minus the grid truth's :meth:`~GridDistribution.binning_floor` for as
-    many samples (raw TV cannot reach zero under finite sampling).  Returns
-    ``None`` when the budget runs out, never raises.
+    Runs ``replicas`` chains from ``init`` and, at multiples of
+    ``check_every``, bins their positions on the grid truth's own geometry
+    (:meth:`~GridDistribution.tv_to_samples`); the threshold applies to that
+    TV minus the truth's :meth:`~GridDistribution.binning_floor` for as many
+    samples (raw TV cannot reach zero under finite sampling).  A check with
+    every replica off the grid counts as unmixed.  Returns ``None`` when the
+    budget runs out, never raises.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a TV estimate")
@@ -201,10 +203,10 @@ def mixing_time_estimate(
 
     def check(step: int, x: np.ndarray) -> bool:
         try:
-            emp = histogram(x, grid_bounds, grid_bins)
+            tv = truth.tv_to_samples(x)
         except EmptySupportError:
             return False  # every replica off-grid: maximally unmixed, keep going
-        if tv_distance(emp, truth) - floor <= tv_threshold:
+        if tv - floor <= tv_threshold:
             found.append(step)
             return True
         return False

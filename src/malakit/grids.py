@@ -8,6 +8,7 @@ two distributions are compared.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,9 +95,14 @@ class GridDistribution:
         """Mean TV to this distribution of 3 histograms of ``n`` exact samples
         (:meth:`sample_midpoints`): the TV that binning ``n`` samples leaves
         even when they come from the distribution itself."""
-        bounds = tuple(zip(self.lower, self.upper))
-        return float(np.mean([tv_distance(histogram(self.sample_midpoints(rng, n), bounds, self.bins), self)
-                              for _ in range(3)]))
+        return float(np.mean([self.tv_to_samples(self.sample_midpoints(rng, n)) for _ in range(3)]))
+
+    def tv_to_samples(self, samples) -> float:
+        """``tv_distance(histogram(samples, <this grid>), self)``, binned on
+        this distribution's own validated geometry.  Raises
+        :class:`EmptySupportError` when no sample lands on the grid."""
+        counts = _bin_counts(samples, self.lower, self.upper, self.bins)
+        return _tv(counts / counts.sum(), self.mass)
 
 
 def _normalize_geometry(bounds, bins):
@@ -155,32 +161,47 @@ def _warn_boundary_mass(mass: np.ndarray) -> None:
         warnings.warn(f"boundary cells carry {edge:.3g} of the mass; widen the grid", stacklevel=3)
 
 
-def histogram(samples, bounds, bins) -> GridDistribution:
-    """Bin samples into a grid distribution.
-
-    Out-of-bounds samples are excluded from the normalization.  Raises
-    :class:`EmptySupportError` when nothing lands inside.
-    """
-    lower, upper, bins = _normalize_geometry(bounds, bins)
+def _bin_counts(samples, lower, upper, bins) -> np.ndarray:
+    """Per-cell sample counts by ``np.histogramdd``'s rule on ``linspace``
+    edges: cells are closed on the left, and a sample equal to the last
+    edge falls in the last cell.  A sample below an axis goes to pad cell
+    0 of that axis, one above it or NaN to pad cell ``bins + 1``; one
+    ``bincount`` fills the padded grid and the pads are dropped."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     if x.shape[1] != len(bins):
         raise ValueError(f"samples have dimension {x.shape[1]}, grid is {len(bins)}D")
-    inside = np.ones(x.shape[0], dtype=bool)
-    for a in range(len(bins)):
-        inside &= (x[:, a] >= lower[a]) & (x[:, a] <= upper[a])
-    kept = x[inside]
-    if kept.shape[0] == 0:
+    flat = 0
+    for a, (lo, hi, b) in enumerate(zip(lower, upper, bins)):
+        idx = np.searchsorted(np.linspace(lo, hi, b + 1), x[:, a], side="right")
+        idx[x[:, a] == hi] -= 1
+        flat = flat * (b + 2) + idx
+    padded = tuple(b + 2 for b in bins)
+    counts = np.bincount(flat, minlength=math.prod(padded)).reshape(padded)[(slice(1, -1),) * len(bins)]
+    if counts.sum() == 0:
         raise EmptySupportError("no samples fall inside the grid bounds")
-    edges = [np.linspace(lower[a], upper[a], bins[a] + 1) for a in range(len(bins))]
-    counts, _ = np.histogramdd(kept, bins=edges)
-    mass = counts / counts.sum()
-    return GridDistribution(lower=lower, upper=upper, bins=bins, mass=mass)
+    return counts
+
+
+def histogram(samples, bounds, bins) -> GridDistribution:
+    """Bin samples into a grid distribution by ``np.histogramdd``'s rule:
+    cells are closed on the left, and the last edge falls in the last cell.
+
+    Out-of-bounds and NaN samples are excluded from the normalization.
+    Raises :class:`EmptySupportError` when nothing lands inside.
+    """
+    lower, upper, bins = _normalize_geometry(bounds, bins)
+    counts = _bin_counts(samples, lower, upper, bins)
+    return GridDistribution(lower=lower, upper=upper, bins=bins, mass=counts / counts.sum())
 
 
 def tv_distance(p: GridDistribution, q: GridDistribution) -> float:
     """Total variation distance (half the L1 gap) on a shared grid."""
     if not p.same_geometry(q):
         raise ValueError("grid geometries differ")
-    return 0.5 * float(np.abs(p.mass - q.mass).sum())
+    return _tv(p.mass, q.mass)
+
+
+def _tv(p_mass: np.ndarray, q_mass: np.ndarray) -> float:
+    return 0.5 * float(np.abs(p_mass - q_mass).sum())

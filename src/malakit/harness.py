@@ -60,7 +60,7 @@ from .chains import (ChainConfig, ChainTrace, extract_minimizer, run_chains, run
                      theorem1_step_size)
 from .diagnostics import (ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
                           mixing_time_estimate)
-from .grids import grid_truth, histogram, tv_distance
+from .grids import grid_truth
 from .regularity import (build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound,
                          gradient_cloud)
 from .rng import chain_rng, subseed
@@ -639,7 +639,7 @@ def _run_diagnostics(spec, built, traces, stats):
                 nbins = (p["bins"], p["bins2"])
             truth = grid_truth(target, bounds, nbins, built.constraint)
             finals = np.stack([tr.states[-1] for tr in ordered])
-            raw = float(tv_distance(histogram(finals, bounds, nbins), truth))
+            raw = truth.tv_to_samples(finals)
             floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed, 10**6 + 1))
             block = {"raw": raw, "binning_floor": floor, "corrected": raw - floor, "replicas": finals.shape[0]}
         elif diag.name == "energy_error_scaling":

@@ -36,11 +36,6 @@ class NumericFailure(RuntimeError):
         self.coordinates = tuple(coordinates)
 
 
-def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """``v[j] @ v[j]`` for each row, summed exactly as the 1-D dot product sums."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def leapfrog(value_and_grad, x, v, pot, grad, eta):
     """One leapfrog step for each row of an ``(n, d)`` batch.
 
@@ -54,7 +49,7 @@ def leapfrog(value_and_grad, x, v, pot, grad, eta):
     pot_hat, grad_hat = value_and_grad(x_hat)
     pot_hat, grad_hat = np.asarray(pot_hat, dtype=float), np.asarray(grad_hat, dtype=float)
     v_hat = v - half * (grad + grad_hat)
-    err = (pot_hat + 0.5 * _sq_norms(v_hat)) - (pot + 0.5 * _sq_norms(v))
+    err = (pot_hat + 0.5 * np.vecdot(v_hat, v_hat)) - (pot + 0.5 * np.vecdot(v, v))
     return x_hat, v_hat, pot_hat, grad_hat, err
 
 

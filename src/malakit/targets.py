@@ -144,6 +144,8 @@ class TargetModel:
             raise ValueError("dimension must be >= 1")
         if self.bad_directions is not None:
             bd = np.asarray(self.bad_directions, dtype=float)
+            if bd.ndim != 2:
+                raise ValueError(f"bad_directions must be a (d, k) matrix, got shape {bd.shape}")
             if bd.shape[0] != self.dimension:
                 raise ValueError("bad_directions must have d rows")
             if bd.shape[1] == 0:

@@ -112,6 +112,78 @@ class TestHistogram:
         assert tv_distance(h, gaussian_grid()) <= 0.01
 
 
+def histogramdd_mass(x, lower, upper, bins):
+    """The reference binning: keep the samples inside the closed bounds, bin
+    them with ``np.histogramdd`` on ``linspace`` edges and normalize; None
+    when nothing is inside."""
+    inside = np.all((x >= np.array(lower)) & (x <= np.array(upper)), axis=1)
+    if not inside.any():
+        return None
+    edges = [np.linspace(lo, hi, b + 1) for lo, hi, b in zip(lower, upper, bins)]
+    counts, _ = np.histogramdd(x[inside], bins=edges)
+    return counts / counts.sum()
+
+
+@st.composite
+def grid_and_samples(draw):
+    """A 1D or 2D grid, samples built from its edges, one ulp outside each
+    bound, NaN and uniform draws around it (or, with ``outside``, off the
+    grid on axis 0 only), and a random truth mass on the grid."""
+    dims = draw(st.integers(1, 2))
+    outside = draw(st.booleans())
+    n = draw(st.integers(1, 40))
+    lower, upper, bins, columns = [], [], [], []
+    for axis in range(dims):
+        lo = draw(st.floats(-1e3, 1e3))
+        hi = lo + draw(st.floats(1e-3, 1e3))
+        b = draw(st.integers(2, 12))
+        rng = chain_rng(draw(st.integers(0, 2**31)))
+        off = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan, lo - 1.0, hi + 1.0]
+        if outside and axis == 0:
+            pool = np.array(off)
+        else:
+            pool = np.concatenate([np.linspace(lo, hi, b + 1), off, lo + (hi - lo) * rng.uniform(-0.5, 1.5, 8)])
+        idx = draw(st.lists(st.integers(0, pool.size - 1), min_size=n, max_size=n))
+        lower.append(lo)
+        upper.append(hi)
+        bins.append(b)
+        columns.append(pool[idx])
+    mass = rng.random(bins) + 1e-3
+    truth = GridDistribution(tuple(lower), tuple(upper), tuple(bins), mass / mass.sum())
+    return np.stack(columns, axis=1), truth
+
+
+class TestBinningMatchesHistogramdd:
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_and_samples(), flat=st.booleans())
+    def test_bit_for_bit(self, case, flat):
+        x, truth = case
+        bounds = tuple(zip(truth.lower, truth.upper))
+        ref = histogramdd_mass(x, truth.lower, truth.upper, truth.bins)
+        samples = x[:, 0] if flat and truth.dims == 1 else x
+        if ref is None:
+            with pytest.raises(EmptySupportError):
+                histogram(samples, bounds, truth.bins)
+            with pytest.raises(EmptySupportError):
+                truth.tv_to_samples(samples)
+            return
+        h = histogram(samples, bounds, truth.bins)
+        assert h.mass.tobytes() == ref.tobytes()
+        expected = tv_distance(GridDistribution(truth.lower, truth.upper, truth.bins, ref), truth)
+        assert truth.tv_to_samples(samples) == expected == tv_distance(h, truth)
+
+    def test_all_outside_refused(self):
+        grid = flat_grid(4)
+        samples = np.array([np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), np.nan, -np.inf, np.inf])
+        with pytest.raises(EmptySupportError):
+            histogram(samples, (0.0, 1.0), 4)
+        with pytest.raises(EmptySupportError):
+            grid.tv_to_samples(samples)
+
+    def test_last_edge_in_last_cell(self):
+        assert histogram(np.array([1.0, 0.0]), (0.0, 1.0), 4).mass.tolist() == [0.5, 0.0, 0.0, 0.5]
+
+
 class TestTvDistance:
     def _grid(self, mass):
         mass = np.asarray(mass, dtype=float)

@@ -132,6 +132,17 @@ class TestLeapfrogStep:
             assert np.array_equal(grad_hat[j], target.gradient(x_one))
 
 
+class TestSquaredNorms:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), d=st.integers(1, 300), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
+    def test_vecdot_rows_equal_dot(self, n, d, scale, seed):
+        # leapfrog's kinetic energies: each row summed as the 1-D dot product sums it.
+        v = scale * chain_rng(seed).standard_normal((n, d))
+        sq = np.vecdot(v, v)
+        for j in range(n):
+            assert sq[j] == np.dot(v[j], v[j])
+
+
 class TestExactFlow:
     def test_identity_at_zero(self):
         g = make_gaussian(2, [1.0, 4.0])

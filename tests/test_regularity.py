@@ -164,36 +164,6 @@ class TestGradientBound:
         assert est.gradient_bound == 0.0
 
 
-def tail_decay_holds(samples, x_star, a: float, d: int) -> bool:
-    """P(|X - x*| > s) <= e^{-a s / sqrt(d)} at the observed distance
-    deciles, each within three binomial standard errors (plus 1/n) of the
-    bound: the sub-exponential tail condition, checked on samples."""
-    x = np.asarray(samples, dtype=float)
-    dist = np.linalg.norm(x - np.asarray(x_star, dtype=float), axis=1)
-    n = dist.size
-    for s in np.quantile(dist, np.arange(1, 10) / 10.0):
-        bound = math.exp(-a * s / math.sqrt(d))
-        if float(np.mean(dist > s)) > bound + 3.0 * math.sqrt(bound * (1.0 - bound) / n) + 1.0 / n:
-            return False
-    return True
-
-
-class TestTailDecay:
-    def test_point_mass_passes(self):
-        samples = np.zeros((100, 2))
-        assert tail_decay_holds(samples, np.zeros(2), 5.0, 2)
-
-    def test_gaussian_against_slow_rate(self):
-        rng = chain_rng(13)
-        samples = rng.standard_normal((20000, 1))
-        assert tail_decay_holds(samples, np.zeros(1), 0.5, 1)
-
-    def test_cauchy_fails(self):
-        rng = chain_rng(14)
-        samples = rng.standard_cauchy((20000, 1))
-        assert not tail_decay_holds(samples, np.zeros(1), 1.0, 1)
-
-
 def _verlet_path(target, q, p, horizon, substeps):
     """The start and each substep of the scalar velocity-Verlet loop that
     ``good_set_check`` ran before it stepped ``leapfrog``."""

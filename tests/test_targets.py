@@ -422,3 +422,9 @@ class TestTargetModel:
         g = make_gaussian(2, 1.0)
         with pytest.raises(ValueError, match="bad_directions has no columns"):
             TargetModel(dimension=2, potential=g.potential, gradient=g.gradient, bad_directions=np.empty((2, 0)))
+
+    def test_bad_directions_vector_refused(self):
+        # An earlier version read bd.shape[1] of a 1-D vector and raised IndexError.
+        g = make_gaussian(2, 1.0)
+        with pytest.raises(ValueError, match="bad_directions must be a"):
+            TargetModel(dimension=2, potential=g.potential, gradient=g.gradient, bad_directions=np.array([1.0, 0.0]))
