@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .targets import (  # noqa: F401
     ConstraintSet,
     Dataset,
-    KnownConstants,
     TargetModel,
     annulus,
     load_dataset,

@@ -82,14 +82,13 @@ class ChainTrace:
     :func:`log_accept_energy` of ``energy_errors``."""
 
     def __init__(self, init_state: np.ndarray, indices, states, energy_errors, accepted,
-                 in_constraint, potentials, gradient_evals: int, function_evals: int):
+                 potentials, gradient_evals: int, function_evals: int):
         self.init_state = np.asarray(init_state, dtype=float)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.states = np.asarray(states, dtype=float)
         self.energy_errors = np.asarray(energy_errors, dtype=float)
         self.log_accepts = log_accept_energy(self.energy_errors)
         self.accepted = np.asarray(accepted, dtype=bool)
-        self.in_constraint = None if in_constraint is None else np.asarray(in_constraint, dtype=bool)
         self.potentials = np.asarray(potentials, dtype=float)
         self.gradient_evals = int(gradient_evals)
         self.function_evals = int(function_evals)
@@ -172,18 +171,17 @@ class _Draws:
 
 class _Columns:
     """Trace columns, preallocated and time-major: ``[k, j]`` is row ``j`` at
-    the ``k``-th recorded step.  A row that did not propose keeps the
-    defaults: no energy error, rejected, inside the set."""
+    the ``k``-th recorded step.  A row that did not propose reads rejected, with energy error 0."""
 
     def __init__(self, n: int, d: int, iterations: int, stride: int):
         self.indices = np.unique(np.append(np.arange(stride, iterations + 1, stride), iterations))
         m = len(self.indices)
         self.states, self.potentials, self.energy_errors = np.empty((m, n, d)), np.empty((m, n)), np.zeros((m, n))
-        self.accepted, self.in_constraint = np.zeros((m, n), dtype=bool), np.ones((m, n), dtype=bool)
+        self.accepted = np.zeros((m, n), dtype=bool)
         self.k, self.stride, self.last = 0, stride, iterations
         self.next_index = int(self.indices[0])  # the step to record next
 
-    def write(self, x, pot, act, err, acc, in_set) -> None:
+    def write(self, x, pot, act, err, acc) -> None:
         k = self.k
         self.states[k] = x
         self.potentials[k] = pot
@@ -191,8 +189,6 @@ class _Columns:
             at = (k,) if act is None else (k, act)
             self.energy_errors[at] = err
             self.accepted[at] = acc
-            if in_set is not None:
-                self.in_constraint[at] = in_set
         self.k += 1
         self.next_index = min(self.next_index + self.stride, self.last)
 
@@ -230,7 +226,7 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         if len(failures) == len(x):
             break  # every row failed
         move, v, log_u = draws()
-        act = err = acc = in_set = None
+        act = err = acc = None
         if move is not None or failures:
             act = np.flatnonzero(live if move is None else live & move)
             if act.size == len(x):
@@ -250,8 +246,7 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
                 err = pot_hat - pa
             acc = lu <= -err  # log_u <= 0, so this is log_u <= min(0, -err); NaN rejects
             if constraint is not None:
-                in_set = np.asarray(constraint.contains(x_hat), dtype=bool)
-                acc &= in_set
+                acc &= np.asarray(constraint.contains(x_hat), dtype=bool)
             if mala and not np.isfinite(grad_hat).all():
                 bad = np.flatnonzero(~np.isfinite(grad_hat).all(axis=1))
                 fail(bad if act is None else act[bad], grad_hat[bad], i)
@@ -270,11 +265,25 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
                 if mala:
                     grad[took] = grad_hat[acc]
         if columns is not None and i == columns.next_index:
-            columns.write(x, pot, act, err, acc, in_set)
+            columns.write(x, pot, act, err, acc)
         if callback is not None and callback_every > 0 and (i % callback_every == 0 or i == iterations):
             if callback(i, x):
                 break
     return x, proposals + full_steps, accepted, failures
+
+
+def _checked_starts(target, starts, constraint, rows: int | None = None) -> np.ndarray:
+    """``starts`` as an ``(n, d)`` float array, with ``n >= 1`` (``rows`` when
+    given).  Every engine refuses a start that is non-finite or outside
+    ``constraint`` with the same ValueError."""
+    x = np.asarray(starts, dtype=float)
+    if x.ndim != 2 or x.shape[1] != target.dimension or len(x) < 1 or rows not in (None, len(x)):
+        raise ValueError(f"starts must have shape ({rows or 'n >= 1'}, {target.dimension}), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("init must be finite")
+    if constraint is not None and not np.all(constraint.contains(x)):
+        raise ValueError("initial point must satisfy the constraint")
+    return x
 
 
 def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
@@ -301,14 +310,7 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
     constraint = first.constraint
     if (constraint is not None) != (kind == "constrained-mala"):
         raise ValueError("only constrained-mala takes a constraint, and it requires one")
-    inits = np.asarray(inits, dtype=float)
-    if inits.shape != (len(configs), target.dimension):
-        raise ValueError(f"inits must have shape ({len(configs)}, {target.dimension})")
-    if not np.all(np.isfinite(inits)):
-        raise ValueError("init must be finite")
-    if constraint is not None and not np.all(constraint.contains(inits)):
-        raise ValueError("initial point must satisfy the constraint")
-
+    inits = _checked_starts(target, inits, constraint, len(configs))
     n, d = inits.shape
     mala = kind != "rwm"
     cols = _Columns(n, d, first.iterations, first.record_every)
@@ -322,7 +324,6 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
             init_state=inits[j], indices=cols.indices, states=cols.states[:, j].copy(),
             energy_errors=cols.energy_errors[:, j].copy(),
             accepted=cols.accepted[:, j].copy(),
-            in_constraint=None if constraint is None else cols.in_constraint[:, j].copy(),
             potentials=cols.potentials[:, j].copy(), gradient_evals=2 * (evals - 1) if mala else 0,
             function_evals=evals))
     return results
@@ -394,8 +395,10 @@ def run_ensemble(
     :func:`run_rwm`) chain of ``seed``.  A replica whose gradient is
     non-finite leaves the batch, and the first such
     :class:`NumericFailure` (earliest step, lowest replica) is raised at the
-    end.  A callback returning a truthy value stops the run early (used by
-    the mixing-time search).
+    end.  The starts are checked as in :func:`run_chains`: a non-finite
+    start, or one outside ``constraint``, is a ValueError before any step.
+    A callback returning a truthy value stops the run early (used by the
+    mixing-time search).
     """
     if kind not in ("mala", "rwm"):
         raise ValueError(f"unknown chain kind {kind!r}")
@@ -403,9 +406,7 @@ def run_ensemble(
         raise ValueError(f"eta must be finite and positive, got {eta}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    x = np.asarray(init_positions, dtype=float)
-    if x.ndim != 2 or x.shape[1] != target.dimension:
-        raise ValueError("init_positions must be (replicas, d)")
+    x = _checked_starts(target, init_positions, constraint)
     n, d = x.shape
     x, proposals, accepted, failures = _lockstep(target, kind, float(eta), x, iterations,
                                                  _Draws([seed], n, d, False), constraint, callback=callback,

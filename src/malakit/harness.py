@@ -64,7 +64,7 @@ from .grids import grid_truth
 from .regularity import (build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound,
                          gradient_cloud)
 from .rng import chain_rng, subseed
-from .targets import (ConstraintSet, Dataset, KnownConstants, TargetModel, annulus, load_dataset,
+from .targets import (ConstraintSet, Dataset, TargetModel, annulus, load_dataset,
                       make_gaussian, make_logistic_regression, make_sigmoid_regression,
                       make_smoothed_zero_one, precondition, recommended_schedule,
                       sample_sphere_dataset)
@@ -454,7 +454,8 @@ def build_target(spec: ExperimentSpec) -> BuiltTarget:
 
 
 def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float], dict]:
-    """Schedule resolution; theorem1 pulls constants from the regularity side."""
+    """Schedule resolution.  theorem1 takes a Gaussian's constants from its
+    precisions and probes any other target's."""
     p = _values(spec.schedule_params, SCHEMA["schedule"][spec.schedule_kind])
     notes: dict = {}
     if spec.schedule_kind == "explicit":
@@ -463,12 +464,12 @@ def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float],
         return p["etas"], notes
     # theorem1
     target = built.target
-    k = target.known_constants or KnownConstants()
-    probe_points, probe_dirs = p["probe_points"], p["probe_dirs"]
-    c3 = k.c3 if k.c3 is not None else estimate_c3(target, probe_points, probe_dirs, spec.seed)
-    c4 = k.c4 if k.c4 is not None else estimate_c4(target, probe_points, probe_dirs, spec.seed)
-    m = k.gradient_bound if k.gradient_bound is not None else estimate_gradient_bound(
-        target, list(gradient_cloud(target, probe_points, spec.seed))).gradient_bound
+    if target.quadratic_precision is not None:  # a Gaussian's constants are exact
+        c3, c4, m = 0.0, 0.0, float(np.max(target.quadratic_precision))
+    else:
+        points, dirs = p["probe_points"], p["probe_dirs"]
+        c3, c4 = estimate_c3(target, points, dirs, spec.seed), estimate_c4(target, points, dirs, spec.seed)
+        m = estimate_gradient_bound(target, list(gradient_cloud(target, points, spec.seed))).gradient_bound
     eta = theorem1_step_size(c3, c4, m, target.dimension, safety_constant=p["safety"])
     notes.update(c3=c3, c4=c4, gradient_bound=m, safety=p["safety"])
     return [eta], notes
@@ -774,7 +775,8 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
                                         MIXING_REPLICAS, CHECK_EVERY, seed, bounds, bins, MAX_ITERATIONS)
         mixing.append(estimate)
         acc_means.append(pilot.accepted_fraction)
-        mixing_evals = 2 * MIXING_REPLICAS * estimate if estimate is not None and template.sampler == "mala" else 0
+        steps = MAX_ITERATIONS if estimate is None else estimate  # an unresolved estimate ran them all
+        mixing_evals = 2 * MIXING_REPLICAS * steps if template.sampler == "mala" else 0
         gevals.append(pilot.gradient_evals + mixing_evals)
     return ScalingStudyResult(values=values, mixing_estimates=mixing, acceptance_means=acc_means,
                               gradient_evals=gevals)

@@ -6,10 +6,10 @@ targets fuse it so the shared work (``x @ a`` and the one transcendental per
 datum: ``exp(-|t|)`` for the logistic loss, ``expit`` for the sigmoid losses)
 is done once, and its results equal the separate calls bit-for-bit.
 Regression-style targets additionally carry the matrix of unit "bad
-directions" (the data vectors), closed-form third/fourth directional
-derivatives for the regularity estimators, and whatever constants are known
-a priori.  All built-in callables broadcast over leading axes, so an
-``(n, d)`` array of positions evaluates ``n`` potentials in one call.
+directions" (the data vectors) and closed-form third/fourth directional
+derivatives for the regularity estimators; a Gaussian, its precisions.
+All built-in callables broadcast over leading axes, so an ``(n, d)``
+array of positions evaluates ``n`` potentials in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .rng import chain_rng
 
 __all__ = [
     "Dataset",
-    "KnownConstants",
     "TargetModel",
     "ConstraintSet",
     "make_gaussian",
@@ -93,27 +92,9 @@ class Dataset:
     def count(self) -> int:
         return self.features.shape[1]
 
-    def binary_responses(self) -> np.ndarray:
-        """Responses mapped to {0, 1} (classifier label -1 maps to 0)."""
-        return np.where(self.responses > 0, 1, 0).astype(np.int64)
-
     def sign_responses(self) -> np.ndarray:
         """Responses mapped to {-1, +1} (regression label 0 maps to -1)."""
         return np.where(self.responses > 0, 1, -1).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class KnownConstants:
-    """Constants known for a target a priori; ``None`` means unknown.
-
-    ``gradient_bound`` doubles as the gradient-Lipschitz constant: the two
-    roles are carried by a single number throughout (they coincide for the
-    built-in targets on the regions we probe).
-    """
-
-    gradient_bound: float | None = None
-    c3: float | None = None
-    c4: float | None = None
 
 
 @dataclass(frozen=True)
@@ -126,6 +107,9 @@ class TargetModel:
     an optional ``x -> (potential(x), gradient(x))`` that must agree with
     the separate callables bit-for-bit; read it through
     :attr:`value_and_grad`, which falls back to the separate calls.
+    ``quadratic_precision`` marks a diagonal Gaussian: its precisions fix
+    the exact flow and Theorem 1's constants (C3 = C4 = 0, M = the largest
+    precision).
     """
 
     dimension: int
@@ -133,7 +117,6 @@ class TargetModel:
     gradient: Callable[[np.ndarray], np.ndarray]
     name: str = "target"
     bad_directions: np.ndarray | None = None
-    known_constants: KnownConstants | None = None
     quadratic_precision: np.ndarray | None = None
     third_directional: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], float] | None = None
     fourth_directional: Callable[[np.ndarray, np.ndarray], float] | None = None
@@ -307,7 +290,8 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
 
     The canonical zero-third/fourth-derivative test target.  Carries its
     precisions as ``quadratic_precision``, which fix the exact Hamiltonian
-    flow (independent harmonic oscillators).
+    flow (independent harmonic oscillators) and the Theorem-1 constants:
+    C3 = C4 = 0 and M = max lambda_i.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -337,7 +321,6 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
         gradient=gradient,
         fused=value_and_grad,
         name=f"gaussian-d{d}",
-        known_constants=KnownConstants(gradient_bound=float(np.max(lam)), c3=0.0, c4=0.0),
         quadratic_precision=lam,
     )
 
@@ -364,10 +347,8 @@ def _regression_target(data, prior_precision, loss, label):
     if prior_precision < 0:
         raise ValueError("prior_precision must be nonnegative")
     d, r = data.dimension, data.count
-    y = data.binary_responses()
     # Fold the label into the column sign: y=1 contributes phi(+t), y=0 phi(-t).
-    signs = np.where(y == 1, 1.0, -1.0)
-    columns = data.features * signs
+    columns = data.features * data.sign_responses()
     return _linear_composite(
         d,
         float(prior_precision),
@@ -480,11 +461,9 @@ def annulus(inner: float, outer: float) -> ConstraintSet:
 def precondition(target: TargetModel, scale: float) -> TargetModel:
     """Rescale the argument: new potential x -> U(scale * x).
 
-    The gradient picks up one factor of ``scale`` by the chain rule; known
-    constants rescale accordingly (gradient bound by ``scale`` in the
-    gradient-norm reading — the Lipschitz-smoothness reading would scale by
-    ``scale**2`` — C3 by ``scale**3``, C4 by ``scale**4``).  Bad directions
-    are unchanged.
+    The gradient picks up one factor of ``scale`` by the chain rule, the
+    k-th directional derivatives ``scale**k``, and a Gaussian's precisions
+    ``scale**2``.  Bad directions are unchanged.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale}")
@@ -510,14 +489,6 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
         base4 = target.fourth_directional
         fourth = lambda x, u: s**4 * base4(s * np.asarray(x, dtype=float), u)
 
-    constants = None
-    if target.known_constants is not None:
-        k = target.known_constants
-        constants = KnownConstants(
-            gradient_bound=None if k.gradient_bound is None else k.gradient_bound * s,
-            c3=None if k.c3 is None else k.c3 * s**3,
-            c4=None if k.c4 is None else k.c4 * s**4,
-        )
     return TargetModel(
         dimension=target.dimension,
         potential=potential,
@@ -525,7 +496,6 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
         fused=value_and_grad,
         name=f"{target.name}*{s:g}",
         bad_directions=target.bad_directions,
-        known_constants=constants,
         quadratic_precision=None if target.quadratic_precision is None else target.quadratic_precision * s * s,
         third_directional=third,
         fourth_directional=fourth,

@@ -347,7 +347,7 @@ def zero_one_target():
 
 def trace_arrays(trace):
     return (trace.indices, trace.states, trace.energy_errors, trace.log_accepts,
-            trace.accepted, trace.in_constraint, trace.potentials,
+            trace.accepted, trace.potentials,
             trace.gradient_evals, trace.function_evals)
 
 
@@ -623,6 +623,35 @@ class TestOneEngine:
         assert str(batch.value) == str(solo.value)
         assert batch.value.coordinates == solo.value.coordinates
 
+    @pytest.mark.parametrize("kind", ["mala", "rwm"])
+    @pytest.mark.parametrize("start, ring, message", [
+        ([math.nan, 0.7], False, "init must be finite"),
+        ([0.7, -math.inf], False, "init must be finite"),
+        ([math.nan, 0.7], True, "init must be finite"),
+        ([0.0, 0.0], True, "initial point must satisfy the constraint"),
+        ([0.3, 0.3], True, "initial point must satisfy the constraint"),
+        ([1.2, 0.0], True, "initial point must satisfy the constraint"),
+    ], ids=["nan", "inf", "nan-in-ring", "origin", "in-the-hole", "outside"])
+    def test_engines_check_starts_alike(self, kind, start, ring, message):
+        # At an earlier version run_ensemble checked only the shape: an RWM
+        # replica started at NaN stayed NaN, and an ensemble started at the
+        # origin ran under the annulus.
+        g = make_gaussian(2, 1.0)
+        constraint = annulus(0.5, 1.0) if ring else None
+        starts = np.array([[0.7, 0.0], start])
+        configs = [ChainConfig(step_size=0.3, iterations=5, seed=s, constraint=constraint) for s in (1, 2)]
+        with pytest.raises(ValueError) as chain:  # only constrained-mala chains take a constraint
+            run_chains(g, "constrained-mala" if ring else kind, configs, starts)
+        with pytest.raises(ValueError) as ensemble:
+            run_ensemble(g, kind, 0.3, 5, starts, seed=1, constraint=constraint)
+        assert str(chain.value) == str(ensemble.value) == message
+
+    @pytest.mark.parametrize("shape", [(0, 1), (3,), (3, 2)])
+    def test_ensemble_refuses_starts_of_the_wrong_shape(self, shape):
+        # No replicas divided by zero in the draw source at an earlier version.
+        with pytest.raises(ValueError, match=r"starts must have shape \(n >= 1, 1\)"):
+            run_ensemble(STD_1D, "mala", 0.5, 5, np.zeros(shape), seed=1)
+
     def test_ensemble_raises_its_earliest_failure(self):
         t = _inf_gradient_outside(2.0)
         with pytest.raises(NumericFailure) as full:
@@ -655,7 +684,7 @@ def synthetic_trace(indices, values, accepted) -> ChainTrace:
     """A trace whose row k is ``values[k] = (energy error, potential, x_0..x_{d-1})``."""
     states = values[:, 2:]
     return ChainTrace(np.zeros(states.shape[1]), indices, states, values[:, 0], accepted,
-                      None, values[:, 1], gradient_evals=0, function_evals=0)
+                      values[:, 1], gradient_evals=0, function_evals=0)
 
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,

@@ -585,7 +585,7 @@ class TestAcceptanceStats:
         trace = ChainTrace(
             init_state=np.zeros(1), indices=[1, 2, 3], states=np.zeros((3, 1)),
             energy_errors=[5.0, 5.0, 5.0],
-            accepted=[False, False, False], in_constraint=None, potentials=[0.0, 0.0, 0.0],
+            accepted=[False, False, False], potentials=[0.0, 0.0, 0.0],
             gradient_evals=6, function_evals=4,
         )
         assert acceptance_stats(trace).accepted_fraction == 0.0

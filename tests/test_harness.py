@@ -475,6 +475,16 @@ class TestScalingStudy:
         with pytest.raises(ValueError, match=reason):
             scaling_study(parse_spec(spec_with(**edits)), [0.5, 0.25, 0.125])
 
+    def test_unresolved_estimate_counts_every_step(self):
+        # An earlier version counted only the pilot for an unresolved eta,
+        # though its mixing ensemble ran all MAX_ITERATIONS steps.
+        result = scaling_study(parse_spec(MINIMAL), [0.001, 0.5, 0.25])
+        pilot = 2 * harness.PILOT_REPLICAS * 500
+        assert result.mixing_estimates[0] is None
+        assert result.gradient_evals[0] == pilot + 2 * harness.MIXING_REPLICAS * harness.MAX_ITERATIONS == 10_200_000
+        for m, g in zip(result.mixing_estimates[1:], result.gradient_evals[1:]):
+            assert g == pilot + 2 * harness.MIXING_REPLICAS * m
+
     def test_unknown_axis_rejected(self, capsys):
         spec = str(ROOT / "specs" / "gaussian_demo.spec")
         assert cli_entry(["scaling", spec, "--axis", "dimension", "--values", "1,2,4"]) == 1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
+from malakit.diagnostics import energy_error_scaling
 from malakit.rng import chain_rng
 from malakit.targets import (
     Dataset,
@@ -84,8 +85,8 @@ class TestGaussian:
 
     def test_constants_and_normalizer(self):
         g = make_gaussian(2, [1.0, 4.0])
-        assert g.known_constants.gradient_bound == 4.0
-        assert g.known_constants.c3 == 0.0 and g.known_constants.c4 == 0.0
+        assert np.array_equal(g.quadratic_precision, [1.0, 4.0])
+        assert np.array_equal(make_gaussian(3, 2.5).quadratic_precision, [2.5, 2.5, 2.5])
 
 
 class TestLogisticRegression:
@@ -328,10 +329,34 @@ class TestPrecondition:
             precondition(make_gaussian(1, 1.0), scale)
 
     def test_constant_rescaling(self):
-        g = make_gaussian(2, [1.0, 2.0])
-        p = precondition(g, 3.0)
-        assert p.known_constants.gradient_bound == pytest.approx(6.0)
-        assert np.allclose(p.quadratic_precision, [9.0, 18.0])
+        # The largest precision is theorem1's M: 18 here, the Lipschitz
+        # constant of the gradient 9 * (1, 2) * x.
+        p = precondition(make_gaussian(2, [1.0, 2.0]), 3.0)
+        assert np.array_equal(p.quadratic_precision, [9.0, 18.0])
+
+    @pytest.mark.parametrize("d, lam, scale", [
+        (1, [1.0], 2.0), (2, [1.0, 4.0], 0.5), (3, [0.5, 2.0, 3.0], 3.0),
+    ])
+    def test_is_the_rescaled_gaussian(self, d, lam, scale):
+        # An earlier version scaled a Gaussian's stored gradient bound by
+        # ``scale`` rather than ``scale**2``, so energy_error_scaling took
+        # eta = 0.9 on precondition(make_gaussian(1, 1.0), 2.0), which is
+        # U = 2 x^2, and refused it on make_gaussian(1, 4.0).
+        lam = np.asarray(lam)
+        p, g = precondition(make_gaussian(d, lam), scale), make_gaussian(d, lam * scale**2)
+        assert np.array_equal(p.quadratic_precision, g.quadratic_precision)
+        x = chain_rng(21).standard_normal((50, d))
+        assert np.allclose(p.potential(x), g.potential(x), rtol=1e-14, atol=0.0)
+        assert np.allclose(p.gradient(x), g.gradient(x), rtol=1e-14, atol=0.0)
+        for etas in ([1.3, 0.13, 0.013], [0.9, 0.09, 0.009], [0.2, 0.02, 0.002]):
+            outcomes = []
+            for t in (p, g):
+                try:
+                    outcomes.append(round(energy_error_scaling(t, etas, 200, 4).slope, 6))
+                except ValueError as err:
+                    assert "eta^2 M < 2" in str(err)
+                    outcomes.append("unstable")
+            assert outcomes[0] == outcomes[1], (etas, outcomes)
 
 
 class TestGradientConsistency:
