@@ -106,6 +106,8 @@ def cli_entry(argv=None) -> int:
             parser.error(f"argument --seed: must be >= 0, got {args.seed}")
         if getattr(args, "dim", None) is not None and args.dim < 1:
             parser.error(f"argument --dim: the dimension must be >= 1, got {args.dim}")
+        if any(c in getattr(args, "precision", "") for c in "#\n"):  # it is written into a spec's text
+            parser.error(f"argument --precision: must be a number or a comma list, got {args.precision!r}")
     except _UsageError as exc:
         _progress(f"error: {exc}")
         parser.print_usage(sys.stderr)
@@ -150,39 +152,42 @@ def _cmd_run(args) -> int:
     return 0 if report.status == "ok" else 2
 
 
-def _run_one_cell(out, diagnostics, **fields):
+def _run_one_cell(out, name, diagnostics, iterations, seed, **sections):
     """Run a spec of one step size and one replica through ``run_experiment``,
-    as ``malakit run`` runs the ``spec`` that its ``report.json`` records."""
-    from .harness import DiagnosticSpec, ExperimentSpec, run_experiment
+    as ``malakit run`` runs the ``spec`` that its ``report.json`` records.
+    ``sections`` maps a section to its keys; the spec is written as text and
+    read by ``parse_spec``, as a spec file is, so a bad value is refused,
+    naming its key and section, before any output is written."""
+    from .harness import HEADER, parse_spec, run_experiment
 
-    spec = ExperimentSpec(replicas=1, record_every=1, diagnostics=tuple(map(DiagnosticSpec, diagnostics)),
-                          **fields)
-    report = run_experiment(spec, output_dir=out)
+    sections["run"] = {"iterations": iterations, "replicas": 1, "seed": seed}
+    lines = [HEADER, f"name = {name}"]
+    for section, keys in sections.items():
+        lines += [f"[{section}]", *(f"{k} = {v}" for k, v in keys.items())]
+    report = run_experiment(parse_spec("\n".join(lines + ["[diagnostics]", *diagnostics])), output_dir=out)
     _progress(f"outputs in {Path(report.summary_path).parent}")
     return report
 
 
 def _cmd_sample(args) -> int:
-    schedule_kind, schedule_params = (("theorem1", {"safety": args.safety}) if args.eta is None
-                                      else ("explicit", {"eta": args.eta}))
+    schedule = ({"kind": "theorem1", "safety": args.safety} if args.eta is None
+                else {"kind": "explicit", "eta": args.eta})
     report = _run_one_cell(
-        args.out, ["acceptance_stats"], name="sample", target_kind="gaussian",
-        target_params={"d": args.dim, "precision": args.precision}, sampler=args.kind, lazy=args.lazy,
-        schedule_kind=schedule_kind, schedule_params=schedule_params, iterations=args.iterations,
-        seed=args.seed)
+        args.out, "sample", ["acceptance_stats"], args.iterations, args.seed,
+        target={"kind": "gaussian", "d": args.dim, "precision": args.precision},
+        sampler={"kind": args.kind, "lazy": args.lazy}, schedule=schedule)
     acceptance = report.diagnostics["acceptance_stats"]["accepted_fraction_mean"]
-    _progress(f"eta {report.resolved_etas[0]:g} ({schedule_kind}), acceptance {acceptance:.3f}")
+    _progress(f"eta {report.resolved_etas[0]:g} ({schedule['kind']}), acceptance {acceptance:.3f}")
     print(report.trace_paths[0])
     return 0
 
 
 def _cmd_optimize(args) -> int:
     report = _run_one_cell(
-        args.out, ["acceptance_stats", "zero_one_summary"], name="optimize", target_kind="zero_one",
-        target_params={"d": args.dim, "r": args.count, "q0": args.q0, "epsilon": args.epsilon,
-                       "c1": args.c1, "data_seed": args.seed},
-        sampler="constrained-mala", lazy=not args.eager, schedule_kind="explicit",
-        schedule_params={"eta": args.eta}, iterations=args.iterations, seed=args.seed)
+        args.out, "optimize", ["acceptance_stats", "zero_one_summary"], args.iterations, args.seed,
+        target={"kind": "zero_one", "d": args.dim, "r": args.count, "q0": args.q0, "epsilon": args.epsilon,
+                "c1": args.c1, "data_seed": args.seed},
+        sampler={"kind": "constrained-mala", "lazy": not args.eager}, schedule={"kind": "explicit", "eta": args.eta})
     notes = report.target_notes
     _progress(f"inverse temperature {notes['inverse_temperature']:g}, annulus scale {notes['lam']:g}")
     summary = report.diagnostics["zero_one_summary"]

@@ -188,7 +188,8 @@ def mixing_time_estimate(
     TV minus the truth's :meth:`~GridDistribution.binning_floor` for as many
     samples (raw TV cannot reach zero under finite sampling).  A check with
     every replica off the grid counts as unmixed.  Returns ``None`` when the
-    budget runs out, never raises.
+    budget runs out.  Raises ValueError on bad arguments or a non-finite
+    start from ``init``, and :class:`NumericFailure` from ``run_ensemble``.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a TV estimate")

@@ -50,7 +50,7 @@ import math
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +122,8 @@ _DATA = {"dataset": _Key("word", default=None), **_sizes(default=None), "prior":
 
 # Every key of the format, declared once.  ``[target]`` and ``[schedule]``
 # are keyed by their ``kind``, ``diagnostics`` by the diagnostic's name, and
-# "" is the top level.  Parsing validates against this table and the
-# builders read their values, defaults filled in, from it.
+# "" is the top level.  parse_spec checks a spec against this table once and
+# keeps the typed values, defaults filled in, that the builders read.
 SCHEMA = {
     "": {"name": _Key("word")},
     "target": {
@@ -170,11 +170,15 @@ class SpecValidationError(ValueError):
 @dataclass(frozen=True)
 class DiagnosticSpec:
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A checked spec, made by :func:`parse_spec`.  Each ``params`` dict holds
+    every key of its :data:`SCHEMA` table, typed, with defaults filled in (None
+    for an optional key not given); a constrained-mala spec has its annulus."""
+
     name: str
     target_kind: str
     target_params: dict
@@ -187,8 +191,8 @@ class ExperimentSpec:
     seed: int
     record_every: int
     diagnostics: tuple[DiagnosticSpec, ...]
-    output: str | None = None
-    constraint_radii: tuple[float, float] | None = None
+    output: str | None
+    constraint_radii: tuple[float, float] | None
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +214,26 @@ def _parse_scalar(text: str):
 
 
 def _parse_sections(text: str, errors: list[str]):
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            lines.append(line.strip())
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
     if not lines or lines[0] != HEADER:
         errors.append(f"first line must be {HEADER!r}")
         return {}, []
-    sections: dict[str, dict] = {}
+    sections: dict[str, dict] = {"": {}}  # "" is the top level
     diag_lines: list[str] = []
     current = ""
-    sections[current] = {}
     for line in lines[1:]:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current == "diagnostics":
-                continue
             if current in sections:
                 errors.append(f"duplicate section [{current}]")
             sections.setdefault(current, {})
         elif current == "diagnostics":
             diag_lines.append(line)
         elif "=" in line:
-            key, value = line.split("=", 1)
-            sections[current][key.strip()] = _parse_scalar(value)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in sections[current]:
+                errors.append(f"duplicate key {key!r} in " + (f"[{current}]" if current else "the top level"))
+            sections[current][key] = _parse_scalar(value)
         else:
             errors.append(f"cannot parse line {line!r}")
     return sections, diag_lines
@@ -288,23 +287,14 @@ def _section(where: str, raw: dict, keys: dict, errors: list[str]) -> dict | Non
     return None if problems else values
 
 
-def _values(raw: dict, keys: dict) -> dict:
-    """The typed values of a spec section, defaults filled in from :data:`SCHEMA`."""
-    errors: list[str] = []
-    values = _section("the spec", raw, keys, errors)
-    if errors:
-        raise SpecValidationError(errors)
-    return values
-
-
 def _by_kind(name: str, sections: dict, errors: list[str]):
-    """The kind, raw keys and typed values of ``[target]`` or ``[schedule]``."""
+    """The kind and typed values of ``[target]`` or ``[schedule]``."""
     raw = dict(sections.get(name, {}))
     kind = raw.pop("kind", None)
     if kind not in SCHEMA[name]:
         errors.append(f"{name} kind must be one of {tuple(SCHEMA[name])}, got {kind!r}")
-        return None, raw, None
-    return kind, raw, _section(f"[{name}]", raw, SCHEMA[name][kind], errors)
+        return None, None
+    return kind, _section(f"[{name}]", raw, SCHEMA[name][kind], errors)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -316,8 +306,8 @@ def parse_spec(text: str) -> ExperimentSpec:
     errors.extend(f"unknown section [{s}]" for s in sections if s not in SCHEMA)
     plain = {s: _section(f"[{s}]" if s else "the top level", sections.get(s, {}), SCHEMA[s], errors)
              for s in ("", "sampler", "run", "output")}
-    kind, target_raw, target = _by_kind("target", sections, errors)
-    sched_kind, sched_raw, _ = _by_kind("schedule", sections, errors)
+    kind, target = _by_kind("target", sections, errors)
+    sched_kind, schedule = _by_kind("schedule", sections, errors)
     con = _section("[constraint]", sections["constraint"], SCHEMA["constraint"], errors) \
         if "constraint" in sections else None
     sampler = (plain["sampler"] or {}).get("kind")
@@ -328,7 +318,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         if missing:
             errors.append(f"[target] needs dataset = path, or {', '.join(missing)}")
     if kind == "gaussian" and target and len(target["precision"]) not in (1, target["d"]):
-        errors.append(f"precision needs 1 or d = {target['d']} entries, got {len(target['precision'])}")
+        errors.append(f"precision needs 1 or d = {target['d']} entries, got {len(target['precision'])} in [target]")
     if con and not con["inner"] < con["outer"]:
         errors.append("[constraint] needs inner < outer")
     if sampler == "constrained-mala" and "constraint" not in sections and kind != "zero_one":
@@ -342,15 +332,19 @@ def parse_spec(text: str) -> ExperimentSpec:
         if name not in SCHEMA["diagnostics"]:
             errors.append(f"unknown diagnostic {name!r} (known: {', '.join(SCHEMA['diagnostics'])})")
             continue
-        params = {}
+        raw = {}
         for piece in pieces:
             if "=" not in piece:
                 errors.append(f"diagnostic parameter {piece!r} must be key=value")
                 continue
             k, v = piece.split("=", 1)
-            params[k] = _parse_scalar(v)
-        diagnostics.append(DiagnosticSpec(name=name, params=params))
-        p = _section(f"diagnostic {name}", params, SCHEMA["diagnostics"][name], errors)
+            if k in raw:
+                errors.append(f"duplicate parameter {k!r} in diagnostic {name}")
+            raw[k] = _parse_scalar(v)
+        if any(d.name == name for d in diagnostics):
+            errors.append(f"duplicate diagnostic {name!r}")
+        p = _section(f"diagnostic {name}", raw, SCHEMA["diagnostics"][name], errors)
+        diagnostics.append(DiagnosticSpec(name=name, params=p))
         if name == "tv_vs_truth" and p and not (p["lo"] < p["hi"] and p["lo2"] < p["hi2"]):
             errors.append("tv_vs_truth needs lo < hi and lo2 < hi2")
         if name == "regularity" and kind == "gaussian":
@@ -361,48 +355,51 @@ def parse_spec(text: str) -> ExperimentSpec:
     if errors:
         raise SpecValidationError(errors)
     run, lazy = plain["run"], plain["sampler"]["lazy"]
+    radii = (con["inner"], con["outer"]) if con else (0.5, 1.0)  # a zero_one target's default annulus
     return ExperimentSpec(
         name=plain[""]["name"],
         target_kind=kind,
-        target_params=target_raw,
+        target_params=target,
         sampler=sampler,
         lazy=sampler == "constrained-mala" if lazy is None else lazy,  # lazy by default when optimizing
         schedule_kind=sched_kind,
-        schedule_params=sched_raw,
+        schedule_params=schedule,
         iterations=run["iterations"],
         replicas=run["replicas"],
         seed=run["seed"],
         record_every=run["record_every"],
         diagnostics=tuple(diagnostics),
         output=plain["output"]["dir"],
-        constraint_radii=None if con is None else (con["inner"], con["outer"]),
+        constraint_radii=radii if sampler == "constrained-mala" else None,
     )
 
 
 def _serialize_spec(spec: ExperimentSpec) -> str:
-    """Inverse of :func:`parse_spec` (round-trips exactly)."""
+    """The spec as text, every default spelled out: the inverse of
+    :func:`parse_spec`, which reads it back to an equal spec.  A list is its
+    entries' ``repr``s joined by commas, and a key whose value is None (an
+    optional key not given) is left out."""
     def fmt(v):
         if isinstance(v, bool):
             return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+        return ",".join(map(repr, v)) if isinstance(v, list) else repr(v) if isinstance(v, float) else str(v)
+
+    def keys(params: dict, sep: str = " = ") -> list[str]:
+        return [f"{k}{sep}{fmt(v)}" for k, v in sorted(params.items()) if v is not None]
 
     lines = [HEADER, f"name = {spec.name}", "", "[target]", f"kind = {spec.target_kind}"]
-    lines += [f"{k} = {fmt(v)}" for k, v in sorted(spec.target_params.items())]
+    lines += keys(spec.target_params)
     lines += ["", "[sampler]", f"kind = {spec.sampler}", f"lazy = {fmt(spec.lazy)}"]
     if spec.constraint_radii is not None:
         lines += ["", "[constraint]", f"inner = {fmt(spec.constraint_radii[0])}",
                   f"outer = {fmt(spec.constraint_radii[1])}"]
     lines += ["", "[schedule]", f"kind = {spec.schedule_kind}"]
-    lines += [f"{k} = {fmt(v)}" for k, v in sorted(spec.schedule_params.items())]
+    lines += keys(spec.schedule_params)
     lines += ["", "[run]", f"iterations = {spec.iterations}", f"replicas = {spec.replicas}",
               f"seed = {spec.seed}", f"record_every = {spec.record_every}"]
     if spec.diagnostics:
         lines += ["", "[diagnostics]"]
-        for d in spec.diagnostics:
-            params = " ".join(f"{k}={fmt(v)}" for k, v in sorted(d.params.items()))
-            lines.append(d.name if not params else f"{d.name} {params}")
+        lines += [" ".join([d.name, *keys(d.params, "=")]) for d in spec.diagnostics]
     if spec.output:
         lines += ["", "[output]", f"dir = {spec.output}"]
     return "\n".join(lines) + "\n"
@@ -422,7 +419,7 @@ class BuiltTarget:
 
 def build_target(spec: ExperimentSpec) -> BuiltTarget:
     """Materialize the spec's target (and constraint, for constrained runs)."""
-    p = _values(spec.target_params, SCHEMA["target"][spec.target_kind])
+    p = spec.target_params
     notes: dict = {}
     if spec.target_kind == "gaussian":
         target = make_gaussian(p["d"], p["precision"])
@@ -446,9 +443,8 @@ def build_target(spec: ExperimentSpec) -> BuiltTarget:
 
     constraint = None
     if spec.sampler == "constrained-mala":
-        radii = spec.constraint_radii or (0.5, 1.0)
-        constraint = annulus(*radii)
-        notes["constraint"] = list(radii)
+        constraint = annulus(*spec.constraint_radii)
+        notes["constraint"] = list(spec.constraint_radii)
     return BuiltTarget(target=target, constraint=constraint, dataset=dataset,
                        theta_star=theta, notes=notes)
 
@@ -456,7 +452,7 @@ def build_target(spec: ExperimentSpec) -> BuiltTarget:
 def resolve_etas(spec: ExperimentSpec, built: BuiltTarget) -> tuple[list[float], dict]:
     """Schedule resolution.  theorem1 takes a Gaussian's constants from its
     precisions and probes any other target's."""
-    p = _values(spec.schedule_params, SCHEMA["schedule"][spec.schedule_kind])
+    p = spec.schedule_params
     notes: dict = {}
     if spec.schedule_kind == "explicit":
         return [p["eta"]], notes
@@ -627,7 +623,7 @@ def _run_diagnostics(spec, built, traces, stats):
     target = built.target
     ordered = [tr for _, tr in sorted(traces.items())]
     for diag in spec.diagnostics:
-        p = _values(diag.params, SCHEMA["diagnostics"][diag.name])
+        p = diag.params
         if diag.name == "acceptance_stats":
             block = {"accepted_fraction_mean": float(np.mean([s.accepted_fraction for s in stats.values()])),
                      "mean_accept_prob": float(np.mean([s.mean for s in stats.values()]))}

@@ -528,20 +528,27 @@ def save_dataset(data: Dataset, csv_path) -> tuple[Path, Path]:
 
 
 def load_dataset(csv_path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`.  A file without the
+    header, a row of the wrong width and a field that is not a number raise
+    ValueError naming the file and the line; a header alone is r = 0."""
     csv_path = Path(csv_path)
-    lines = [ln for ln in csv_path.read_text().splitlines() if ln.strip()]
-    header = lines[0].split(",")
+    lines = [(n, ln) for n, ln in enumerate(csv_path.read_text().splitlines(), 1) if ln.strip()] or [(1, "")]
+    header = lines[0][1].split(",")
     if header[-1] != "response" or not header[0].startswith("feature_"):
-        raise ValueError(f"{csv_path} does not look like a dataset CSV")
+        raise ValueError(f"{csv_path} line {lines[0][0]}: no dataset header (feature_0,...,response)")
     d = len(header) - 1
     r = len(lines) - 1
     features = np.empty((d, r))
     responses = np.empty(r, dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
+    for i, (n, line) in enumerate(lines[1:]):
         parts = line.split(",")
-        features[:, i] = [float(v) for v in parts[:d]]
-        responses[i] = int(parts[d])
+        try:
+            if len(parts) != d + 1:
+                raise ValueError(f"expected {d + 1} fields, as the header has, got {len(parts)}")
+            features[:, i] = [float(v) for v in parts[:d]]
+            responses[i] = int(parts[d])
+        except ValueError as exc:
+            raise ValueError(f"{csv_path} line {n}: {exc}") from None
     sidecar = csv_path.with_suffix(".json")
     true_param, q0, seed = None, 1.0, None
     if sidecar.exists():

@@ -100,6 +100,22 @@ MALFORMED = {
 }
 
 
+# Each spec says one thing twice; an earlier version let the last one win
+# (or, for a diagnostic, ran it twice) without a word.
+REPEATED = {
+    "key": (MINIMAL.replace("eta = 0.5", "eta = 0.5\neta = 50.0"),
+            "duplicate key 'eta' in [schedule]"),
+    "top-level key": (MINIMAL.replace("name = mini", "name = mini\nname = maxi"),
+                      "duplicate key 'name' in the top level"),
+    "parameter": (MINIMAL + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=60 bins=10\n",
+                  "duplicate parameter 'bins' in diagnostic tv_vs_truth"),
+    "diagnostic": (MINIMAL + "\n[diagnostics]\nacceptance_stats\nacceptance_stats\n",
+                   "duplicate diagnostic 'acceptance_stats'"),
+    "diagnostics section": (MINIMAL + "\n[diagnostics]\nacceptance_stats\n\n[diagnostics]\n"
+                            "tv_vs_truth lo=-6 hi=6 bins=60\n", "duplicate section [diagnostics]"),
+}
+
+
 def spec_with(**edits):
     text = MINIMAL
     for old, new in edits.items():
@@ -137,7 +153,7 @@ FLOAT_LISTS = _float_lists(2, 4)
 
 @st.composite
 def valid_specs(draw):
-    """Valid specs: every target, sampler and schedule kind, with optional keys."""
+    """Valid specs as written, before parsing: every target, sampler and schedule kind, with optional keys."""
     kind = draw(st.sampled_from(["gaussian", "logistic", "sigmoid", "zero_one"]))
     sizes = {"d": draw(st.integers(1, 50)), "r": draw(st.integers(1, 5000)),
              "data_seed": draw(st.integers(0, 10**6)), "q0": draw(_floats(0.0, 1.0, exclude_low=True))}
@@ -174,7 +190,7 @@ def valid_specs(draw):
         diag_params["regularity"] = st.fixed_dictionaries({}, optional={"probe_points": st.integers(1, 64)})
     if kind == "zero_one":
         diag_params["zero_one_summary"] = st.fixed_dictionaries({}, optional={"angle_max": POSITIVE})
-    names = draw(st.lists(st.sampled_from(sorted(diag_params)), max_size=4))
+    names = draw(st.lists(st.sampled_from(sorted(diag_params)), max_size=4, unique=True))
     return ExperimentSpec(
         name=draw(WORDS), target_kind=kind, target_params=target, sampler=sampler, lazy=draw(st.booleans()),
         schedule_kind=schedule, schedule_params=draw(params), iterations=draw(st.integers(1, 10**6)),
@@ -188,9 +204,11 @@ class TestParsing:
     @settings(max_examples=200, deadline=None)
     @given(spec=valid_specs())
     def test_serialize_parse_round_trip(self, spec):
-        text = harness._serialize_spec(spec)
-        assert parse_spec(text) == spec
-        assert harness._serialize_spec(parse_spec(text)) == text
+        given_text = harness._serialize_spec(spec)  # the keys as written, defaults left out
+        parsed = parse_spec(given_text)
+        text = harness._serialize_spec(parsed)
+        assert parse_spec(text) == parsed
+        assert set(given_text.split()) <= set(text.split())  # every given key keeps its value
 
     def test_minimal_valid(self):
         spec = parse_spec(MINIMAL)
@@ -264,6 +282,22 @@ class TestParsing:
     def test_round_trip_zero_one(self):
         spec = parse_spec(ZERO_ONE)
         assert parse_spec(harness._serialize_spec(spec)) == spec
+
+    @pytest.mark.parametrize("case", sorted(REPEATED))
+    def test_repetition_is_an_error(self, case):
+        text, message = REPEATED[case]
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(text)
+        assert err.value.errors == [message]
+
+    def test_serialized_spec_spells_out_every_default(self):
+        text = harness._serialize_spec(parse_spec(ZERO_ONE))
+        assert "[constraint]\ninner = 0.5\nouter = 1.0\n" in text  # the annulus the run uses
+        assert "record_every = 1\n" in text and "zero_one_summary angle_max=0.35\n" in text
+        text = harness._serialize_spec(parse_spec(MINIMAL + "\n[diagnostics]\nenergy_error_scaling\n"))
+        assert "lazy = false\n" in text and "precision = 1.0\n" in text
+        assert "energy_error_scaling etas=0.4,0.2,0.1,0.05,0.025 samples=2000\n" in text
+        assert "[constraint]" not in text and "[output]" not in text
 
     @pytest.mark.parametrize("key", sorted(MALFORMED))
     def test_malformed_value_names_its_key(self, key):
@@ -545,7 +579,9 @@ class TestCli:
         (["diagnose", "hanson-wright", "--dim", "0"], "--dim: the dimension must be >= 1, got 0"),
         (["diagnose", "hanson-wright", "--dim", "-3"], "--dim: the dimension must be >= 1, got -3"),
         (["scaling", "mini.spec", "--axis", "eta", "--values", "0.5,0.5,0.5"], "eta values must be distinct"),
-    ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated"])
+        (["sample", "--precision", "4#,1"], "--precision: must be a number or a comma list, got '4#,1'"),
+    ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated",
+            "sample-precision-comment"])
     def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
@@ -596,9 +632,42 @@ class TestCli:
         assert payload["conductance_upper_bound"] > 0.0
         assert payload["conductance_upper_bound"] == pytest.approx(exact, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--iterations", "0"], "iterations must be >= 1, got 0 in [run]"),
+        (["optimize", "--iterations", "0"], "iterations must be >= 1, got 0 in [run]"),
+        (["sample", "--eta", "-1"], "eta must be > 0.0, got -1.0 in [schedule]"),
+        (["sample", "--dim", "3", "--precision", "1,4"], "precision needs 1 or d = 3 entries, got 2 in [target]"),
+    ], ids=["sample-iterations", "optimize-iterations", "sample-eta", "sample-precision"])
+    def test_chain_command_refuses_a_bad_value_before_writing(self, tmp_path, capsys, argv, message):
+        # At an earlier version both --iterations 0 runs made an empty --out
+        # directory before they failed, with errors that named no section.
+        assert cli_entry(argv + ["--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, line, command", [
+        ("", 1, "regularity"),
+        ("feature_0,feature_1,response\n0.6,0.8,1\n1.0\n", 3, "regularity"),
+        ("feature_0,feature_1,response\n0.6,0.8,1\n1.0\n", 3, "run"),
+        ("feature_0,feature_1,response\n\n0.6,abc,1\n", 3, "regularity"),
+    ], ids=["empty", "short-row", "short-row-run", "not-a-number"])
+    def test_malformed_dataset_csv_is_exit_1_naming_the_file(self, tmp_path, capsys, rows, line, command):
+        # At an earlier version the first three exited 2 with "list index out
+        # of range", and the last named neither the file nor the line.
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(rows)
+        spec = tmp_path / "data.spec"
+        spec.write_text(spec_with(**{"kind = gaussian\nd = 1\nprecision = 1.0":
+                                     f"kind = logistic\ndataset = {csv_path}\nprior = 1.0"}))
+        argv = ["regularity", str(csv_path)] if command == "regularity" else ["run", str(spec)]
+        assert cli_entry(argv + (["--out", str(tmp_path / "out")] if command == "run" else [])) == 1
+        assert f"{csv_path} line {line}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sample_rejects_precision_of_wrong_length(self, tmp_path, capsys):
         assert cli_entry(["sample", "--dim", "3", "--precision", "1,4", "--out", str(tmp_path)]) == 1
-        assert "precision has 2 entries; d = 3 needs 1 or 3" in capsys.readouterr().err
+        assert "precision needs 1 or d = 3 entries, got 2 in [target]" in capsys.readouterr().err
 
     def test_sample_writes_trace(self, tmp_path, capsys):
         code = cli_entry(["sample", "--dim", "2", "--precision", "1,4", "--eta", "0.4",

@@ -386,6 +386,11 @@ class TestDatasetIO:
         assert loaded.noise_floor == data.noise_floor
         assert loaded.seed == data.seed
 
+    def test_header_only_is_an_empty_dataset(self, tmp_path):
+        (tmp_path / "ds.csv").write_text("feature_0,feature_1,response\n")
+        loaded = load_dataset(tmp_path / "ds.csv")
+        assert loaded.features.shape == (2, 0) and loaded.responses.shape == (0,)
+
     def test_rejects_non_unit_columns(self):
         with pytest.raises(ValueError):
             Dataset(features=np.array([[2.0]]), responses=np.array([1]))
