@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,11 +98,15 @@ class GridDistribution:
         even when they come from the distribution itself."""
         return float(np.mean([self.tv_to_samples(self.sample_midpoints(rng, n)) for _ in range(3)]))
 
+    @cached_property
+    def _axis_edges(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.edges(a) for a in range(self.dims))
+
     def tv_to_samples(self, samples) -> float:
         """``tv_distance(histogram(samples, <this grid>), self)``, binned on
-        this distribution's own validated geometry.  Raises
-        :class:`EmptySupportError` when no sample lands on the grid."""
-        counts = _bin_counts(samples, self.lower, self.upper, self.bins)
+        this distribution's own validated geometry and edges, built once.
+        Raises :class:`EmptySupportError` when no sample lands on the grid."""
+        counts = _bin_counts(samples, self._axis_edges)
         return _tv(counts / counts.sum(), self.mass)
 
 
@@ -161,24 +166,24 @@ def _warn_boundary_mass(mass: np.ndarray) -> None:
         warnings.warn(f"boundary cells carry {edge:.3g} of the mass; widen the grid", stacklevel=3)
 
 
-def _bin_counts(samples, lower, upper, bins) -> np.ndarray:
+def _bin_counts(samples, edges) -> np.ndarray:
     """Per-cell sample counts by ``np.histogramdd``'s rule on ``linspace``
-    edges: cells are closed on the left, and a sample equal to the last
-    edge falls in the last cell.  A sample below an axis goes to pad cell
-    0 of that axis, one above it or NaN to pad cell ``bins + 1``; one
-    ``bincount`` fills the padded grid and the pads are dropped."""
+    edges, one array per axis: cells are closed on the left, and a sample
+    equal to the last edge falls in the last cell.  A sample below an axis
+    goes to pad cell 0 of that axis, one above it or NaN to pad cell
+    ``bins + 1``; one ``bincount`` fills the padded grid, and the pads go."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[1] != len(bins):
-        raise ValueError(f"samples have dimension {x.shape[1]}, grid is {len(bins)}D")
+    if x.shape[1] != len(edges):
+        raise ValueError(f"samples have dimension {x.shape[1]}, grid is {len(edges)}D")
     flat = 0
-    for a, (lo, hi, b) in enumerate(zip(lower, upper, bins)):
-        idx = np.searchsorted(np.linspace(lo, hi, b + 1), x[:, a], side="right")
-        idx[x[:, a] == hi] -= 1
-        flat = flat * (b + 2) + idx
-    padded = tuple(b + 2 for b in bins)
-    counts = np.bincount(flat, minlength=math.prod(padded)).reshape(padded)[(slice(1, -1),) * len(bins)]
+    for a, e in enumerate(edges):
+        idx = np.searchsorted(e, x[:, a], side="right")
+        idx[x[:, a] == e[-1]] -= 1
+        flat = flat * (len(e) + 1) + idx
+    padded = tuple(len(e) + 1 for e in edges)
+    counts = np.bincount(flat, minlength=math.prod(padded)).reshape(padded)[(slice(1, -1),) * len(edges)]
     if counts.sum() == 0:
         raise EmptySupportError("no samples fall inside the grid bounds")
     return counts
@@ -192,7 +197,7 @@ def histogram(samples, bounds, bins) -> GridDistribution:
     Raises :class:`EmptySupportError` when nothing lands inside.
     """
     lower, upper, bins = _normalize_geometry(bounds, bins)
-    counts = _bin_counts(samples, lower, upper, bins)
+    counts = _bin_counts(samples, [np.linspace(lo, hi, b + 1) for lo, hi, b in zip(lower, upper, bins)])
     return GridDistribution(lower=lower, upper=upper, bins=bins, mass=counts / counts.sum())
 
 

@@ -69,6 +69,8 @@ class Dataset:
         d, r = features.shape
         if responses.shape != (r,):
             raise ValueError(f"responses must have length r={r}, got {responses.shape}")
+        if not np.all(np.isfinite(features)):  # a NaN column would pass the unit-norm test below
+            raise ValueError(f"features must be finite; column {np.isfinite(features).all(axis=0).argmin()} is not")
         if r > 0:
             norms = np.linalg.norm(features, axis=0)
             if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
@@ -133,8 +135,8 @@ class TargetModel:
                 raise ValueError("bad_directions must have d rows")
             if bd.shape[1] == 0:
                 raise ValueError("bad_directions has no columns; pass None for a target without bad directions")
-            if np.any(np.abs(np.linalg.norm(bd, axis=0) - 1.0) > 1e-9):
-                raise ValueError("bad_directions columns must be unit norm")
+            if not np.all(np.abs(np.linalg.norm(bd, axis=0) - 1.0) <= 1e-9):  # False for NaN, so NaN is refused
+                raise ValueError("bad_directions columns must be finite and unit norm")
             object.__setattr__(self, "bad_directions", bd)
 
     @property
@@ -416,7 +418,9 @@ def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> D
     Label ``i`` equals ``sign(x_i . theta*)`` with probability
     ``(1 + q(x_i)) / 2`` where ``q(x) = min(1, q0 |x . theta*|)`` — the
     minimal noise function compatible with the model's lower bound.
-    Deterministic given ``seed``.
+    Deterministic given ``seed``: the stream draws an ``(r, d)`` block of
+    normals, one row per feature; rows of norm below 1e-12 (never seen) are
+    redrawn, in order, from the same stream before the labels' uniforms.
     """
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
@@ -424,20 +428,18 @@ def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> D
     if theta.shape != (d,):
         raise ValueError("theta_star must have length d")
     norm = np.linalg.norm(theta)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError("theta_star must be a unit vector")
+    if not abs(norm - 1.0) <= 1e-8:  # False for NaN, so NaN is refused
+        raise ValueError("theta_star must be a finite unit vector")
     theta = theta / norm
     if not (0.0 < q0 <= 1.0):
         raise ValueError("q0 must lie in (0, 1]")
     rng = chain_rng(seed)
-    features = np.empty((d, r))
-    for i in range(r):
-        while True:
-            g = rng.standard_normal(d)
-            n = np.linalg.norm(g)
-            if n >= 1e-12:
-                break
-        features[:, i] = g / n
+    g = rng.standard_normal((r, d))
+    norms = np.sqrt(np.vecdot(g, g))  # bit for bit np.linalg.norm(g[i]); norm(g, axis=1) rounds differently
+    while (bad := np.flatnonzero(norms < 1e-12)).size:
+        g[bad] = rng.standard_normal((bad.size, d))
+        norms[bad] = np.sqrt(np.vecdot(g[bad], g[bad]))
+    features = np.ascontiguousarray((g / norms[:, None]).T)  # C order: the layout the goldens were computed on
     ips = features.T @ theta
     base = np.where(ips >= 0.0, 1, -1)
     q = np.minimum(1.0, q0 * np.abs(ips))
@@ -557,5 +559,7 @@ def load_dataset(csv_path) -> Dataset:
         seed = meta.get("seed")
         if meta.get("theta_star") is not None:
             true_param = np.asarray(meta["theta_star"], dtype=float)
-    return Dataset(features=features, responses=responses, true_param=true_param,
-                   noise_floor=q0, seed=seed)
+    try:
+        return Dataset(features=features, responses=responses, true_param=true_param, noise_floor=q0, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{csv_path}: {exc}") from None

@@ -646,15 +646,19 @@ class TestCli:
         assert message in captured.err and captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("rows, line, command", [
-        ("", 1, "regularity"),
-        ("feature_0,feature_1,response\n0.6,0.8,1\n1.0\n", 3, "regularity"),
-        ("feature_0,feature_1,response\n0.6,0.8,1\n1.0\n", 3, "run"),
-        ("feature_0,feature_1,response\n\n0.6,abc,1\n", 3, "regularity"),
-    ], ids=["empty", "short-row", "short-row-run", "not-a-number"])
-    def test_malformed_dataset_csv_is_exit_1_naming_the_file(self, tmp_path, capsys, rows, line, command):
+    @pytest.mark.parametrize("rows, where, command", [
+        ("", " line 1:", "regularity"),
+        ("feature_0,feature_1,response\n0.6,0.8,1\n1.0\n", " line 3:", "regularity"),
+        ("feature_0,feature_1,response\n0.6,0.8,1\n1.0\n", " line 3:", "run"),
+        ("feature_0,feature_1,response\n\n0.6,abc,1\n", " line 3:", "regularity"),
+        ("feature_0,feature_1,response\n0.6,0.8,1\nnan,1.0,0\n", ": features must be finite; column 1", "regularity"),
+        ("feature_0,feature_1,response\n0.6,0.8,1\nnan,1.0,0\n", ": features must be finite; column 1", "run"),
+    ], ids=["empty", "short-row", "short-row-run", "not-a-number", "nan-feature", "nan-feature-run"])
+    def test_malformed_dataset_csv_is_exit_1_naming_the_file(self, tmp_path, capsys, rows, where, command):
         # At an earlier version the first three exited 2 with "list index out
-        # of range", and the last named neither the file nor the line.
+        # of range", and the fourth named neither the file nor the line.  A NaN
+        # feature passed validation: `run` sampled on it (on an rwm spec it exited
+        # 0, status ok), and `regularity` exited 1 naming only the incoherence.
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(rows)
         spec = tmp_path / "data.spec"
@@ -662,7 +666,7 @@ class TestCli:
                                      f"kind = logistic\ndataset = {csv_path}\nprior = 1.0"}))
         argv = ["regularity", str(csv_path)] if command == "regularity" else ["run", str(spec)]
         assert cli_entry(argv + (["--out", str(tmp_path / "out")] if command == "run" else [])) == 1
-        assert f"{csv_path} line {line}:" in capsys.readouterr().err
+        assert f"{csv_path}{where}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sample_rejects_precision_of_wrong_length(self, tmp_path, capsys):

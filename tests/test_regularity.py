@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from malakit.regularity import (
@@ -19,6 +20,7 @@ from malakit.regularity import (
     incoherence,
     theorem3_bounds,
 )
+from malakit.regularity import _GRAM_BLOCK_ENTRIES
 from malakit.rng import chain_rng
 from malakit.targets import (
     Dataset,
@@ -70,6 +72,32 @@ class TestIncoherence:
         rotated_feats /= np.linalg.norm(rotated_feats, axis=0)  # renormalize roundoff
         rotated = Dataset(features=rotated_feats, responses=data.responses)
         assert incoherence(rotated) == pytest.approx(base, rel=1e-9)
+
+    # The budget gives r = 1141 rows of 114, so 1141 = 1 (mod 114), split into
+    # 10 blocks; 2000 is the zero-one benchmark's r; 511 is the largest r of one block.
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 12), r=st.integers(1, 1500), seed=st.integers(0, 2**16))
+    @example(d=3, r=1141, seed=0)
+    @example(d=7, r=2000, seed=11)
+    @example(d=5, r=511, seed=1)
+    def test_row_blocks_match_the_full_gram_matrix(self, d, r, seed):
+        data = sample_sphere_dataset(d, r, e1(d), 0.7, seed)
+        full = float(np.max(np.abs(data.features.T @ data.features).sum(axis=1)))
+        if r // max(2, _GRAM_BLOCK_ENTRIES // r) <= 1:  # one block is f.T @ f on the same buffer: same bits
+            assert incoherence(data) == full
+        else:
+            assert incoherence(data) == pytest.approx(full, rel=1e-12, abs=0)
+
+    def test_memory_does_not_grow_as_r_squared(self):
+        # The full 4000 x 4000 Gram matrix and its absolute value take 128 MB each.
+        data = sample_sphere_dataset(3, 4000, e1(3), 0.7, 2)
+        tracemalloc.start()
+        try:
+            incoherence(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTheorem3Bounds:

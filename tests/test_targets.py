@@ -1,6 +1,7 @@
 """Target construction, datasets, schedules, and serialization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
+from malakit import targets
 from malakit.diagnostics import energy_error_scaling
 from malakit.rng import chain_rng
 from malakit.targets import (
@@ -28,6 +30,7 @@ from malakit.targets import (
 from malakit.targets import _logistic_loss
 
 TINY = np.finfo(float).tiny
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def e1(d):
@@ -265,11 +268,45 @@ class TestSphereDataset:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             sample_sphere_dataset(3, 5, 2.0 * e1(3), 0.5, 1)
+        # A NaN theta_star passed the unit-norm test at an earlier version.
+        with pytest.raises(ValueError, match="finite unit vector"):
+            sample_sphere_dataset(3, 5, np.array([np.nan, 0.0, 0.0]), 0.5, 1)
         with pytest.raises(ValueError):
             sample_sphere_dataset(3, 5, e1(3), 0.0, 1)
         for d in (0, -3):
             with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
                 sample_sphere_dataset(d, 5, np.zeros(0), 0.5, 1)
+
+    def test_degenerate_rows_are_redrawn_in_order_from_the_stream(self, monkeypatch):
+        class ZeroRows:  # the seed's stream, with rows 1 and 3 of the first block zeroed
+            def __init__(self, seed):
+                self.rng, self.first = chain_rng(seed), True
+
+            def standard_normal(self, size):
+                g = self.rng.standard_normal(size)
+                if self.first:
+                    g[[1, 3]], self.first = 0.0, False
+                return g
+
+            def random(self, size):
+                return self.rng.random(size)
+
+        monkeypatch.setattr(targets, "chain_rng", ZeroRows)
+        data = sample_sphere_dataset(3, 5, e1(3), 0.7, 4)
+        rng = chain_rng(4)
+        g = rng.standard_normal((5, 3))
+        g[[1, 3]] = rng.standard_normal((2, 3))
+        assert np.array_equal(data.features, (g / np.sqrt(np.vecdot(g, g))[:, None]).T)
+        base = np.where(data.features.T @ e1(3) >= 0.0, 1, -1)
+        keep = rng.random(5) < (1.0 + np.minimum(1.0, 0.7 * np.abs(data.features.T @ e1(3)))) / 2.0
+        assert np.array_equal(data.responses, np.where(keep, base, -base))
+
+    def test_bundled_dataset_is_the_generator_output(self, tmp_path):
+        # The arguments of scripts/make_bundled_dataset.py; a moved generator
+        # stream fails here before the bundled demo disagrees with it.
+        csv_path, sidecar = save_dataset(sample_sphere_dataset(5, 50, e1(5), 0.7, 1234), tmp_path / "b.csv")
+        assert csv_path.read_bytes() == (ROOT / "data" / "bundled_r50.csv").read_bytes()
+        assert sidecar.read_bytes() == (ROOT / "data" / "bundled_r50.json").read_bytes()
 
 
 class TestAnnulus:
@@ -395,6 +432,12 @@ class TestDatasetIO:
         with pytest.raises(ValueError):
             Dataset(features=np.array([[2.0]]), responses=np.array([1]))
 
+    def test_rejects_non_finite_features(self):
+        # A NaN column passed the unit-norm test at an earlier version.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="features must be finite; column 1 is not"):
+                Dataset(features=np.array([[1.0, bad], [0.0, 0.0]]), responses=np.array([1, 0]))
+
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(features=e1(2)[:, None], responses=np.array([3]))
@@ -452,6 +495,13 @@ class TestTargetModel:
         g = make_gaussian(2, 1.0)
         with pytest.raises(ValueError, match="bad_directions has no columns"):
             TargetModel(dimension=2, potential=g.potential, gradient=g.gradient, bad_directions=np.empty((2, 0)))
+
+    def test_bad_directions_nan_refused(self):
+        # A NaN column passed the unit-norm test at an earlier version.
+        g = make_gaussian(2, 1.0)
+        with pytest.raises(ValueError, match="finite and unit norm"):
+            TargetModel(dimension=2, potential=g.potential, gradient=g.gradient,
+                        bad_directions=np.array([[1.0, np.nan], [0.0, 0.0]]))
 
     def test_bad_directions_vector_refused(self):
         # An earlier version read bd.shape[1] of a 1-D vector and raised IndexError.
