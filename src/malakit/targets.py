@@ -5,6 +5,8 @@ else.  ``TargetModel.value_and_grad`` returns both at once: the built-in
 targets fuse it so the shared work (``x @ a`` and the one transcendental per
 datum: ``exp(-|t|)`` for the logistic loss, ``expit`` for the sigmoid losses)
 is done once, and its results equal the separate calls bit-for-bit.
+scipy, whose ``expit`` the sigmoid losses use, is imported on the first
+sigmoid evaluation, so a Gaussian target never loads it.
 Regression-style targets additionally carry the matrix of unit "bad
 directions" (the data vectors) and closed-form third/fourth directional
 derivatives for the regularity estimators; a Gaussian, its precisions.
@@ -14,14 +16,14 @@ array of positions evaluates ``n`` potentials in one call.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .rng import chain_rng
 
@@ -51,8 +53,9 @@ class Dataset:
     ``features`` is ``d x r`` (column ``i`` is the data vector of datum
     ``i``).  Responses are ``{0, 1}`` for the regression targets or
     ``{-1, +1}`` for the classifier model; factories normalise between the
-    two conventions.  ``seed`` records generator provenance when the data
-    are synthetic.
+    two conventions.  ``true_param``, when given, is a finite vector of
+    length d.  ``seed`` records generator provenance when the data are
+    synthetic.
     """
 
     features: np.ndarray
@@ -84,7 +87,10 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "responses", responses)
         if self.true_param is not None:
-            object.__setattr__(self, "true_param", np.asarray(self.true_param, dtype=float))
+            theta = np.asarray(self.true_param, dtype=float)
+            if theta.shape != (d,) or not np.all(np.isfinite(theta)):
+                raise ValueError(f"true_param must be a finite vector of length d = {d}, got {theta.tolist()}")
+            object.__setattr__(self, "true_param", theta)
 
     @property
     def dimension(self) -> int:
@@ -165,9 +171,17 @@ class ConstraintSet:
 # ---------------------------------------------------------------------------
 # loss functions (value and first/third/fourth derivatives)
 
+@functools.cache
+def _expit() -> Callable[[np.ndarray], np.ndarray]:
+    """scipy's logistic ufunc, imported once, on the first sigmoid evaluation."""
+    from scipy.special import expit
+
+    return expit
+
+
 def _sigma_derivs(s: np.ndarray, order: int) -> np.ndarray:
     """Derivatives of the standard sigmoid, stable for |s| up to ~700."""
-    p = expit(s)
+    p = _expit()(s)
     d1 = p * (1.0 - p)
     if order == 1:
         return d1
@@ -215,20 +229,20 @@ def _logistic_loss() -> _Loss:
 def _sigmoid_loss() -> _Loss:
     # phi(s) = sigmoid(-s): bounded, nonconvex, robust-to-outliers loss.
     def value_d1(t):
-        p = expit(-t)
+        p = _expit()(-t)
         return p, -(p * (1.0 - p))
 
-    return _Loss(lambda t: expit(-t), lambda t: -_sigma_derivs(-t, 1), value_d1,
+    return _Loss(lambda t: _expit()(-t), lambda t: -_sigma_derivs(-t, 1), value_d1,
                  lambda t: -_sigma_derivs(-t, 3), lambda t: _sigma_derivs(-t, 4))
 
 
 def _plain_sigmoid() -> _Loss:
     # sigmoid itself; the zero-one surrogate folds the -y sign into its columns.
     def value_d1(t):
-        p = expit(t)
+        p = _expit()(t)
         return p, p * (1.0 - p)
 
-    return _Loss(expit, lambda t: _sigma_derivs(t, 1), value_d1,
+    return _Loss(lambda t: _expit()(t), lambda t: _sigma_derivs(t, 1), value_d1,
                  lambda t: _sigma_derivs(t, 3), lambda t: _sigma_derivs(t, 4))
 
 
@@ -532,7 +546,8 @@ def save_dataset(data: Dataset, csv_path) -> tuple[Path, Path]:
 def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.  A file without the
     header, a row of the wrong width and a field that is not a number raise
-    ValueError naming the file and the line; a header alone is r = 0."""
+    ValueError naming the file and the line; a header alone is r = 0.  An
+    unreadable or invalid JSON sidecar raises ValueError naming the sidecar."""
     csv_path = Path(csv_path)
     lines = [(n, ln) for n, ln in enumerate(csv_path.read_text().splitlines(), 1) if ln.strip()] or [(1, "")]
     header = lines[0][1].split(",")
@@ -551,15 +566,18 @@ def load_dataset(csv_path) -> Dataset:
             responses[i] = int(parts[d])
         except ValueError as exc:
             raise ValueError(f"{csv_path} line {n}: {exc}") from None
-    sidecar = csv_path.with_suffix(".json")
-    true_param, q0, seed = None, 1.0, None
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        q0 = float(meta.get("q0", 1.0))
-        seed = meta.get("seed")
-        if meta.get("theta_star") is not None:
-            true_param = np.asarray(meta["theta_star"], dtype=float)
     try:
-        return Dataset(features=features, responses=responses, true_param=true_param, noise_floor=q0, seed=seed)
+        data = Dataset(features=features, responses=responses)
     except ValueError as exc:
         raise ValueError(f"{csv_path}: {exc}") from None
+    sidecar = csv_path.with_suffix(".json")
+    if not sidecar.exists():
+        return data
+    try:
+        meta = json.loads(sidecar.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
+        return replace(data, true_param=meta.get("theta_star"),
+                       noise_floor=float(meta.get("q0", 1.0)), seed=meta.get("seed"))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None

@@ -142,10 +142,12 @@ class TestRwm:
         assert downhill.any()
         assert trace.accepted[downhill].all() and np.all(trace.log_accepts[downhill] == 0.0)
 
-    def test_acceptance_rule_recomputed_from_potentials(self):
-        trace = run_rwm(STD_1D, ChainConfig(step_size=1.0, iterations=2000, seed=4), np.zeros(1))
+    @pytest.mark.parametrize("eta", [0.3, 1.0, 1.7])
+    def test_acceptance_rule_recomputed_from_potentials(self, eta):
+        # At eta = 1 alone a proposal that squares the step size would pass.
+        trace = run_rwm(STD_1D, ChainConfig(step_size=eta, iterations=2000, seed=4), np.zeros(1))
         prev = np.vstack([trace.init_state, trace.states[:-1]])
-        proposed = prev + 1.0 * chain_rng(4, 1).standard_normal((2000, 1))  # step i uses velocity i
+        proposed = prev + eta * chain_rng(4, 1).standard_normal((2000, 1))  # step i uses velocity i
         accepted = trace.accepted[:, None]
         assert np.array_equal(trace.states, np.where(accepted, proposed, prev))
         gap = STD_1D.potential(proposed) - STD_1D.potential(prev)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -756,3 +759,35 @@ class TestCli:
         assert cli_entry(argv) == 1
         assert "finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+# Run in a fresh interpreter: which modules a cold start loads.
+COLD_START = """\
+import json, sys
+import numpy as np
+import malakit, malakit.cli
+from malakit.harness import build_target, parse_spec, resolve_etas
+
+loaded = {"import": "scipy" in sys.modules}
+for name, text in json.loads(sys.argv[1]).items():
+    spec = parse_spec(text)
+    built = build_target(spec)
+    resolve_etas(spec, built)
+    loaded[name] = "scipy" in sys.modules
+built.target.value_and_grad(np.full((1, built.target.dimension), 0.5))
+loaded["value_and_grad"] = "scipy" in sys.modules
+print(json.dumps({"malakit": malakit.__file__, "scipy_loaded": loaded}))
+"""
+
+
+def test_scipy_is_loaded_only_by_a_sigmoid_evaluation():
+    # scipy is about 0.35 s and 18 MB of a cold start; only the sigmoid
+    # losses use it.  A new top-level import of it fails here.
+    specs = {"gaussian": MINIMAL, "zero_one": ZERO_ONE}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(specs)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert Path(result["malakit"]).resolve().parent == ROOT / "src" / "malakit"
+    assert result["scipy_loaded"] == {"import": False, "gaussian": False, "zero_one": False, "value_and_grad": True}

@@ -1,6 +1,7 @@
 """Target construction, datasets, schedules, and serialization."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,36 @@ class TestDatasetIO:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             Dataset(features=e1(2)[:, None], responses=np.array([3]))
+
+    @pytest.mark.parametrize("theta", [[np.nan, 0.0], [np.inf, 0.0], [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]],
+                             ids=["nan", "inf", "short", "long", "matrix"])
+    def test_rejects_bad_true_param(self, theta):
+        with pytest.raises(ValueError, match="true_param must be a finite vector of length d = 2"):
+            Dataset(features=e1(2)[:, None], responses=np.array([1]), true_param=theta)
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ('{"q0": 0.7,', "Expecting property name"),
+        ('{"q0": "abc"}', "could not convert string to float: 'abc'"),
+        ('{"q0": null}', "float\\(\\) argument"),
+        ('{"q0": 1.5}', "noise_floor must lie in"),
+        ('[0.7]', "expected a JSON object, got list"),
+        ('{"theta_star": [NaN, 0, 0, 0, 0]}', "true_param must be a finite vector of length d = 5"),
+        ('{"theta_star": [1.0, 0.0]}', "true_param must be a finite vector of length d = 5"),
+        ('{"theta_star": ["x", 0, 0, 0, 0]}', "could not convert string to float"),
+    ], ids=["malformed", "q0-text", "q0-null", "q0-range", "not-an-object", "theta-nan", "theta-short",
+            "theta-text"])
+    def test_sidecar_errors_name_the_sidecar(self, tmp_path, sidecar, message):
+        csv_path = tmp_path / "ds.csv"
+        csv_path.write_bytes((ROOT / "data" / "bundled_r50.csv").read_bytes())
+        (tmp_path / "ds.json").write_text(sidecar)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'ds.json'))}: .*{message}"):
+            load_dataset(csv_path)
+
+    def test_loads_without_a_sidecar(self, tmp_path):
+        csv_path = tmp_path / "ds.csv"
+        csv_path.write_bytes((ROOT / "data" / "bundled_r50.csv").read_bytes())
+        loaded = load_dataset(csv_path)
+        assert loaded.true_param is None and loaded.noise_floor == 1.0 and loaded.seed is None
 
 
 def _fused_cases():
