@@ -151,9 +151,9 @@ def grid_truth(target: TargetModel, bounds, bins, constraint: ConstraintSet | No
         raise EmptySupportError("no grid cell carries mass (constraint misses the grid?)")
     peak = np.max(log_w[finite])
     w = np.where(finite, np.exp(log_w - peak), 0.0)
-    mass = (w / w.sum()).reshape(bins)
-    _warn_boundary_mass(mass)
-    return GridDistribution(lower=lower, upper=upper, bins=bins, mass=mass)
+    truth = GridDistribution(lower=lower, upper=upper, bins=bins, mass=(w / w.sum()).reshape(bins))
+    _warn_boundary_mass(truth.mass)  # after the grid's own checks, so a bad grid raises and does not warn
+    return truth
 
 
 def _warn_boundary_mass(mass: np.ndarray) -> None:

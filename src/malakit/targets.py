@@ -1,10 +1,12 @@
 """Target distributions and the data they are built from.
 
 A target is a potential ``U`` with its gradient; the samplers see nothing
-else.  ``TargetModel.value_and_grad`` returns both at once: the built-in
-targets fuse it so the shared work (``x @ a`` and the one transcendental per
-datum: ``exp(-|t|)`` for the logistic loss, ``expit`` for the sigmoid losses)
-is done once, and its results equal the separate calls bit-for-bit.
+else.  ``TargetModel.value_and_grad`` returns both at once.  Each built-in
+target writes that one oracle, so the shared work (``x @ a`` and the one
+transcendental per datum: ``exp(-|t|)`` for the logistic loss, ``expit`` for
+the sigmoid losses) is done once, and reads its ``gradient`` from it.  The
+regression-style targets keep a potential of their own, bit-identical to the
+fused one, for the callers that need no gradient (RWM, the grids).
 scipy, whose ``expit`` the sigmoid losses use, is imported on the first
 sigmoid evaluation, so a Gaussian target never loads it.
 Regression-style targets additionally carry the matrix of unit "bad
@@ -114,7 +116,9 @@ class TargetModel:
     read ``n`` potentials and an ``(n, d)`` gradient.  ``fused`` is
     an optional ``x -> (potential(x), gradient(x))`` that must agree with
     the separate callables bit-for-bit; read it through
-    :attr:`value_and_grad`, which falls back to the separate calls.
+    :attr:`value_and_grad`, which falls back to the separate calls.  The
+    built-in factories give ``fused`` and read ``gradient`` from it; a
+    hand-built target may give ``potential`` and ``gradient`` alone.
     ``quadratic_precision`` marks a diagonal Gaussian: its precisions fix
     the exact flow and Theorem 1's constants (C3 = C4 = 0, M = the largest
     precision).
@@ -183,8 +187,6 @@ def _sigma_derivs(s: np.ndarray, order: int) -> np.ndarray:
     """Derivatives of the standard sigmoid, stable for |s| up to ~700."""
     p = _expit()(s)
     d1 = p * (1.0 - p)
-    if order == 1:
-        return d1
     if order == 2:
         return d1 * (1.0 - 2.0 * p)
     if order == 3:
@@ -196,8 +198,7 @@ def _sigma_derivs(s: np.ndarray, order: int) -> np.ndarray:
 
 class _Loss(NamedTuple):
     value: Callable
-    d1: Callable
-    value_d1: Callable  # t -> (value(t), d1(t)), bit-identical to the pair
+    value_d1: Callable  # t -> (value(t), phi'(t)); its value equals value(t) bit for bit
     d3: Callable
     d4: Callable
 
@@ -210,20 +211,17 @@ def _logistic_loss() -> _Loss:
     # stable forms of Maechler (Rmpfr vignette, 2012):
     #   phi(s) = log1p(e) + max(-s, 0),
     #   phi'(s) = -sigma(-s) = -e/(1+e) for s >= 0, -1/(1+e) otherwise.
-    # The separate and fused calls share these helpers, so they agree bit
+    # The value alone and the fused call share value_of, so they agree bit
     # for bit; a NaN margin stays NaN in both.
     def value_of(t, e):
         return np.log1p(e) + np.maximum(-t, 0.0)
 
-    def d1_of(t, e):
-        return -np.where(t >= 0.0, e, 1.0) / (1.0 + e)
-
     def value_d1(t):
         e = np.exp(-np.abs(t))
-        return value_of(t, e), d1_of(t, e)
+        return value_of(t, e), -np.where(t >= 0.0, e, 1.0) / (1.0 + e)
 
-    return _Loss(lambda t: value_of(t, np.exp(-np.abs(t))), lambda t: d1_of(t, np.exp(-np.abs(t))),
-                 value_d1, lambda t: _sigma_derivs(t, 2), lambda t: _sigma_derivs(t, 3))
+    return _Loss(lambda t: value_of(t, np.exp(-np.abs(t))), value_d1,
+                 lambda t: _sigma_derivs(t, 2), lambda t: _sigma_derivs(t, 3))
 
 
 def _sigmoid_loss() -> _Loss:
@@ -232,8 +230,7 @@ def _sigmoid_loss() -> _Loss:
         p = _expit()(-t)
         return p, -(p * (1.0 - p))
 
-    return _Loss(lambda t: _expit()(-t), lambda t: -_sigma_derivs(-t, 1), value_d1,
-                 lambda t: -_sigma_derivs(-t, 3), lambda t: _sigma_derivs(-t, 4))
+    return _Loss(lambda t: _expit()(-t), value_d1, lambda t: -_sigma_derivs(-t, 3), lambda t: _sigma_derivs(-t, 4))
 
 
 def _plain_sigmoid() -> _Loss:
@@ -242,8 +239,7 @@ def _plain_sigmoid() -> _Loss:
         p = _expit()(t)
         return p, p * (1.0 - p)
 
-    return _Loss(lambda t: _expit()(t), lambda t: _sigma_derivs(t, 1), value_d1,
-                 lambda t: _sigma_derivs(t, 3), lambda t: _sigma_derivs(t, 4))
+    return _Loss(lambda t: _expit()(t), value_d1, lambda t: _sigma_derivs(t, 3), lambda t: _sigma_derivs(t, 4))
 
 
 def _linear_composite(
@@ -255,8 +251,11 @@ def _linear_composite(
     name: str,
     bad_directions: np.ndarray | None,
 ) -> TargetModel:
-    """Target of the form (p/2)|x|^2 + weight * sum_i phi(a_i^T x)."""
-    value, d1, value_d1, d3, d4 = loss
+    """Target of the form (p/2)|x|^2 + weight * sum_i phi(a_i^T x).
+
+    The potential has its own closure, so a caller that needs no gradient
+    (RWM, the grids) does not pay for the ``der @ a.T`` product."""
+    value, value_d1, d3, d4 = loss
     a = np.asarray(columns, dtype=float)  # d x r, signs/scales folded in
 
     def potential(x):
@@ -264,12 +263,6 @@ def _linear_composite(
         quad = 0.5 * prior_precision * (x * x).sum(axis=-1)
         t = x @ a
         return quad + weight * value(t).sum(axis=-1)
-
-    def gradient(x):
-        x = np.asarray(x, dtype=float)
-        grad = prior_precision * x
-        t = x @ a
-        return grad + weight * (d1(t) @ a.T)
 
     def value_and_grad(x):
         x = np.asarray(x, dtype=float)
@@ -289,7 +282,7 @@ def _linear_composite(
     return TargetModel(
         dimension=d,
         potential=potential,
-        gradient=gradient,
+        gradient=lambda x: value_and_grad(x)[1],
         fused=value_and_grad,
         name=name,
         bad_directions=bad_directions,
@@ -318,23 +311,15 @@ def make_gaussian(d: int, precision_diag) -> TargetModel:
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise ValueError("precision entries must be positive and finite")
 
-    def potential(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (lam * x * x).sum(axis=-1)
-
-    def gradient(x):
-        return lam * np.asarray(x, dtype=float)
-
     def value_and_grad(x):
-        # lam * x * x evaluates as (lam * x) * x, so this equals potential(x).
         x = np.asarray(x, dtype=float)
         grad = lam * x
         return 0.5 * (grad * x).sum(axis=-1), grad
 
     return TargetModel(
         dimension=d,
-        potential=potential,
-        gradient=gradient,
+        potential=lambda x: value_and_grad(x)[0],
+        gradient=lambda x: value_and_grad(x)[1],
         fused=value_and_grad,
         name=f"gaussian-d{d}",
         quadratic_precision=lam,
@@ -360,8 +345,8 @@ def make_sigmoid_regression(data: Dataset, prior_precision: float) -> TargetMode
 
 
 def _regression_target(data, prior_precision, loss, label):
-    if prior_precision < 0:
-        raise ValueError("prior_precision must be nonnegative")
+    if not 0.0 <= prior_precision < math.inf:  # False for NaN, so NaN is refused
+        raise ValueError(f"prior_precision must be finite and nonnegative, got {prior_precision}")
     d, r = data.dimension, data.count
     # Fold the label into the column sign: y=1 contributes phi(+t), y=0 phi(-t).
     columns = data.features * data.sign_responses()
@@ -386,10 +371,10 @@ def make_smoothed_zero_one(data: Dataset, inverse_temperature: float, lam: float
     """
     if data.count == 0:
         raise ValueError("smoothed zero-one loss needs at least one datum")
-    if inverse_temperature <= 0:
-        raise ValueError("inverse_temperature must be positive")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0.0 < inverse_temperature < math.inf:
+        raise ValueError(f"inverse_temperature must be finite and positive, got {inverse_temperature}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     d, r = data.dimension, data.count
     y = data.sign_responses()
     columns = -(data.features * y) / d**0.25
@@ -484,13 +469,10 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and positive, got {scale}")
     s = float(scale)
-    base_pot, base_grad, base_fused = target.potential, target.gradient, target.value_and_grad
+    base_pot, base_fused = target.potential, target.value_and_grad
 
     def potential(x):
         return base_pot(s * np.asarray(x, dtype=float))
-
-    def gradient(x):
-        return s * base_grad(s * np.asarray(x, dtype=float))
 
     def value_and_grad(x):
         pot, grad = base_fused(s * np.asarray(x, dtype=float))
@@ -508,7 +490,7 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
     return TargetModel(
         dimension=target.dimension,
         potential=potential,
-        gradient=gradient,
+        gradient=lambda x: value_and_grad(x)[1],
         fused=value_and_grad,
         name=f"{target.name}*{s:g}",
         bad_directions=target.bad_directions,
@@ -547,7 +529,9 @@ def load_dataset(csv_path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.  A file without the
     header, a row of the wrong width and a field that is not a number raise
     ValueError naming the file and the line; a header alone is r = 0.  An
-    unreadable or invalid JSON sidecar raises ValueError naming the sidecar."""
+    unreadable or invalid JSON sidecar, one whose ``d`` or ``r`` disagrees
+    with the CSV, and a ``seed`` that is not a non-negative integer or null
+    raise ValueError naming the sidecar."""
     csv_path = Path(csv_path)
     lines = [(n, ln) for n, ln in enumerate(csv_path.read_text().splitlines(), 1) if ln.strip()] or [(1, "")]
     header = lines[0][1].split(",")
@@ -577,7 +561,14 @@ def load_dataset(csv_path) -> Dataset:
         meta = json.loads(sidecar.read_text())
         if not isinstance(meta, dict):
             raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
+        for key, value in (("d", data.dimension), ("r", data.count)):
+            given = meta.get(key, value)
+            if type(given) is not int or given != value:
+                raise ValueError(f"{key} is {given!r}, but the CSV has {key} = {value}")
+        seed = meta.get("seed")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise ValueError(f"seed must be a non-negative integer or null, got {seed!r}")
         return replace(data, true_param=meta.get("theta_star"),
-                       noise_floor=float(meta.get("q0", 1.0)), seed=meta.get("seed"))
+                       noise_floor=float(meta.get("q0", 1.0)), seed=seed)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{sidecar}: {exc}") from None

@@ -85,6 +85,14 @@ class TestGridTruth:
         with pytest.warns(UserWarning):
             grid_truth(STD_1D, (-1.0, 1.0), 16)
 
+    def test_too_few_bins_raise_before_any_warning(self):
+        # An earlier version warned that the boundary cells carry all of the
+        # mass before it refused the one-bin grid.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="need at least 2 bins per axis"):
+                grid_truth(STD_1D, (-8.0, 8.0), 1)
+
 
 class TestHistogram:
     def test_single_sample(self):
@@ -619,6 +627,11 @@ class TestHansonWright:
     def test_xi_validation(self):
         with pytest.raises(ValueError):
             hanson_wright_check(10, math.sqrt(20.0) - 0.1, 10**4, 0)
+
+    def test_xi_nan_refused(self):
+        # NaN passed an earlier ``xi < sqrt(2 d)`` test and reported a NaN bound.
+        with pytest.raises(ValueError, match="the bound needs xi >= sqrt"):
+            hanson_wright_check(10, math.nan, 10**4, 0)
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_dimension_validation(self, d):

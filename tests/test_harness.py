@@ -1,6 +1,7 @@
 """Spec parsing, runner determinism, scaling studies, and the CLI."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malakit import harness
-from malakit.chains import run_ensemble
+from malakit.chains import ChainTrace, run_ensemble
 from malakit.cli import cli_entry
 from malakit.diagnostics import transition_matrix_1d
 from malakit.grids import grid_truth
@@ -583,8 +584,12 @@ class TestCli:
         (["diagnose", "hanson-wright", "--dim", "-3"], "--dim: the dimension must be >= 1, got -3"),
         (["scaling", "mini.spec", "--axis", "eta", "--values", "0.5,0.5,0.5"], "eta values must be distinct"),
         (["sample", "--precision", "4#,1"], "--precision: must be a number or a comma list, got '4#,1'"),
+        (["diagnose", "hanson-wright", "--xi", "nan", "--draws", "10000"], "the bound needs xi >= sqrt(2 d), got nan"),
+        (["regularity", str(ROOT / "data" / "bundled_r50.csv"), "--prior", "nan", "--json"],
+         "prior_precision must be finite and nonnegative, got nan"),
+        (["diagnose", "conductance", "--bins", "1"], "need at least 2 bins per axis"),
     ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated",
-            "sample-precision-comment"])
+            "sample-precision-comment", "hanson-wright-xi-nan", "regularity-prior-nan", "conductance-one-bin"])
     def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
@@ -791,3 +796,52 @@ def test_scipy_is_loaded_only_by_a_sigmoid_evaluation():
     result = json.loads(run.stdout)
     assert Path(result["malakit"]).resolve().parent == ROOT / "src" / "malakit"
     assert result["scipy_loaded"] == {"import": False, "gaussian": False, "zero_one": False, "value_and_grad": True}
+
+
+TRACED_SPEC = """\
+malakit-spec v1
+name = traced
+
+[target]
+kind = logistic
+d = 2
+r = 20
+q0 = 0.7
+data_seed = 3
+prior = 1.0
+
+[sampler]
+kind = rwm
+lazy = false
+
+[schedule]
+kind = theorem1
+
+[run]
+iterations = 20
+replicas = 1
+seed = 3
+
+[diagnostics]
+acceptance_stats
+"""
+
+
+def test_benchmark_tracer_wraps_and_restores_the_package(tmp_path, capsys):
+    # perfbench's tracer patches package functions by name and wraps the
+    # built target's potential and gradient; a renamed function or field
+    # would break ``perfbench/run.py --trace 1`` and nothing else.
+    loader = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    (tmp_path / "traced.spec").write_text(TRACED_SPEC)
+    modules = {name: m for name, m in sys.modules.items() if name == "malakit" or name.startswith("malakit.")}
+    before = {name: dict(vars(m)) for name, m in modules.items()}
+    to_csv = ChainTrace.to_csv
+    with tracing.traced(tracing.Tracer()) as tracer:
+        code = cli_entry(["run", str(tmp_path / "traced.spec"), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert tracer.calls("targets.potential") > 0 and tracer.calls("targets.gradient") > 0
+    changed = [f"{name}.{attr}" for name, m in modules.items()
+               for attr, value in before[name].items() if vars(m).get(attr) is not value]
+    assert changed == [] and ChainTrace.to_csv is to_csv

@@ -152,7 +152,6 @@ class TestLogisticRegression:
         np.testing.assert_allclose(d1, expit(t) - 1.0, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(d1, -expit(-t), rtol=1e-15, atol=TINY)
         assert _bits(value) == _bits(loss.value(t))
-        assert _bits(d1) == _bits(loss.d1(t))
 
     def test_loss_non_finite_margins(self):
         # +-inf give the values of logaddexp and expit, and NaN stays NaN, so
@@ -183,6 +182,15 @@ class TestSigmoidRegression:
         data = Dataset(features=feats, responses=np.array([1, 1]))
         t = make_sigmoid_regression(data, 0.0)
         assert float(t.potential(np.zeros(4))) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("make", [make_logistic_regression, make_sigmoid_regression], ids=["logistic", "sigmoid"])
+@pytest.mark.parametrize("prior", [np.nan, np.inf, -1.0])
+def test_regression_prior_must_be_finite_and_nonnegative(make, prior):
+    # NaN passed an earlier ``prior < 0`` test, and the regularity report
+    # then printed a NaN gradient bound.
+    with pytest.raises(ValueError, match=f"prior_precision must be finite and nonnegative, got {prior}"):
+        make(single_datum_dataset(), prior)
 
 
 class TestSmoothedZeroOne:
@@ -219,6 +227,17 @@ class TestSmoothedZeroOne:
         empty = Dataset(features=np.empty((3, 0)), responses=np.empty(0, dtype=int))
         with pytest.raises(ValueError):
             make_smoothed_zero_one(empty, 10.0, 3.0)
+
+    @pytest.mark.parametrize("inv_temp, lam, message", [
+        (np.nan, 3.0, "inverse_temperature must be finite and positive, got nan"),
+        (np.inf, 3.0, "inverse_temperature must be finite and positive, got inf"),
+        (10.0, np.nan, "lam must be finite and positive, got nan"),
+        (10.0, np.inf, "lam must be finite and positive, got inf"),
+    ], ids=["temperature-nan", "temperature-inf", "lam-nan", "lam-inf"])
+    def test_non_finite_scalars_refused(self, inv_temp, lam, message):
+        # An earlier ``<= 0`` test let NaN and inf through.
+        with pytest.raises(ValueError, match=message):
+            make_smoothed_zero_one(self._clean_dataset(), inv_temp, lam)
 
 
 class TestRecommendedSchedule:
@@ -308,6 +327,13 @@ class TestSphereDataset:
         csv_path, sidecar = save_dataset(sample_sphere_dataset(5, 50, e1(5), 0.7, 1234), tmp_path / "b.csv")
         assert csv_path.read_bytes() == (ROOT / "data" / "bundled_r50.csv").read_bytes()
         assert sidecar.read_bytes() == (ROOT / "data" / "bundled_r50.json").read_bytes()
+
+    def test_bundled_dataset_loads_to_the_generator_values(self):
+        data = sample_sphere_dataset(5, 50, e1(5), 0.7, 1234)
+        loaded = load_dataset(ROOT / "data" / "bundled_r50.csv")
+        assert np.array_equal(loaded.features, data.features) and np.array_equal(loaded.responses, data.responses)
+        assert np.array_equal(loaded.true_param, data.true_param)
+        assert (loaded.noise_floor, loaded.seed) == (0.7, 1234)
 
 
 class TestAnnulus:
@@ -458,8 +484,14 @@ class TestDatasetIO:
         ('{"theta_star": [NaN, 0, 0, 0, 0]}', "true_param must be a finite vector of length d = 5"),
         ('{"theta_star": [1.0, 0.0]}', "true_param must be a finite vector of length d = 5"),
         ('{"theta_star": ["x", 0, 0, 0, 0]}', "could not convert string to float"),
+        ('{"d": 7, "r": 50}', "d is 7, but the CSV has d = 5"),
+        ('{"d": 5, "r": 3}', "r is 3, but the CSV has r = 50"),
+        ('{"d": 5.0, "r": 50}', "d is 5.0, but the CSV has d = 5"),
+        ('{"seed": "abc"}', "seed must be a non-negative integer or null, got 'abc'"),
+        ('{"seed": -1}', "seed must be a non-negative integer or null, got -1"),
+        ('{"seed": 1.5}', "seed must be a non-negative integer or null, got 1.5"),
     ], ids=["malformed", "q0-text", "q0-null", "q0-range", "not-an-object", "theta-nan", "theta-short",
-            "theta-text"])
+            "theta-text", "d-mismatch", "r-mismatch", "d-float", "seed-text", "seed-negative", "seed-float"])
     def test_sidecar_errors_name_the_sidecar(self, tmp_path, sidecar, message):
         csv_path = tmp_path / "ds.csv"
         csv_path.write_bytes((ROOT / "data" / "bundled_r50.csv").read_bytes())
