@@ -211,38 +211,36 @@ def _cmd_diagnose(args) -> int:
 
     if args.check == "hanson-wright":
         xi = args.xi if args.xi is not None else 1.5 * math.sqrt(2.0 * args.dim)
-        report = hanson_wright_check(args.dim, xi, args.draws, args.seed)
-        print(json.dumps(report.__dict__, sort_keys=True))
-        return 0
-
-    target = make_gaussian(1, 1.0)
-    truth = grid_truth(target, (-8.0, 8.0), args.bins)
-    if args.check == "detailed-balance":
-        rows = {}
-        for kind in ("mala", "rwm"):
-            kernel = transition_matrix_1d(target, kind, args.eta, truth)
-            flux = truth.mass[:, None] * kernel
-            rows[kind] = float(np.max(np.abs(flux - flux.T)) / np.max(flux))
-        print(json.dumps({"eta": args.eta, "bins": args.bins, "max_relative_violation": rows},
-                         sort_keys=True))
-        return 0
-    if args.check == "conductance":
-        kernel = transition_matrix_1d(target, "mala", args.eta, truth)
-        psi = cheeger_1d(truth, lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi))
-        cond = conductance(kernel, truth)
-        print(json.dumps({"eta": args.eta, "cheeger": psi, "conductance_upper_bound": cond,
-                          "ratio_to_eta_cheeger": cond / (args.eta * psi)}, sort_keys=True))
-        return 0
-    if args.check == "energy-scaling":
+        result = hanson_wright_check(args.dim, xi, args.draws, args.seed).__dict__
+    elif args.check in ("detailed-balance", "conductance"):
+        target = make_gaussian(1, 1.0)
+        truth = grid_truth(target, (-8.0, 8.0), args.bins)
+        if args.check == "detailed-balance":
+            rows = {}
+            for kind in ("mala", "rwm"):
+                kernel = transition_matrix_1d(target, kind, args.eta, truth)
+                flux = truth.mass[:, None] * kernel
+                rows[kind] = float(np.max(np.abs(flux - flux.T)) / np.max(flux))
+            result = {"eta": args.eta, "bins": args.bins, "max_relative_violation": rows}
+        else:
+            kernel = transition_matrix_1d(target, "mala", args.eta, truth)
+            psi = cheeger_1d(truth, lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi))
+            cond = conductance(kernel, truth)
+            result = {"eta": args.eta, "cheeger": psi, "conductance_upper_bound": cond,
+                      "ratio_to_eta_cheeger": cond / (args.eta * psi)}
+    elif args.check == "energy-scaling":
         fit = energy_error_scaling(make_gaussian(args.dim, 1.0), [0.4, 0.2, 0.1, 0.05, 0.025], 4000, args.seed)
-        print(json.dumps({"slope": fit.slope, "r_squared": fit.r_squared}, sort_keys=True))
-        return 0
-    # exit-probability
-    z = np.zeros(args.dim)
-    z[0] = 0.75
-    report = constraint_exit_estimate(make_gaussian(args.dim, 1.0), annulus(0.5, 1.0), args.eta, z, args.draws,
-                                      args.seed)
-    print(json.dumps(report.__dict__, sort_keys=True))
+        result = {"slope": fit.slope, "r_squared": fit.r_squared}
+    else:  # exit-probability
+        z = np.zeros(args.dim)
+        z[0] = 0.75
+        result = constraint_exit_estimate(make_gaussian(args.dim, 1.0), annulus(0.5, 1.0), args.eta, z,
+                                          args.draws, args.seed).__dict__
+    try:  # strict JSON: a non-finite value exits 1 with no output, never prints NaN or Infinity
+        text = json.dumps(result, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"the result holds a non-finite value: {result}") from None
+    print(text)
     return 0
 
 

@@ -326,6 +326,8 @@ def hanson_wright_check(d: int, xi: float, n: int, seed: int) -> HansonWrightRep
         raise ValueError(f"dimension d must be >= 1, got {d}")
     if not xi >= math.sqrt(2.0 * d) * (1.0 - 1e-12):  # False for NaN, so NaN is refused
         raise ValueError(f"the bound needs xi >= sqrt(2 d), got {xi}")
+    if xi == math.inf:  # the bound and the tail would both read 0
+        raise ValueError(f"the bound needs a finite xi, got {xi}")
     if n < 10**4:
         raise ValueError("need at least 1e4 draws")
     rng = chain_rng(seed)

@@ -118,8 +118,10 @@ def _normalize_geometry(bounds, bins):
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] not in (1, 2):
         raise ValueError("bounds must be (lo, hi) or ((lo1, hi1), (lo2, hi2))")
-    bins_arr = np.broadcast_to(np.asarray(bins, dtype=int), (arr.shape[0],))
-    return tuple(arr[:, 0]), tuple(arr[:, 1]), tuple(int(b) for b in bins_arr)
+    bins = tuple(int(b) for b in np.broadcast_to(np.asarray(bins, dtype=int), (arr.shape[0],)))
+    if any(b < 2 for b in bins):  # before any mesh: linspace would fail on a negative count
+        raise ValueError("need at least 2 bins per axis")
+    return tuple(arr[:, 0]), tuple(arr[:, 1]), bins
 
 
 def _midpoint_mesh(lower, upper, bins):

@@ -93,6 +93,15 @@ class TestGridTruth:
             with pytest.raises(ValueError, match="need at least 2 bins per axis"):
                 grid_truth(STD_1D, (-8.0, 8.0), 1)
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bin_count_is_checked_before_the_mesh(self, bins):
+        # An earlier version failed on these with a message about something
+        # else: "no grid cell carries mass", or numpy's "Number of samples".
+        with pytest.raises(ValueError, match="need at least 2 bins per axis"):
+            grid_truth(STD_1D, (-8.0, 8.0), bins)
+        with pytest.raises(ValueError, match="need at least 2 bins per axis"):
+            histogram(np.zeros(5), (-8.0, 8.0), bins)
+
 
 class TestHistogram:
     def test_single_sample(self):
@@ -632,6 +641,11 @@ class TestHansonWright:
         # NaN passed an earlier ``xi < sqrt(2 d)`` test and reported a NaN bound.
         with pytest.raises(ValueError, match="the bound needs xi >= sqrt"):
             hanson_wright_check(10, math.nan, 10**4, 0)
+
+    def test_xi_inf_refused(self):
+        # An earlier version reported a bound and a tail of 0 at xi = inf.
+        with pytest.raises(ValueError, match="the bound needs a finite xi, got inf"):
+            hanson_wright_check(10, math.inf, 10**4, 0)
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_dimension_validation(self, d):

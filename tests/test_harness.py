@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -588,8 +589,13 @@ class TestCli:
         (["regularity", str(ROOT / "data" / "bundled_r50.csv"), "--prior", "nan", "--json"],
          "prior_precision must be finite and nonnegative, got nan"),
         (["diagnose", "conductance", "--bins", "1"], "need at least 2 bins per axis"),
+        (["diagnose", "hanson-wright", "--xi", "inf", "--draws", "10000"],
+         "the bound needs a finite xi, got inf"),
+        (["diagnose", "conductance", "--bins", "0"], "need at least 2 bins per axis"),
+        (["diagnose", "detailed-balance", "--bins", "-3"], "need at least 2 bins per axis"),
     ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated",
-            "sample-precision-comment", "hanson-wright-xi-nan", "regularity-prior-nan", "conductance-one-bin"])
+            "sample-precision-comment", "hanson-wright-xi-nan", "regularity-prior-nan", "conductance-one-bin",
+            "hanson-wright-xi-inf", "conductance-zero-bins", "detailed-balance-negative-bins"])
     def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
@@ -601,6 +607,19 @@ class TestCli:
         assert message in captured.err
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["mini.spec"]
+
+    def test_diagnose_prints_strict_json(self, capsys, monkeypatch):
+        # json.dumps' default writes ``Infinity``, which strict parsers refuse.
+        # An earlier version printed ``"xi": Infinity`` at exit 0.
+        import malakit.diagnostics
+
+        report = malakit.diagnostics.hanson_wright_check(1, 2.0, 10**4, 0)
+        monkeypatch.setattr(malakit.diagnostics, "hanson_wright_check",
+                            lambda *args: dataclasses.replace(report, bound=math.inf))
+        assert cli_entry(["diagnose", "hanson-wright", "--dim", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the result holds a non-finite value") and captured.err.count("\n") == 1
 
     def test_validation_failure_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.spec"
@@ -766,7 +785,7 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []
 
 
-# Run in a fresh interpreter: which modules a cold start loads.
+# Run in a fresh interpreter: whether any step of a run loads scipy.
 COLD_START = """\
 import json, sys
 import numpy as np
@@ -778,24 +797,34 @@ for name, text in json.loads(sys.argv[1]).items():
     spec = parse_spec(text)
     built = build_target(spec)
     resolve_etas(spec, built)
-    loaded[name] = "scipy" in sys.modules
-built.target.value_and_grad(np.full((1, built.target.dimension), 0.5))
-loaded["value_and_grad"] = "scipy" in sys.modules
+    loaded[name + ": resolve_etas"] = "scipy" in sys.modules
+    target = built.target
+    x = np.full((1, target.dimension), 0.5)
+    target.value_and_grad(x)
+    loaded[name + ": value_and_grad"] = "scipy" in sys.modules
+    if target.third_directional is not None:
+        u = np.ones(target.dimension) / np.sqrt(target.dimension)
+        target.third_directional(x[0], u, u, u)
+        target.fourth_directional(x[0], u)
+        loaded[name + ": third and fourth"] = "scipy" in sys.modules
 print(json.dumps({"malakit": malakit.__file__, "scipy_loaded": loaded}))
 """
 
 
-def test_scipy_is_loaded_only_by_a_sigmoid_evaluation():
-    # scipy is about 0.35 s and 18 MB of a cold start; only the sigmoid
-    # losses use it.  A new top-level import of it fails here.
-    specs = {"gaussian": MINIMAL, "zero_one": ZERO_ONE}
+def test_no_malakit_path_loads_scipy():
+    # scipy.special is about 0.3 s and 25 MB of a cold start, and the package
+    # declares numpy alone.  A new import of scipy on any path fails here.
+    specs = {"gaussian": MINIMAL, "zero_one": ZERO_ONE, "logistic": TRACED_SPEC,
+             "sigmoid": TRACED_SPEC.replace("kind = logistic", "kind = sigmoid")}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(specs)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert Path(result["malakit"]).resolve().parent == ROOT / "src" / "malakit"
-    assert result["scipy_loaded"] == {"import": False, "gaussian": False, "zero_one": False, "value_and_grad": True}
+    loaded = result["scipy_loaded"]
+    assert len(loaded) == 1 + 2 * 4 + 3  # the Gaussian has no third or fourth directional
+    assert not any(loaded.values()), loaded
 
 
 TRACED_SPEC = """\

@@ -28,7 +28,7 @@ from malakit.targets import (
     sample_sphere_dataset,
     save_dataset,
 )
-from malakit.targets import _logistic_loss
+from malakit.targets import _logistic_loss, _plain_sigmoid, _sigma_derivs, _sigmoid_loss
 
 TINY = np.finfo(float).tiny
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +182,55 @@ class TestSigmoidRegression:
         data = Dataset(features=feats, responses=np.array([1, 1]))
         t = make_sigmoid_regression(data, 0.0)
         assert float(t.potential(np.zeros(4))) == pytest.approx(1.0)
+
+
+def _sigmoid_reference(t):
+    """The closed forms in ``np.longdouble``: sigma, sigma' and orders 2-4."""
+    t = np.asarray(t, dtype=np.longdouble)
+    p, q = 1 / (1 + np.exp(-t)), 1 / (1 + np.exp(t))
+    d1 = p * q
+    return p, d1, {2: d1 * (q - p), 3: d1 * (1 - 6 * d1), 4: d1 * (q - p) * (1 - 12 * d1)}
+
+
+# Below the normal range float64 has fewer than 53 bits, so there the bound
+# is one subnormal spacing (SUB) rather than relative.
+SUB = np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).precision < 18, reason="needs an 18-digit long double reference")
+class TestSigmoidAccuracy:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 50), elements=st.floats(-745.0, 745.0)))
+    def test_against_long_double(self, t):
+        ref_p, ref_d1, ref = _sigmoid_reference(t)
+        p, d1 = _plain_sigmoid().value_d1(t)
+        assert np.all(np.abs(p - ref_p) <= 1e-15 * ref_p + SUB)
+        assert np.all(np.abs(d1 - ref_d1) <= 2e-15 * ref_d1 + SUB)
+        for order in (2, 3, 4):
+            assert np.all(np.abs(_sigma_derivs(t, order) - ref[order]) <= 2e-15 * ref_d1 + SUB), order
+
+    def test_slope_does_not_round_to_zero_in_the_tail(self):
+        # p*(1-p) is exactly 0 here: 1 - sigma(40) rounds to 0.
+        d1 = _plain_sigmoid().value_d1(np.array([40.0, -40.0]))[1]
+        assert np.all(d1 > 0.0)
+        np.testing.assert_allclose(d1, float(_sigmoid_reference(40.0)[1]), rtol=1e-15)
+
+    def test_non_finite_arguments(self):
+        t = np.array([np.inf, -np.inf, np.nan])
+        p, d1 = _plain_sigmoid().value_d1(t)
+        assert np.array_equal(p, [1.0, 0.0, np.nan], equal_nan=True)
+        assert np.array_equal(d1, [0.0, 0.0, np.nan], equal_nan=True)
+        for order in (2, 3, 4):
+            assert np.array_equal(_sigma_derivs(t, order), [0.0, 0.0, np.nan], equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 50), elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_value_alone_equals_the_fused_value(self, t):
+        for loss in (_plain_sigmoid(), _sigmoid_loss()):
+            assert _bits(loss.value(t)) == _bits(loss.value_d1(t)[0])
+        value, d1 = _sigmoid_loss().value_d1(t)  # phi(t) = sigma(-t), phi' = -sigma'
+        p, dp = _plain_sigmoid().value_d1(-t)
+        assert _bits(value) == _bits(p) and _bits(d1) == _bits(-dp)
 
 
 @pytest.mark.parametrize("make", [make_logistic_regression, make_sigmoid_regression], ids=["logistic", "sigmoid"])
