@@ -6,6 +6,12 @@ acceptance statistics, and the Gaussian-norm tail check.  Conductance is
 exact up to 16 states, where every cut is searched; above that it is an
 upper bound over the prefix cuts (exact for monotone 1D kernels).  It is
 never negative.
+
+The n x n work runs over row blocks of about ``_KERNEL_BLOCK_ENTRIES``
+entries, so building a kernel and taking its conductance need the kernel
+itself plus O(n * block) memory, with no other n x n array.  The blocks
+change no bit: each entry is computed by the same operations, and every
+cumulative sum adds in the same order, as a whole-matrix evaluation does.
 """
 
 from __future__ import annotations
@@ -41,6 +47,13 @@ __all__ = [
 _HALF_TOL = 1e-12
 _ROW_SUM_TOL = 1e-9
 _EXACT_STATES = 16  # conductance enumerates all 2**n cuts up to here: a 65,534 x 16 mask matrix at 16
+_KERNEL_BLOCK_ENTRIES = 1 << 16  # kernel entries per row block (~0.5 MB), so memory is not O(n^2) beyond the kernel
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of ``max(1, _KERNEL_BLOCK_ENTRIES // n)`` rows covering ``range(n)``; the last may be shorter."""
+    rows = max(1, _KERNEL_BLOCK_ENTRIES // n)
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 class FitFailed(RuntimeError):
@@ -79,6 +92,11 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     acceptance probability; rejection mass and any off-grid proposal mass
     are folded into the diagonal (the grid must be wide enough that the
     folded mass is negligible — checked by the row-sum tests).
+
+    The entries are written into the kernel a row block at a time, so the
+    memory is one n x n kernel plus O(n * block).  Raises ``ValueError``,
+    naming eta, when an off-diagonal entry is not finite (at an eta so small
+    or so large that the proposal density under- or overflows).
     """
     if grid.dims != 1:
         raise ValueError("transition_matrix_1d needs a 1D grid")
@@ -90,21 +108,48 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     width = grid.widths()[0]
     if kernel_kind == "mala":
         pot, grad = target.value_and_grad(mids[:, None])
-        mean = mids - 0.5 * eta * eta * np.asarray(grad, dtype=float)[:, 0]
+        grad = np.asarray(grad, dtype=float)[:, 0]
     else:
-        pot, mean = target.potential(mids[:, None]), mids
+        pot = target.potential(mids[:, None])
     log_pi = -np.asarray(pot, dtype=float)
-    # log q[i, j]: proposal density from midpoint i to midpoint j
-    diff = mids[None, :] - mean[:, None]
-    log_q = -(diff * diff) / (2.0 * eta * eta) - math.log(eta * math.sqrt(2.0 * math.pi))
-    if kernel_kind == "mala":
-        log_ratio = (log_pi[None, :] + log_q.T) - (log_pi[:, None] + log_q)
-    else:
-        log_ratio = log_pi[None, :] - log_pi[:, None]
-    accept = np.exp(np.minimum(0.0, log_ratio))
-    kernel = np.exp(log_q) * accept * width
+    scale, log_norm = 2.0 * eta * eta, math.log(eta * math.sqrt(2.0 * math.pi))
+
+    def log_q(start, end):
+        """log q(start -> end) for a column of starts and a row of ends."""
+        diff = end - start
+        diff *= diff
+        np.negative(diff, out=diff)
+        diff /= scale
+        diff -= log_norm
+        return diff
+
+    n = mids.size
+    kernel = np.empty((n, n))
+    # an eta at either end of the float range makes 0/0, x/0 or inf - inf here;
+    # the non-finite kernel that results is refused below, without a warning
+    with np.errstate(all="ignore"):
+        mean = mids - 0.5 * eta * eta * grad if kernel_kind == "mala" else mids
+        for rows in _row_blocks(n):
+            out = kernel[rows]
+            forward = log_q(mean[rows, None], mids[None, :])  # log q[i, j], i in the block
+            if kernel_kind == "mala":
+                log_ratio = log_q(mean[None, :], mids[rows, None])  # log q[j, i]
+                log_ratio += log_pi[None, :]
+                np.add(log_pi[rows, None], forward, out=out)  # holds the sum until exp(forward) overwrites it
+                log_ratio -= out
+            else:
+                log_ratio = log_pi[None, :] - log_pi[rows, None]
+            np.minimum(0.0, log_ratio, out=log_ratio)
+            np.exp(log_ratio, out=log_ratio)  # the acceptance probability
+            np.exp(forward, out=out)
+            out *= log_ratio
+            out *= width
     np.fill_diagonal(kernel, 0.0)
     off_mass = kernel.sum(axis=1)
+    bad_rows = np.count_nonzero(~np.isfinite(off_mass))  # a NaN or inf entry makes its row sum non-finite
+    if bad_rows:
+        raise ValueError(f"the kernel at eta={eta} has non-finite entries in {bad_rows} rows: the proposal "
+                         "density under- or overflows at this eta, or the potential is not finite on the grid")
     if np.any(off_mass > 1.0 + _ROW_SUM_TOL):
         raise ValueError("off-diagonal mass exceeds 1; refine the grid or shrink eta")
     np.fill_diagonal(kernel, np.maximum(0.0, 1.0 - off_mass))
@@ -127,7 +172,9 @@ def conductance(kernel: np.ndarray, pi: GridDistribution) -> float:
     {0..k-1} and their complements are searched, so the value is an upper
     bound (exact for monotone 1D kernels).  Every flow and side mass is
     summed from nonnegative terms, never formed as a total minus a part, so
-    the value is never negative.
+    the value is never negative.  The prefix-cut flows are running column
+    sums taken over row blocks, one pass down the rows and one up, so the
+    memory beside the kernel is O(n * block).
 
     Raises ``ValueError``, listing every problem, for a kernel with
     non-finite or negative entries or rows that do not sum to 1 (within
@@ -138,33 +185,52 @@ def conductance(kernel: np.ndarray, pi: GridDistribution) -> float:
     n = p.size
     if kernel.shape != (n, n):
         raise ValueError("kernel and grid sizes differ")
-    problems = []
-    for what, bad in (("non-finite", ~np.isfinite(kernel)), ("negative", kernel < 0.0)):
-        if bad.any():
-            problems.append(f"{np.count_nonzero(bad)} {what} kernel entries")
+    blocks = _row_blocks(n)
+    non_finite = negative = 0
+    for rows in blocks:
+        non_finite += kernel[rows].size - np.count_nonzero(np.isfinite(kernel[rows]))
+        negative += np.count_nonzero(kernel[rows] < 0.0)
+    problems = [f"{bad} {what} kernel entries"
+                for what, bad in (("non-finite", non_finite), ("negative", negative)) if bad]
     off = np.flatnonzero(np.abs(kernel.sum(axis=1) - 1.0) > _ROW_SUM_TOL)
     if off.size:
         problems.append(f"{off.size} rows do not sum to 1 within {_ROW_SUM_TOL:g} "
                         f"(first: row {off[0]})")
     if problems:
         raise ValueError("bad conductance input: " + "; ".join(problems))
-    flux = p[:, None] * kernel
 
     if n <= _EXACT_STATES:
+        flux = p[:, None] * kernel
         # row k of ``inside`` is the subset with the bits of k + 1
         inside = ((np.arange(1, 2**n - 1)[:, None] >> np.arange(n)) & 1).astype(bool)
         flow = ((inside @ flux) * ~inside).sum(axis=1)
         return _min_cut_ratio(flow, inside @ p)
 
-    # prefix cuts S = {0..k-1} and their complements, incremental flows
-    suffix = np.cumsum(flux[:, ::-1], axis=1)[:, ::-1]     # suffix[i, k] = sum_{j >= k} flux[i, j]
-    prefix = np.cumsum(flux, axis=1)                       # prefix[i, k] = sum_{j <= k} flux[i, j]
-    top = np.cumsum(suffix, axis=0)                        # top[m, k] = sum_{i <= m} suffix[i, k]
-    bottom = np.cumsum(prefix[::-1, :], axis=0)[::-1, :]   # bottom[m, k] = sum_{i >= m} prefix[i, k]
-    # top[k-1, k]: flow from i < k to j >= k; bottom[k, k-1]: from i >= k to j < k
-    flow = np.concatenate([np.diagonal(top, 1), np.diagonal(bottom, -1)])
+    # prefix cuts S = {0..k-1} and their complements, with the flux F = p_i K_ij:
+    # top[m, k] = sum_{i <= m} sum_{j >= k} F_ij, added down the rows, and
+    # bottom[m, k] = sum_{i >= m} sum_{j <= k} F_ij, added up the rows; each
+    # block's first row takes the running sum of the blocks before it
+    out_flow, in_flow = np.empty(n - 1), np.empty(n - 1)
+    for rows in blocks:
+        top = p[rows, None] * kernel[rows]
+        np.cumsum(top[:, ::-1], axis=1, out=top[:, ::-1])
+        if rows.start > 0:
+            top[0] += running
+        np.cumsum(top, axis=0, out=top)
+        running = top[-1].copy()
+        part = np.diagonal(top, rows.start + 1)  # top[k-1, k]: flow from i < k to j >= k
+        out_flow[rows.start:rows.start + part.size] = part
+    for rows in reversed(blocks):
+        bottom = p[rows, None] * kernel[rows]
+        np.cumsum(bottom, axis=1, out=bottom)
+        if rows.stop < n:
+            bottom[-1] += running
+        np.cumsum(bottom[::-1], axis=0, out=bottom[::-1])
+        running = bottom[0].copy()
+        part = np.diagonal(bottom, rows.start - 1)  # bottom[k, k-1]: flow from i >= k to j < k
+        in_flow[rows.stop - 1 - part.size:rows.stop - 1] = part
     mass = np.concatenate([np.cumsum(p)[:-1], np.cumsum(p[::-1])[::-1][1:]])
-    return _min_cut_ratio(flow, mass)
+    return _min_cut_ratio(np.concatenate([out_flow, in_flow]), mass)
 
 
 def mixing_time_estimate(

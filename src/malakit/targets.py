@@ -176,11 +176,16 @@ def _sigmoid(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sigma(t) and sigma'(t) = sigma(t) sigma(-t), both from one ``e = exp(-|t|)``
     as sigma(|t|) = 1/(1+e) and sigma(-|t|) = e sigma(|t|) (Maechler, Rmpfr vignette,
     2012).  Each keeps its relative accuracy, so sigma' does not round to 0 past
-    |t| ~ 37 as ``p*(1-p)`` does; NaN stays NaN."""
-    e = np.exp(-np.abs(t))
-    big = 1.0 / (1.0 + e)
-    small = e * big
-    return np.where(t >= 0.0, big, small), big * small
+    |t| ~ 37 as ``p*(1-p)`` does; NaN stays NaN.  Computed in place: three
+    arrays of t's shape and one mask."""
+    e = np.abs(t)
+    np.exp(np.negative(e, out=e), out=e)
+    big = np.add(1.0, e)
+    np.divide(1.0, big, out=big)  # sigma(|t|)
+    e *= big  # sigma(-|t|)
+    slope = big * e
+    np.putmask(e, t >= 0.0, big)  # copyto(where=) is twice as slow on a chain's (2, 2000)
+    return e, slope
 
 
 def _sigma_derivs(s: np.ndarray, order: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Grids, TV, Cheeger/conductance, kernels, mixing, scaling, tails."""
 
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
+from malakit import cli, diagnostics
 from malakit.chains import ChainConfig, run_mala
+from malakit.cli import _balance_violation
 from malakit.diagnostics import (
     FitFailed,
     ScalingFit,
@@ -312,6 +316,36 @@ class TestTransitionMatrix:
         flux = grid.mass[:, None] * kernel
         assert np.max(np.abs(flux - flux.T)) <= 1e-8 * np.max(flux)
 
+    # 60 rows: one block at the module's size, then 6 blocks of 10, then 8
+    # blocks of 7 and a remainder of 4, then 60 blocks of one row
+    @pytest.mark.parametrize("entries", [None, 600, 420, 1], ids=["one", "several", "remainder", "rows"])
+    @pytest.mark.parametrize("kind", ["mala", "rwm"])
+    def test_row_blocks_equal_the_dense_form(self, monkeypatch, entries, kind):
+        if entries is not None:
+            monkeypatch.setattr(diagnostics, "_KERNEL_BLOCK_ENTRIES", entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cases = ((STD_1D, gaussian_grid(bins=60)),
+                     (self._logistic_1d(), grid_truth(self._logistic_1d(), (-10.0, 10.0), 60)))
+        for target, grid in cases:
+            for eta in (0.05, 0.1, 0.5):
+                kernel = transition_matrix_1d(target, kind, eta, grid)
+                assert kernel.tobytes() == dense_kernel(target, kind, eta, grid).tobytes()
+
+    @pytest.mark.parametrize("eta", [1e-200, 1e-160, 1e200])
+    def test_non_finite_kernel_refused_naming_eta(self, eta):
+        # 2 eta^2 underflows to 0 at 1e-200, diff^2 / (2 eta^2) overflows at
+        # 1e-160, and eta^2 / 2 times the gradient overflows at 1e200; an
+        # earlier version returned every mala entry as NaN, with a
+        # RuntimeWarning, and let conductance count the NaNs
+        with pytest.raises(ValueError, match=re.escape(f"the kernel at eta={eta} has non-finite entries")):
+            transition_matrix_1d(STD_1D, "mala", eta, gaussian_grid(bins=100))
+
+    @pytest.mark.parametrize("eta", [1e-200, 1e-320])
+    def test_rwm_at_a_tiny_eta_is_the_identity(self, eta):
+        # every proposal density off the diagonal underflows to 0: nothing moves
+        assert np.array_equal(transition_matrix_1d(STD_1D, "rwm", eta, gaussian_grid(bins=100)), np.eye(100))
+
     def test_power_iteration_contracts(self):
         grid = gaussian_grid(bins=200, lo=-6.0, hi=6.0)
         kernel = transition_matrix_1d(STD_1D, "mala", 0.5, grid)
@@ -339,6 +373,48 @@ class TestTransitionMatrix:
             beta = warmness_on_grid(
                 GridDistribution(grid.lower, grid.upper, grid.bins, mu / mu.sum()), grid)
             assert beta <= beta0 * (1.0 + 1e-10)
+
+
+def dense_kernel(target, kind, eta, grid):
+    """The whole-matrix form of ``transition_matrix_1d``, every n x n
+    intermediate at once: the reference its row blocks must equal bit for bit."""
+    mids = grid.midpoints(0)
+    width = grid.widths()[0]
+    if kind == "mala":
+        pot, grad = target.value_and_grad(mids[:, None])
+        mean = mids - 0.5 * eta * eta * np.asarray(grad, dtype=float)[:, 0]
+    else:
+        pot, mean = target.potential(mids[:, None]), mids
+    log_pi = -np.asarray(pot, dtype=float)
+    diff = mids[None, :] - mean[:, None]
+    log_q = -(diff * diff) / (2.0 * eta * eta) - math.log(eta * math.sqrt(2.0 * math.pi))
+    if kind == "mala":
+        log_ratio = (log_pi[None, :] + log_q.T) - (log_pi[:, None] + log_q)
+    else:
+        log_ratio = log_pi[None, :] - log_pi[:, None]
+    kernel = np.exp(log_q) * np.exp(np.minimum(0.0, log_ratio)) * width
+    np.fill_diagonal(kernel, 0.0)
+    np.fill_diagonal(kernel, np.maximum(0.0, 1.0 - kernel.sum(axis=1)))
+    return kernel
+
+
+def dense_prefix_conductance(kernel, mass):
+    """The prefix-cut conductance from whole-matrix cumulative sums: the
+    reference for the running sums that ``conductance`` takes over row blocks."""
+    flux = mass[:, None] * kernel
+    suffix = np.cumsum(flux[:, ::-1], axis=1)[:, ::-1]
+    prefix = np.cumsum(flux, axis=1)
+    top = np.cumsum(suffix, axis=0)
+    bottom = np.cumsum(prefix[::-1, :], axis=0)[::-1, :]
+    flow = np.concatenate([np.diagonal(top, 1), np.diagonal(bottom, -1)])
+    side = np.concatenate([np.cumsum(mass)[:-1], np.cumsum(mass[::-1])[::-1][1:]])
+    cut = (side > 0.0) & (side <= 0.5 + 1e-12)
+    return float((flow[cut] / side[cut]).min()) if cut.any() else math.inf
+
+
+def dense_balance_violation(kernel, mass):
+    flux = mass[:, None] * kernel
+    return float(np.max(np.abs(flux - flux.T)) / np.max(flux))
 
 
 def reference_conductance(kernel, pi, random_subsets=10000, seed=0):
@@ -653,3 +729,40 @@ class TestHansonWright:
         # and d = -3 failed with "math domain error".
         with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
             hanson_wright_check(d, 1.0, 10**4, 0)
+
+
+class TestRowBlocks:
+    """Conductance and the detailed-balance check run over row blocks and
+    keep every bit of the whole-matrix form."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(17, 300), data_seed=st.integers(0, 2**32 - 1), density=st.floats(0.05, 1.0),
+           zero_mass=st.floats(0.0, 0.5), block_rows=st.integers(1, 40))
+    def test_conductance_and_balance_equal_the_dense_form(self, n, data_seed, density, zero_mass, block_rows):
+        rng = np.random.default_rng(data_seed)
+        mass = rng.random(n) * (rng.random(n) >= zero_mass)
+        mass[rng.integers(n)] += 0.1
+        kernel = rng.random((n, n)) * (rng.random((n, n)) < density) + np.eye(n) * 1e-3
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        pi = line_grid(mass / mass.sum())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diagnostics, "_KERNEL_BLOCK_ENTRIES", block_rows * n)
+            patch.setattr(cli, "_FLUX_BLOCK_ENTRIES", block_rows * n)
+            value = conductance(kernel, pi)
+            violation = _balance_violation(kernel, pi.mass)
+        assert value == dense_prefix_conductance(kernel, pi.mass)
+        assert violation == dense_balance_violation(kernel, pi.mass)
+
+    def test_memory_is_one_kernel_plus_blocks(self):
+        # At 1500 bins the kernel takes 18 MB; the whole-matrix form made five
+        # more n x n arrays to build it and five to take its conductance.
+        grid = gaussian_grid(bins=1500)
+        tracemalloc.start()
+        try:
+            kernel = transition_matrix_1d(STD_1D, "mala", 0.1, grid)
+            conductance(kernel, grid)
+            _balance_violation(kernel, grid.mass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kernel.nbytes + 4 * 2**20

@@ -593,9 +593,12 @@ class TestCli:
          "the bound needs a finite xi, got inf"),
         (["diagnose", "conductance", "--bins", "0"], "need at least 2 bins per axis"),
         (["diagnose", "detailed-balance", "--bins", "-3"], "need at least 2 bins per axis"),
+        (["diagnose", "conductance", "--eta", "1e-200"], "the kernel at eta=1e-200 has non-finite entries"),
+        (["diagnose", "detailed-balance", "--eta", "1e-200"], "the kernel at eta=1e-200 has non-finite entries"),
     ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated",
             "sample-precision-comment", "hanson-wright-xi-nan", "regularity-prior-nan", "conductance-one-bin",
-            "hanson-wright-xi-inf", "conductance-zero-bins", "detailed-balance-negative-bins"])
+            "hanson-wright-xi-inf", "conductance-zero-bins", "detailed-balance-negative-bins",
+            "conductance-tiny-eta", "detailed-balance-tiny-eta"])
     def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
