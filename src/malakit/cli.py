@@ -151,6 +151,9 @@ def _cmd_run(args) -> int:
     _progress(f"summary: {report.summary_path}")
     for err in report.replica_errors:
         _progress(f"replica failure: {err}")
+    for name, block in report.diagnostics.items():
+        if "error" in block:
+            _progress(f"diagnostic failure: {name}: {block['error']}")
     print(report.summary_path)
     return 0 if report.status == "ok" else 2
 

@@ -52,15 +52,16 @@ import platform
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .chains import (ChainConfig, ChainTrace, extract_minimizer, run_chains, run_ensemble,
                      theorem1_step_size)
-from .diagnostics import (ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
+from .diagnostics import (FitFailed, ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
                           mixing_time_estimate)
-from .grids import grid_truth
+from .grids import EmptySupportError, grid_truth
 from .regularity import (build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound,
                          gradient_cloud)
 from .rng import chain_rng, subseed
@@ -120,6 +121,90 @@ _POSITIVE = {"low": 0.0, "low_open": True}
 _PROBES = {"probe_points": _Key("int", 1, default=8), "probe_dirs": _Key("int", 1, default=8)}
 _DATA = {"dataset": _Key("word", default=None), **_sizes(default=None), "prior": _Key("number", 0.0)}
 
+
+@dataclass(frozen=True)
+class _Diagnostic:
+    """A spec diagnostic, declared once; parse_spec and run_experiment loop over these."""
+
+    keys: dict  # its table of SCHEMA
+    csv: tuple  # the keys of its report.json block that diagnostics.csv carries, in order
+    run: Callable  # (params, *, prepared, spec, built, traces, stats) -> that block; traces and stats in cell order
+    check: Callable = lambda p, kind: []  # (params, target kind) -> its errors on the spec, listed by parse_spec
+    prepare: Callable = lambda p, built: None  # before any output: refuses a built target, or returns what run reads
+
+
+def _tv_truth(p, built):
+    d = built.target.dimension
+    if d > 2:
+        raise SpecValidationError([f"tv_vs_truth needs a 1D or 2D target, got d = {d}"])
+    bounds = [(p["lo"], p["hi"]), (p["lo2"], p["hi2"])][:d]
+    try:
+        with np.errstate(all="ignore"):  # a density that overflows on a cell gives it no mass
+            return grid_truth(built.target, bounds, [p["bins"], p["bins2"]][:d], built.constraint)
+    except EmptySupportError:
+        raise SpecValidationError([f"tv_vs_truth finds no mass on its grid {bounds} (lo to hi"
+                                   f"{', lo2 to hi2' if d == 2 else ''}): each cell's density is 0, not finite "
+                                   "or outside the constraint"]) from None
+
+
+def _tv_block(p, prepared, spec, traces, **_):
+    finals = np.stack([tr.states[-1] for tr in traces])
+    raw = prepared.tv_to_samples(finals)
+    floor = prepared.binning_floor(finals.shape[0], chain_rng(spec.seed, 10**6 + 1))
+    return {"raw": raw, "binning_floor": floor, "corrected": raw - floor, "replicas": finals.shape[0]}
+
+
+def _energy_stable(p, built):  # on a Gaussian the leapfrog is stable for eta^2 M < 2, M its largest precision
+    m = None if built.target.quadratic_precision is None else float(np.max(built.target.quadratic_precision))
+    if m is not None and any(e * e * m >= 2.0 for e in p["etas"]):
+        raise SpecValidationError([f"energy_error_scaling needs eta^2 M < 2 for each of its etas, with M = {m:g} "
+                                   f"the target's largest precision, got etas = {p['etas']}"])
+
+
+def _zero_one_block(p, built, traces, **_):
+    theta, angle_max = built.theta_star, p["angle_max"]
+    cone = _direction_cone(theta, angle_max)
+    minimizers = [extract_minimizer(tr) for tr in traces]
+    angles = [_angle_to(x, theta) for x, _ in minimizers]
+    hits = [hitting_time(tr, cone) for tr in traces]
+    return {
+        "angles": angles,
+        "minimizers": [x.tolist() for x, _ in minimizers],
+        "potentials": [value for _, value in minimizers],
+        "hitting_iterations": [-1 if hit is None else hit for hit in hits],
+        "median_angle": float(np.median(angles)),
+        "within_fraction": float(np.mean([a <= angle_max for a in angles])),
+        "angle_max": angle_max,
+    }
+
+
+_DIAGNOSTICS = {
+    "acceptance_stats": _Diagnostic({}, ("accepted_fraction_mean", "mean_accept_prob"), lambda p, stats, **_: {
+        "accepted_fraction_mean": float(np.mean([s.accepted_fraction for s in stats])),
+        "mean_accept_prob": float(np.mean([s.mean for s in stats]))}),
+    "tv_vs_truth": _Diagnostic(
+        {"lo": _Key("number"), "hi": _Key("number"), "bins": _Key("int", 2), "lo2": _Key("number", same_as="lo"),
+         "hi2": _Key("number", same_as="hi"), "bins2": _Key("int", 2, same_as="bins")},
+        ("raw", "binning_floor", "corrected"), _tv_block, prepare=_tv_truth,
+        check=lambda p, kind: [] if p["lo"] < p["hi"] and p["lo2"] < p["hi2"]
+        else ["tv_vs_truth needs lo < hi and lo2 < hi2"]),
+    "energy_error_scaling": _Diagnostic(
+        {"etas": _Key("numbers", **_POSITIVE, default="0.4,0.2,0.1,0.05,0.025"),
+         "samples": _Key("int", 1, default=2000)},
+        ("slope", "r_squared"), lambda p, spec, built, **_: asdict(
+            energy_error_scaling(built.target, p["etas"], p["samples"], spec.seed)), prepare=_energy_stable,
+        check=lambda p, kind: [] if len(p["etas"]) >= 3 and max(p["etas"]) / min(p["etas"]) >= 10.0 * (1 - 1e-9)
+        else [f"energy_error_scaling needs 3 or more etas spanning a decade, got etas = {p['etas']}"]),
+    "regularity": _Diagnostic(
+        _PROBES, ("incoherence", "c3_estimate", "c4_estimate"), lambda p, spec, built, **_: asdict(
+            build_regularity_report(built.target, built.dataset, p["probe_points"], p["probe_dirs"], spec.seed)),
+        check=lambda p, kind: ["regularity diagnostic needs a dataset-backed target"] if kind == "gaussian" else []),
+    "zero_one_summary": _Diagnostic(
+        {"angle_max": _Key("number", **_POSITIVE, default=0.35)}, ("median_angle", "within_fraction"),
+        _zero_one_block, check=lambda p, kind: [] if kind == "zero_one"
+        else ["zero_one_summary only applies to zero_one targets"]),
+}
+
 # Every key of the format, declared once.  ``[target]`` and ``[schedule]``
 # are keyed by their ``kind``, ``diagnostics`` by the diagnostic's name, and
 # "" is the top level.  parse_spec checks a spec against this table once and
@@ -143,16 +228,7 @@ SCHEMA = {
     },
     "run": {"iterations": _Key("int", 1), "replicas": _Key("int", 1), "seed": _Key("int", 0),
             "record_every": _Key("int", 1, default=1)},
-    "diagnostics": {
-        "acceptance_stats": {},
-        "tv_vs_truth": {"lo": _Key("number"), "hi": _Key("number"), "bins": _Key("int", 2),
-                        "lo2": _Key("number", same_as="lo"), "hi2": _Key("number", same_as="hi"),
-                        "bins2": _Key("int", 2, same_as="bins")},
-        "energy_error_scaling": {"etas": _Key("numbers", **_POSITIVE, default="0.4,0.2,0.1,0.05,0.025"),
-                                 "samples": _Key("int", 1, default=2000)},
-        "regularity": _PROBES,
-        "zero_one_summary": {"angle_max": _Key("number", **_POSITIVE, default=0.35)},
-    },
+    "diagnostics": {name: entry.keys for name, entry in _DIAGNOSTICS.items()},
     "output": {"dir": _Key("word", default=None)},
 }
 _TYPE_NAMES = {"int": "an integer", "number": "a finite number",
@@ -168,16 +244,11 @@ class SpecValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class DiagnosticSpec:
-    name: str
-    params: dict
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
-    """A checked spec, made by :func:`parse_spec`.  Each ``params`` dict holds
-    every key of its :data:`SCHEMA` table, typed, with defaults filled in (None
-    for an optional key not given); a constrained-mala spec has its annulus."""
+    """A checked spec, made by :func:`parse_spec`.  ``diagnostics`` maps each
+    diagnostic's name to its params, in the spec's order.  Each params dict
+    holds every key of its :data:`SCHEMA` table, typed, with defaults filled in
+    (None for an optional key not given); a constrained-mala spec has its annulus."""
 
     name: str
     target_kind: str
@@ -190,7 +261,7 @@ class ExperimentSpec:
     replicas: int
     seed: int
     record_every: int
-    diagnostics: tuple[DiagnosticSpec, ...]
+    diagnostics: dict
     output: str | None
     constraint_radii: tuple[float, float] | None
 
@@ -326,11 +397,11 @@ def parse_spec(text: str) -> ExperimentSpec:
     if sampler in ("mala", "rwm") and "constraint" in sections:
         errors.append(f"a [constraint] section needs sampler kind constrained-mala, got {sampler}")
 
-    diagnostics = []
+    diagnostics: dict = {}
     for line in diag_lines:
         name, *pieces = line.split()
-        if name not in SCHEMA["diagnostics"]:
-            errors.append(f"unknown diagnostic {name!r} (known: {', '.join(SCHEMA['diagnostics'])})")
+        if name not in _DIAGNOSTICS:
+            errors.append(f"unknown diagnostic {name!r} (known: {', '.join(_DIAGNOSTICS)})")
             continue
         raw = {}
         for piece in pieces:
@@ -341,16 +412,11 @@ def parse_spec(text: str) -> ExperimentSpec:
             if k in raw:
                 errors.append(f"duplicate parameter {k!r} in diagnostic {name}")
             raw[k] = _parse_scalar(v)
-        if any(d.name == name for d in diagnostics):
+        if name in diagnostics:
             errors.append(f"duplicate diagnostic {name!r}")
-        p = _section(f"diagnostic {name}", raw, SCHEMA["diagnostics"][name], errors)
-        diagnostics.append(DiagnosticSpec(name=name, params=p))
-        if name == "tv_vs_truth" and p and not (p["lo"] < p["hi"] and p["lo2"] < p["hi2"]):
-            errors.append("tv_vs_truth needs lo < hi and lo2 < hi2")
-        if name == "regularity" and kind == "gaussian":
-            errors.append("regularity diagnostic needs a dataset-backed target")
-        if name == "zero_one_summary" and kind != "zero_one":
-            errors.append("zero_one_summary only applies to zero_one targets")
+        p = diagnostics[name] = _section(f"diagnostic {name}", raw, _DIAGNOSTICS[name].keys, errors)
+        if p is not None:
+            errors += _DIAGNOSTICS[name].check(p, kind)
 
     if errors:
         raise SpecValidationError(errors)
@@ -368,7 +434,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         replicas=run["replicas"],
         seed=run["seed"],
         record_every=run["record_every"],
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
         output=plain["output"]["dir"],
         constraint_radii=radii if sampler == "constrained-mala" else None,
     )
@@ -399,7 +465,7 @@ def _serialize_spec(spec: ExperimentSpec) -> str:
               f"seed = {spec.seed}", f"record_every = {spec.record_every}"]
     if spec.diagnostics:
         lines += ["", "[diagnostics]"]
-        lines += [" ".join([d.name, *keys(d.params, "=")]) for d in spec.diagnostics]
+        lines += [" ".join([name, *keys(params, "=")]) for name, params in spec.diagnostics.items()]
     if spec.output:
         lines += ["", "[output]", f"dir = {spec.output}"]
     return "\n".join(lines) + "\n"
@@ -503,8 +569,12 @@ class RunReport:
 
     @property
     def status(self) -> str:
-        """``ok`` when every cell ran to the end, ``partial`` when some failed, ``failed`` when all did."""
-        return "failed" if not self.trace_paths else "partial" if self.replica_errors else "ok"
+        """``ok`` when every cell ran to the end and every diagnostic gave its
+        block, ``partial`` when some cells failed or a diagnostic's block is its
+        ``error``, ``failed`` when every cell failed."""
+        if not self.trace_paths:
+            return "failed"
+        return "partial" if self.replica_errors or any("error" in b for b in self.diagnostics.values()) else "ok"
 
     def to_json(self) -> str:
         """``report.json``: every field, and ``status``."""
@@ -528,6 +598,10 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     cell order, so outputs do not depend on how cells are batched.  A cell
     failure is recorded (``status`` becomes ``partial``), not raised; when
     every cell fails, ``status`` is ``failed`` and ``RuntimeError`` follows.
+    A diagnostic that fails on the samples (ValueError or FitFailed) is
+    recorded as its block ``{"error": message}``, with no diagnostics.csv
+    lines, and ``status`` becomes ``partial``.  Every check on the spec and
+    the built target runs before any output is made.
     """
     start = time.perf_counter()
     if output_dir is not None:
@@ -537,8 +611,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     else:
         out = Path(os.environ.get("MALAKIT_OUT", "runs")) / spec.name
     built = build_target(spec)
-    if built.target.dimension > 2 and any(diag.name == "tv_vs_truth" for diag in spec.diagnostics):
-        raise SpecValidationError([f"tv_vs_truth needs a 1D or 2D target, got d = {built.target.dimension}"])
+    prepared = {name: _DIAGNOSTICS[name].prepare(p, built) for name, p in spec.diagnostics.items()}
     etas, schedule_notes = resolve_etas(spec, built)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -578,10 +651,18 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     summary_path = out / "summary.csv"
     summary_path.write_text("\n".join(summary_lines) + "\n")
 
-    diagnostics, diag_lines = _run_diagnostics(spec, built, traces, stats) if traces else ({}, [])
-    diagnostics_path = None
+    diagnostics, diag_lines = {}, []
+    for name, p in spec.diagnostics.items() if traces else ():  # each one's block, and its diagnostics.csv lines
+        entry = _DIAGNOSTICS[name]
+        try:
+            block = diagnostics[name] = entry.run(p, prepared=prepared[name], spec=spec, built=built,
+                                                  traces=list(traces.values()), stats=list(stats.values()))
+        except (ValueError, FitFailed) as exc:  # it fails on the samples: the run is partial
+            diagnostics[name] = {"error": str(exc)}
+            continue
+        diag_lines += [f"{name},{key},{float(block[key])!r}" for key in entry.csv]
+    diagnostics_path = out / "diagnostics.csv"
     if diag_lines:
-        diagnostics_path = out / "diagnostics.csv"
         diagnostics_path.write_text("\n".join(["diagnostic,key,value"] + diag_lines) + "\n")
 
     report = RunReport(
@@ -590,7 +671,7 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
         schedule_notes=schedule_notes,
         target_notes=built.notes,
         summary_path=str(summary_path),
-        diagnostics_path=None if diagnostics_path is None else str(diagnostics_path),
+        diagnostics_path=str(diagnostics_path) if diag_lines else None,
         trace_paths=trace_paths,
         diagnostics=diagnostics,
         gradient_evals=sum(tr.gradient_evals for tr in traces.values()),
@@ -605,69 +686,6 @@ def run_experiment(spec: ExperimentSpec, output_dir=None) -> RunReport:
     return report
 
 
-# The keys of each diagnostic's report.json block that diagnostics.csv carries, in order.
-_CSV_KEYS = {
-    "acceptance_stats": ("accepted_fraction_mean", "mean_accept_prob"),
-    "tv_vs_truth": ("raw", "binning_floor", "corrected"),
-    "energy_error_scaling": ("slope", "r_squared"),
-    "regularity": ("incoherence", "c3_estimate", "c4_estimate"),
-    "zero_one_summary": ("median_angle", "within_fraction"),
-}
-
-
-def _run_diagnostics(spec, built, traces, stats):
-    """Each diagnostic's block of ``report.json``, and the ``diagnostics.csv``
-    lines, which are read from those blocks."""
-    results: dict = {}
-    lines: list[str] = []
-    target = built.target
-    ordered = [tr for _, tr in sorted(traces.items())]
-    for diag in spec.diagnostics:
-        p = diag.params
-        if diag.name == "acceptance_stats":
-            block = {"accepted_fraction_mean": float(np.mean([s.accepted_fraction for s in stats.values()])),
-                     "mean_accept_prob": float(np.mean([s.mean for s in stats.values()]))}
-        elif diag.name == "tv_vs_truth":
-            if target.dimension == 1:
-                bounds: object = (p["lo"], p["hi"])
-                nbins: object = p["bins"]
-            else:  # 2D; run_experiment refuses more
-                bounds = ((p["lo"], p["hi"]), (p["lo2"], p["hi2"]))
-                nbins = (p["bins"], p["bins2"])
-            truth = grid_truth(target, bounds, nbins, built.constraint)
-            finals = np.stack([tr.states[-1] for tr in ordered])
-            raw = truth.tv_to_samples(finals)
-            floor = truth.binning_floor(finals.shape[0], chain_rng(spec.seed, 10**6 + 1))
-            block = {"raw": raw, "binning_floor": floor, "corrected": raw - floor, "replicas": finals.shape[0]}
-        elif diag.name == "energy_error_scaling":
-            fit = energy_error_scaling(target, p["etas"], p["samples"], spec.seed)
-            block = {"slope": fit.slope, "r_squared": fit.r_squared}
-        elif diag.name == "regularity":
-            block = asdict(build_regularity_report(target, built.dataset, p["probe_points"], p["probe_dirs"],
-                                                   spec.seed))
-        else:  # zero_one_summary
-            theta, angle_max = built.theta_star, p["angle_max"]
-            cone = _direction_cone(theta, angle_max)
-            minimizers = [extract_minimizer(tr) for tr in ordered]
-            angles = [_angle_to(x, theta) for x, _ in minimizers]
-            hits = [hitting_time(tr, cone) for tr in ordered]
-            block = {
-                "angles": angles,
-                "minimizers": [x.tolist() for x, _ in minimizers],
-                "potentials": [value for _, value in minimizers],
-                "hitting_iterations": [-1 if hit is None else hit for hit in hits],
-                "median_angle": float(np.median(angles)),
-                "within_fraction": float(np.mean([a <= angle_max for a in angles])),
-                "angle_max": angle_max,
-            }
-        results[diag.name] = block
-        for key in _CSV_KEYS[diag.name]:
-            value = block[key]
-            lines.append(f"{diag.name},{key},"
-                         f"{repr(float(value)) if isinstance(value, (int, float, np.floating)) else value}")
-    return results, lines
-
-
 def _angle_to(x: np.ndarray, theta: np.ndarray) -> float:
     nx = np.linalg.norm(x)
     if nx == 0:
@@ -676,8 +694,7 @@ def _angle_to(x: np.ndarray, theta: np.ndarray) -> float:
 
 
 def _direction_cone(theta: np.ndarray, angle_max: float) -> ConstraintSet:
-    def membership(x):
-        x = np.asarray(x, dtype=float)
+    def membership(x):  # x is a float array: ConstraintSet.contains makes it one
         norms = np.linalg.norm(x, axis=-1)
         ips = x @ theta
         with np.errstate(invalid="ignore", divide="ignore"):

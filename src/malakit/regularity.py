@@ -172,6 +172,7 @@ def gradient_cloud(target: TargetModel, probe_points: int, seed: int) -> np.ndar
     return chain_rng(seed, 10**6).standard_normal((max(probe_points, 16), target.dimension))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed norm reads inf, which the callers refuse
 def estimate_gradient_bound(target: TargetModel, region_samples) -> GradientBoundEstimate:
     points = [np.asarray(p, dtype=float) for p in region_samples]
     if not points:
@@ -250,7 +251,8 @@ def constraint_exit_estimate(target: TargetModel, constraint: ConstraintSet, eta
 
     The proposal is z + eta v - (eta^2/2) grad U(z) with standard Gaussian
     v; the constraint-set regularity assumption asks this to be at least
-    1/10 everywhere in the set.
+    1/10 everywhere in the set.  A drift z - (eta^2/2) grad U(z) that is not
+    finite raises ValueError.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
@@ -261,7 +263,10 @@ def constraint_exit_estimate(target: TargetModel, constraint: ConstraintSet, eta
         raise ValueError("z must lie inside the constraint set")
     rng = chain_rng(seed, 0)
     grad = np.asarray(target.gradient(z), dtype=float)
-    drift = z - 0.5 * eta * eta * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = z - 0.5 * eta * eta * grad
+    if not np.all(np.isfinite(drift)):
+        raise ValueError(f"the proposal mean at eta={eta:g} is not finite: (eta^2/2) times the gradient overflows")
     v = rng.standard_normal((n, z.size))
     proposals = drift + eta * v
     inside = np.asarray(constraint.contains(proposals), dtype=bool)
@@ -311,13 +316,17 @@ class RegularityReport:
 def build_regularity_report(target: TargetModel, data: Dataset, probe_points: int,
                             probe_dirs: int, seed: int) -> RegularityReport:
     """Assemble the full report for an empirical-loss target; the
-    :func:`gradient_cloud` feeds the gradient-bound and smoothness estimates."""
+    :func:`gradient_cloud` feeds the gradient-bound and smoothness estimates,
+    and a ValueError refuses either when it overflows."""
     phi = incoherence(data)
     c3_bound, c4_bound = theorem3_bounds(data.count, phi)
     c3_est = estimate_c3(target, probe_points, probe_dirs, seed)
     c4_est = estimate_c4(target, probe_points, probe_dirs, seed)
     samples = gradient_cloud(target, probe_points, seed)
     grad_est = estimate_gradient_bound(target, list(samples))
+    if not (math.isfinite(grad_est.gradient_bound) and math.isfinite(grad_est.smoothness)):
+        raise ValueError(f"the gradient bound and smoothness estimates must be finite, got {grad_est.gradient_bound} "
+                         f"and {grad_est.smoothness}: the gradient overflows at this prior precision")
     return RegularityReport(
         incoherence=phi,
         c3_bound=c3_bound,

@@ -395,7 +395,8 @@ def recommended_schedule(q0: float, epsilon: float, d: int, c1: float = 1.0) -> 
 
     Returns ``(inverse_temperature, lam)`` with
     ``T^{-1} = c1 d^{3/2} / (q0 eps^2)`` and ``lam = 100 sqrt(d) / (T |log T|)``.
-    Requires the resulting temperature to be below 1 so the log is nonzero.
+    Requires the resulting temperature to be below 1 so the log is nonzero,
+    and both values to be finite, which a tiny epsilon breaks.
     """
     if not (0.0 < q0 <= 1.0):
         raise ValueError("q0 must lie in (0, 1]")
@@ -405,10 +406,16 @@ def recommended_schedule(q0: float, epsilon: float, d: int, c1: float = 1.0) -> 
         raise ValueError("c1 must be positive")
     if d < 1:
         raise ValueError("d must be a positive integer")
-    inv_temp = c1 * d**1.5 / (q0 * epsilon**2)
+    try:
+        inv_temp = c1 * d**1.5 / (q0 * epsilon**2)
+    except ZeroDivisionError:  # q0 epsilon^2 underflows
+        inv_temp = math.inf
     if inv_temp <= 1.0:
         raise ValueError(f"schedule needs inverse temperature > 1, got {inv_temp:.4g}; increase c1")
     lam = 100.0 * math.sqrt(d) * inv_temp / math.log(inv_temp)
+    if not math.isfinite(lam):  # an infinite inv_temp makes lam NaN
+        raise ValueError(f"epsilon = {epsilon!r} is too small: the schedule's inverse temperature "
+                         f"{inv_temp:.4g} or annulus scale {lam:.4g} is not finite")
     return inv_temp, lam
 
 

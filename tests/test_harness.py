@@ -21,7 +21,6 @@ from malakit.cli import cli_entry
 from malakit.diagnostics import transition_matrix_1d
 from malakit.grids import grid_truth
 from malakit.harness import (
-    DiagnosticSpec,
     ExperimentSpec,
     SpecValidationError,
     parse_spec,
@@ -128,6 +127,20 @@ def spec_with(**edits):
     return text
 
 
+# Specs that parse, or build, but that no run can use: each must exit 1 before any output.
+BAD_RUN_SPECS = {
+    "short-etas.spec": MINIMAL + "\n[diagnostics]\nenergy_error_scaling etas=0.4,0.2,0.1\n",
+    "stiff-etas.spec": spec_with(**{"precision = 1.0": "precision = 100.0"})
+    + "\n[diagnostics]\nenergy_error_scaling\n",
+    "tv-3d.spec": spec_with(**{"d = 1": "d = 3"}) + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=10\n",
+    "tv-huge.spec": MINIMAL + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=1e200 bins=10\n",
+    "huge-prior.spec": spec_with(**{
+        "kind = gaussian\nd = 1\nprecision = 1.0": f"kind = logistic\ndataset = {ROOT / 'data' / 'bundled_r50.csv'}"
+                                                   "\nprior = 1e200",
+        "kind = explicit\neta = 0.5": "kind = theorem1"}),
+}
+
+
 def _is_word(text):
     """True when the spec format reads ``text`` back as a string."""
     if text.lower() in ("true", "false"):
@@ -154,6 +167,8 @@ def _float_lists(min_size, max_size):
 
 
 FLOAT_LISTS = _float_lists(2, 4)
+# energy_error_scaling's etas: 3 or more, spanning a decade
+DECADE_LISTS = st.lists(POSITIVE, min_size=2, max_size=3).map(lambda vs: ",".join(map(repr, vs + [10.0 * max(vs)])))
 
 
 @st.composite
@@ -188,7 +203,7 @@ def valid_specs(draw):
                                              optional={"lo2": _floats(-100.0, 0.0),
                                                        "hi2": _floats(0.0, 100.0, exclude_low=True),
                                                        "bins2": st.integers(2, 400)}),
-        "energy_error_scaling": st.fixed_dictionaries({}, optional={"etas": FLOAT_LISTS,
+        "energy_error_scaling": st.fixed_dictionaries({}, optional={"etas": DECADE_LISTS,
                                                                     "samples": st.integers(1, 10**4)}),
     }
     if kind != "gaussian":
@@ -201,7 +216,7 @@ def valid_specs(draw):
         schedule_kind=schedule, schedule_params=draw(params), iterations=draw(st.integers(1, 10**6)),
         replicas=draw(st.integers(1, 1000)), seed=draw(st.integers(0, 2**62)),
         record_every=draw(st.integers(1, 100)),
-        diagnostics=tuple(DiagnosticSpec(n, draw(diag_params[n])) for n in names),
+        diagnostics={n: draw(diag_params[n]) for n in names},
         output=draw(st.one_of(st.none(), WORDS)), constraint_radii=radii)
 
 
@@ -412,6 +427,43 @@ class TestRunExperiment:
         rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["0.5", "0.5"]
 
+    def test_diagnostic_failing_on_the_samples_makes_run_partial(self, tmp_path, capsys):
+        # No final state of a unit Gaussian falls in [5, 6]; only the samples
+        # show that.  An earlier version exited 1 after writing the traces
+        # and summary.csv, with no report.json.
+        spec_path = tmp_path / "far.spec"
+        spec_path.write_text(MINIMAL + "\n[diagnostics]\nacceptance_stats\ntv_vs_truth lo=5 hi=6 bins=10\n")
+        with pytest.warns(UserWarning, match="boundary cells carry"):
+            assert cli_entry(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert "diagnostic failure: tv_vs_truth: no samples fall inside the grid bounds" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "partial" and report["replica_errors"] == []
+        assert report["diagnostics"]["tv_vs_truth"] == {"error": "no samples fall inside the grid bounds"}
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows] == ["diagnostic", "acceptance_stats", "acceptance_stats"]
+
+    def test_a_diagnostic_is_one_entry(self, tmp_path, monkeypatch):
+        # Adding a diagnostic adds one entry: its keys, its rule on the spec,
+        # its check on the built target, its runner and its CSV keys.
+        entry = harness._Diagnostic(
+            keys={"scale": harness._Key("number", default=2.0)}, csv=("scaled_mean",),
+            run=lambda p, prepared, traces, **_: {
+                "scaled_mean": p["scale"] * float(np.mean([tr.states[-1] for tr in traces])), "d": prepared},
+            check=lambda p, kind: [] if kind == "gaussian" else ["fake needs a gaussian target"],
+            prepare=lambda p, built: built.target.dimension)
+        monkeypatch.setitem(harness._DIAGNOSTICS, "fake", entry)
+        spec = parse_spec(MINIMAL + "\n[diagnostics]\nacceptance_stats\nfake scale=3\n")
+        assert parse_spec(harness._serialize_spec(spec)) == spec
+        report = run_experiment(spec, output_dir=tmp_path)
+        finals = [np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)[-1, 5] for p in report.trace_paths]
+        assert report.diagnostics["fake"] == {"scaled_mean": 3.0 * float(np.mean(finals)), "d": 1}
+        assert report.status == "ok"
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        assert lines[-1] == f"fake,scaled_mean,{3.0 * float(np.mean(finals))!r}" and len(lines) == 4
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(ZERO_ONE + "fake\n")
+        assert err.value.errors == ["fake needs a gaussian target"]
+
     def test_eval_accounting_matches_summary(self, tmp_path):
         spec = parse_spec(MINIMAL)
         report = run_experiment(spec, output_dir=tmp_path)
@@ -595,21 +647,40 @@ class TestCli:
         (["diagnose", "detailed-balance", "--bins", "-3"], "need at least 2 bins per axis"),
         (["diagnose", "conductance", "--eta", "1e-200"], "the kernel at eta=1e-200 has non-finite entries"),
         (["diagnose", "detailed-balance", "--eta", "1e-200"], "the kernel at eta=1e-200 has non-finite entries"),
+        (["run", "short-etas.spec", "--out", "out"],
+         "energy_error_scaling needs 3 or more etas spanning a decade, got etas = [0.4, 0.2, 0.1]"),
+        (["run", "stiff-etas.spec", "--out", "out"], "energy_error_scaling needs eta^2 M < 2 for each of its etas"),
+        (["run", "tv-3d.spec", "--out", "out"], "tv_vs_truth needs a 1D or 2D target, got d = 3"),
+        (["run", "tv-huge.spec", "--out", "out"], "tv_vs_truth finds no mass on its grid [(-6.0, 1e+200)] (lo to hi)"),
+        (["optimize", "--epsilon", "1e-200", "--count", "50", "--iterations", "10", "--out", "out"],
+         "epsilon = 1e-200 is too small"),
+        (["regularity", str(ROOT / "data" / "bundled_r50.csv"), "--prior", "1e200", "--json"],
+         "the gradient overflows at this prior precision"),
+        (["diagnose", "exit-probability", "--eta", "1e200"], "the proposal mean at eta=1e+200 is not finite"),
+        (["run", "huge-prior.spec", "--out", "out"], "gradient_bound must be finite and positive, got inf"),
     ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated",
             "sample-precision-comment", "hanson-wright-xi-nan", "regularity-prior-nan", "conductance-one-bin",
             "hanson-wright-xi-inf", "conductance-zero-bins", "detailed-balance-negative-bins",
-            "conductance-tiny-eta", "detailed-balance-tiny-eta"])
+            "conductance-tiny-eta", "detailed-balance-tiny-eta", "run-short-etas", "run-stiff-etas", "run-tv-3d",
+            "run-tv-huge-grid", "optimize-tiny-epsilon", "regularity-huge-prior", "exit-probability-huge-eta",
+            "run-theorem1-huge-prior"])
     def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
-        # repeated eta values ran every chain before a division by zero.
+        # repeated eta values ran every chain before a division by zero.  The
+        # energy_error_scaling and tv_vs_truth specs ran every chain and wrote
+        # their traces before failing; the huge prior and eta exited 0 after a
+        # RuntimeWarning (the theorem1 spec exited 1 after it), and the tiny
+        # epsilon divided by zero at exit 2.
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "mini.spec").write_text(MINIMAL)
+        specs = {"mini.spec": MINIMAL, **BAD_RUN_SPECS}
+        for name, text in specs.items():
+            (tmp_path / name).write_text(text)
         assert cli_entry(argv) == 1
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert message in captured.err and captured.err.count("error:") == 1
         assert captured.out == ""
-        assert [p.name for p in tmp_path.iterdir()] == ["mini.spec"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(specs)
 
     def test_diagnose_prints_strict_json(self, capsys, monkeypatch):
         # json.dumps' default writes ``Infinity``, which strict parsers refuse.
