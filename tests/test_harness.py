@@ -130,8 +130,8 @@ def spec_with(**edits):
 # Specs that parse, or build, but that no run can use: each must exit 1 before any output.
 BAD_RUN_SPECS = {
     "short-etas.spec": MINIMAL + "\n[diagnostics]\nenergy_error_scaling etas=0.4,0.2,0.1\n",
-    "stiff-etas.spec": spec_with(**{"precision = 1.0": "precision = 100.0"})
-    + "\n[diagnostics]\nenergy_error_scaling\n",
+    "stiff-etas.spec": (spec_with(**{"precision = 1.0": "precision = 100.0"})
+                        + "\n[diagnostics]\nenergy_error_scaling\n"),
     "tv-3d.spec": spec_with(**{"d = 1": "d = 3"}) + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=6 bins=10\n",
     "tv-huge.spec": MINIMAL + "\n[diagnostics]\ntv_vs_truth lo=-6 hi=1e200 bins=10\n",
     "huge-prior.spec": spec_with(**{
@@ -668,10 +668,10 @@ class TestCli:
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
         # repeated eta values ran every chain before a division by zero.  The
-        # energy_error_scaling and tv_vs_truth specs ran every chain and wrote
-        # their traces before failing; the huge prior and eta exited 0 after a
-        # RuntimeWarning (the theorem1 spec exited 1 after it), and the tiny
-        # epsilon divided by zero at exit 2.
+        # energy_error_scaling specs and the huge tv_vs_truth grid ran every
+        # chain and wrote the traces before failing; the huge prior and eta
+        # exited 0 after a RuntimeWarning (the theorem1 spec exited 1 after
+        # it), and the tiny epsilon divided by zero at exit 2.
         monkeypatch.chdir(tmp_path)
         specs = {"mini.spec": MINIMAL, **BAD_RUN_SPECS}
         for name, text in specs.items():
