@@ -8,12 +8,14 @@ the chains or the harness and commit the diff.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
-from malakit.harness import parse_spec, run_experiment
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # this checkout's malakit, never an installed one
+
+from malakit.harness import parse_spec, run_experiment  # noqa: E402
 
 ZERO_ONE_SPEC = """\
 malakit-spec v1

@@ -73,6 +73,7 @@ from .diagnostics import (  # noqa: F401
     acceptance_stats,
     cheeger_1d,
     conductance,
+    detailed_balance_violation,
     energy_error_scaling,
     hanson_wright_check,
     hitting_time,

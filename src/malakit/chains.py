@@ -136,7 +136,7 @@ def _float_reprs(column: np.ndarray) -> list[str]:
 def _gradient_failure(grad: np.ndarray, index: int) -> NumericFailure:
     """The error for a non-finite gradient; coordinates are columns of ``grad``."""
     bad = np.flatnonzero(~np.isfinite(np.atleast_2d(grad)).all(axis=0)).tolist()
-    return NumericFailure(f"non-finite gradient at step {index}, coordinates {bad}", bad)
+    return NumericFailure(f"non-finite gradient at step {index}, coordinates {bad}")
 
 
 _DRAW_BLOCK = 2**14  # velocity values per refill, over all rows: memory does not grow with the batch

@@ -18,9 +18,6 @@ from pathlib import Path
 import numpy as np
 
 
-_FLUX_BLOCK_ENTRIES = 1 << 16  # flux entries per row block of the detailed-balance check (~0.5 MB)
-
-
 class _UsageError(Exception):
     pass
 
@@ -109,6 +106,8 @@ def cli_entry(argv=None) -> int:
             parser.error(f"argument --seed: must be >= 0, got {args.seed}")
         if getattr(args, "dim", None) is not None and args.dim < 1:
             parser.error(f"argument --dim: the dimension must be >= 1, got {args.dim}")
+        if getattr(args, "count", None) is not None and args.count < 0:
+            parser.error(f"argument --count: must be >= 0, got {args.count}")
         if any(c in getattr(args, "precision", "") for c in "#\n"):  # it is written into a spec's text
             parser.error(f"argument --precision: must be a number or a comma list, got {args.precision!r}")
     except _UsageError as exc:
@@ -209,7 +208,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import (cheeger_1d, conductance, energy_error_scaling,
+    from .diagnostics import (cheeger_1d, conductance, detailed_balance_violation, energy_error_scaling,
                               hanson_wright_check, transition_matrix_1d)
     from .grids import grid_truth
     from .regularity import constraint_exit_estimate
@@ -222,7 +221,7 @@ def _cmd_diagnose(args) -> int:
         target = make_gaussian(1, 1.0)
         truth = grid_truth(target, (-8.0, 8.0), args.bins)
         if args.check == "detailed-balance":
-            rows = {kind: _balance_violation(transition_matrix_1d(target, kind, args.eta, truth), truth.mass)
+            rows = {kind: detailed_balance_violation(transition_matrix_1d(target, kind, args.eta, truth), truth.mass)
                     for kind in ("mala", "rwm")}  # one kernel alive at a time
             result = {"eta": args.eta, "bins": args.bins, "max_relative_violation": rows}
         else:
@@ -247,25 +246,14 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _balance_violation(kernel: np.ndarray, mass: np.ndarray) -> float:
-    """max |F - F^T| / max F for the flux F_ij = mass_i K_ij, reduced over row
-    blocks of about ``_FLUX_BLOCK_ENTRIES`` entries, so that no n x n array is
-    made beside the kernel; the value has the bits of the whole-matrix form."""
-    rows = max(1, _FLUX_BLOCK_ENTRIES // mass.size)
-    peaks, gaps = [], []
-    for lo in range(0, mass.size, rows):
-        flux = mass[lo:lo + rows, None] * kernel[lo:lo + rows]
-        peaks.append(flux.max())
-        flux -= kernel[:, lo:lo + rows].T * mass  # rows of F^T: F_ji = mass_j K_ji
-        gaps.append(np.abs(flux, out=flux).max())
-    return float(np.max(gaps) / np.max(peaks))
-
-
 def _cmd_scaling(args) -> int:
     from .harness import MAX_ITERATIONS, MIN_SLOPE_POINTS, parse_spec, scaling_study
 
     template = parse_spec(Path(args.spec).read_text())
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"argument --values: must be a comma list of numbers, got {args.values!r}") from None
     result = scaling_study(template, values)
     if result.slope is None:
         _progress(f"no log-log slope: {len(result.resolved)} of {len(values)} mixing estimates resolved "

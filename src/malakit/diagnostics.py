@@ -7,11 +7,14 @@ exact up to 16 states, where every cut is searched; above that it is an
 upper bound over the prefix cuts (exact for monotone 1D kernels).  It is
 never negative.
 
-The n x n work runs over row blocks of about ``_KERNEL_BLOCK_ENTRIES``
-entries, so building a kernel and taking its conductance need the kernel
-itself plus O(n * block) memory, with no other n x n array.  The blocks
-change no bit: each entry is computed by the same operations, and every
-cumulative sum adds in the same order, as a whole-matrix evaluation does.
+Every large array is worked through in row blocks of about
+``_BLOCK_ENTRIES`` entries (:func:`_row_blocks`): building a kernel, its
+conductance and its detailed-balance violation need the kernel itself plus
+O(n * block) memory, with no other n x n array, and the Hanson-Wright check
+draws its Gaussians a block at a time.  The blocks change no bit: each
+entry is computed by the same operations, every cumulative sum adds in the
+same order as a whole-matrix evaluation does, and the draws come from one
+stream in order.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "cheeger_1d",
     "transition_matrix_1d",
     "conductance",
+    "detailed_balance_violation",
     "mixing_time_estimate",
     "hitting_time",
     "energy_error_scaling",
@@ -47,12 +51,12 @@ __all__ = [
 _HALF_TOL = 1e-12
 _ROW_SUM_TOL = 1e-9
 _EXACT_STATES = 16  # conductance enumerates all 2**n cuts up to here: a 65,534 x 16 mask matrix at 16
-_KERNEL_BLOCK_ENTRIES = 1 << 16  # kernel entries per row block (~0.5 MB), so memory is not O(n^2) beyond the kernel
+_BLOCK_ENTRIES = 1 << 16  # entries per row block (~0.5 MB), so memory is not O(n^2) beyond the kernel
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of ``max(1, _KERNEL_BLOCK_ENTRIES // n)`` rows covering ``range(n)``; the last may be shorter."""
-    rows = max(1, _KERNEL_BLOCK_ENTRIES // n)
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices of ``max(1, _BLOCK_ENTRIES // width)`` rows covering ``range(n)``; the last may be shorter."""
+    rows = max(1, _BLOCK_ENTRIES // width)
     return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
@@ -129,7 +133,7 @@ def transition_matrix_1d(target: TargetModel, kernel_kind: str, eta: float,
     # the non-finite kernel that results is refused below, without a warning
     with np.errstate(all="ignore"):
         mean = mids - 0.5 * eta * eta * grad if kernel_kind == "mala" else mids
-        for rows in _row_blocks(n):
+        for rows in _row_blocks(n, n):
             out = kernel[rows]
             forward = log_q(mean[rows, None], mids[None, :])  # log q[i, j], i in the block
             if kernel_kind == "mala":
@@ -185,7 +189,7 @@ def conductance(kernel: np.ndarray, pi: GridDistribution) -> float:
     n = p.size
     if kernel.shape != (n, n):
         raise ValueError("kernel and grid sizes differ")
-    blocks = _row_blocks(n)
+    blocks = _row_blocks(n, n)
     non_finite = negative = 0
     for rows in blocks:
         non_finite += kernel[rows].size - np.count_nonzero(np.isfinite(kernel[rows]))
@@ -231,6 +235,21 @@ def conductance(kernel: np.ndarray, pi: GridDistribution) -> float:
         in_flow[rows.stop - 1 - part.size:rows.stop - 1] = part
     mass = np.concatenate([np.cumsum(p)[:-1], np.cumsum(p[::-1])[::-1][1:]])
     return _min_cut_ratio(np.concatenate([out_flow, in_flow]), mass)
+
+
+def detailed_balance_violation(kernel: np.ndarray, mass: np.ndarray) -> float:
+    """max |F - F^T| / max F for the flux F_ij = mass_i K_ij: 0 for a kernel
+    reversible with respect to ``mass``.  Reduced over row blocks, so no
+    n x n array is made beside the kernel; the value has the bits of the
+    whole-matrix form."""
+    kernel, mass = np.asarray(kernel, dtype=float), np.asarray(mass, dtype=float)
+    peaks, gaps = [], []
+    for rows in _row_blocks(mass.size, mass.size):
+        flux = mass[rows, None] * kernel[rows]
+        peaks.append(flux.max())
+        flux -= kernel[:, rows].T * mass  # rows of F^T: F_ji = mass_j K_ji
+        gaps.append(np.abs(flux, out=flux).max())
+    return float(np.max(gaps) / np.max(peaks))
 
 
 def mixing_time_estimate(
@@ -346,9 +365,10 @@ def energy_error_scaling(target: TargetModel, etas, samples_per_eta: int, seed: 
         rng = chain_rng(subseed(seed, idx))
         x = rng.standard_normal((samples_per_eta, target.dimension))
         v = rng.standard_normal((samples_per_eta, target.dimension))
-        pot, grad = (np.asarray(a, dtype=float) for a in target.value_and_grad(x))
-        *_, d_h = leapfrog(target.value_and_grad, x, v, pot, grad, eta)
-        mean_abs = float(np.mean(np.abs(d_h)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an eta whose energy error is not finite is dropped
+            pot, grad = (np.asarray(a, dtype=float) for a in target.value_and_grad(x))
+            *_, d_h = leapfrog(target.value_and_grad, x, v, pot, grad, eta)
+            mean_abs = float(np.mean(np.abs(d_h)))
         if not np.isfinite(mean_abs) or mean_abs <= 0.0:
             warnings.warn(f"dropping eta={eta:g}: non-finite or zero mean energy error", stacklevel=2)
             continue
@@ -398,13 +418,9 @@ def hanson_wright_check(d: int, xi: float, n: int, seed: int) -> HansonWrightRep
         raise ValueError("need at least 1e4 draws")
     rng = chain_rng(seed)
     exceed = 0
-    remaining = n
-    chunk_rows = max(1, 2_000_000 // d)
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        z = rng.standard_normal((rows, d))
+    for rows in _row_blocks(n, d):  # one stream, drawn in order: the blocks move no draw
+        z = rng.standard_normal((rows.stop - rows.start, d))
         exceed += int(np.count_nonzero(np.sum(z * z, axis=1) > xi * xi))
-        remaining -= rows
     emp = exceed / n
     bound = math.exp(-(xi * xi - d) / 8.0)
     se = math.sqrt(max(emp * (1.0 - emp), 0.0) / n)

@@ -65,10 +65,6 @@ class GridDistribution:
     def dims(self) -> int:
         return len(self.bins)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.mass.shape
-
     def widths(self) -> tuple[float, ...]:
         return tuple((hi - lo) / b for lo, hi, b in zip(self.lower, self.upper, self.bins))
 
@@ -79,16 +75,9 @@ class GridDistribution:
         e = self.edges(axis)
         return 0.5 * (e[:-1] + e[1:])
 
-    def same_geometry(self, other: "GridDistribution") -> bool:
-        return (self.lower, self.upper, self.bins) == (other.lower, other.upper, other.bins)
-
-    def cell_centers(self) -> np.ndarray:
-        """(n_cells, dims) midpoints in the same order as ``mass.ravel()``."""
-        return _midpoint_mesh(self.lower, self.upper, self.bins)
-
     def sample_midpoints(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw cell midpoints with the cell probabilities (binning-exact)."""
-        centers = self.cell_centers()
+        centers = _midpoint_mesh(self.lower, self.upper, self.bins)  # in the order of mass.ravel()
         idx = rng.choice(centers.shape[0], size=n, p=self.mass.ravel())
         return centers[idx]
 
@@ -205,7 +194,7 @@ def histogram(samples, bounds, bins) -> GridDistribution:
 
 def tv_distance(p: GridDistribution, q: GridDistribution) -> float:
     """Total variation distance (half the L1 gap) on a shared grid."""
-    if not p.same_geometry(q):
+    if (p.lower, p.upper, p.bins) != (q.lower, q.upper, q.bins):
         raise ValueError("grid geometries differ")
     return _tv(p.mass, q.mass)
 

@@ -29,11 +29,7 @@ __all__ = [
 
 
 class NumericFailure(RuntimeError):
-    """A gradient or potential came back non-finite."""
-
-    def __init__(self, message: str, coordinates=()):
-        super().__init__(message)
-        self.coordinates = tuple(coordinates)
+    """A gradient or potential came back non-finite; the message names the step and the coordinates."""
 
 
 def leapfrog(value_and_grad, x, v, pot, grad, eta):

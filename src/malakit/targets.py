@@ -431,6 +431,8 @@ def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> D
     """
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
+    if r < 0:
+        raise ValueError(f"count r must be >= 0, got {r}")
     theta = np.asarray(theta_star, dtype=float)
     if theta.shape != (d,):
         raise ValueError("theta_star must have length d")

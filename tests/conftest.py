@@ -79,7 +79,7 @@ def _warmness_on_grid(start_dist, target_dist) -> float:
     zero-target cell means the start is not warm at any finite level; the
     returned value is ``inf`` in that case.
     """
-    if start_dist.shape != target_dist.shape or start_dist.dims != target_dist.dims:
+    if start_dist.mass.shape != target_dist.mass.shape or start_dist.dims != target_dist.dims:
         raise ValueError("distributions must share grid geometry")
     mu = start_dist.mass.ravel()
     pi = target_dist.mass.ravel()

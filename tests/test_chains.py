@@ -622,8 +622,7 @@ class TestOneEngine:
             run_mala(t, ChainConfig(step_size=0.5, iterations=30, seed=3), inits[min(rows)])
         with pytest.raises(NumericFailure) as batch:
             run_ensemble(t, "mala", 0.5, 30, inits, seed=3)
-        assert str(batch.value) == str(solo.value)
-        assert batch.value.coordinates == solo.value.coordinates
+        assert str(batch.value) == str(solo.value)  # the message names the step and the coordinates
 
     @pytest.mark.parametrize("kind", ["mala", "rwm"])
     @pytest.mark.parametrize("start, ring, message", [

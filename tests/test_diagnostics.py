@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtr
 
-from malakit import cli, diagnostics
+from malakit import diagnostics
 from malakit.chains import ChainConfig, run_mala
-from malakit.cli import _balance_violation
 from malakit.diagnostics import (
     FitFailed,
     ScalingFit,
     acceptance_stats,
     cheeger_1d,
     conductance,
+    detailed_balance_violation,
     energy_error_scaling,
     hanson_wright_check,
     hitting_time,
@@ -322,7 +322,7 @@ class TestTransitionMatrix:
     @pytest.mark.parametrize("kind", ["mala", "rwm"])
     def test_row_blocks_equal_the_dense_form(self, monkeypatch, entries, kind):
         if entries is not None:
-            monkeypatch.setattr(diagnostics, "_KERNEL_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", entries)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cases = ((STD_1D, gaussian_grid(bins=60)),
@@ -730,6 +730,20 @@ class TestHansonWright:
         with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
             hanson_wright_check(d, 1.0, 10**4, 0)
 
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_row_blocks_move_no_draw(self, monkeypatch, d):
+        # Blocks of 7 entries are 7, 2 and 1 rows at d = 1, 3 and 10; the
+        # count must be the one of a single (n, d) draw from the same stream.
+        xi, n, seed = math.sqrt(2.0 * d), 10**4, 21
+        z = chain_rng(seed).standard_normal((n, d))
+        exceed = int(np.count_nonzero(np.sum(z * z, axis=1) > xi * xi))
+        reports = [hanson_wright_check(d, xi, n, seed)]
+        for entries in (7, 1000):
+            monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", entries)
+            reports.append(hanson_wright_check(d, xi, n, seed))
+        assert reports[0].empirical == exceed / n > 0.0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
 
 class TestRowBlocks:
     """Conductance and the detailed-balance check run over row blocks and
@@ -746,10 +760,9 @@ class TestRowBlocks:
         kernel /= kernel.sum(axis=1, keepdims=True)
         pi = line_grid(mass / mass.sum())
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(diagnostics, "_KERNEL_BLOCK_ENTRIES", block_rows * n)
-            patch.setattr(cli, "_FLUX_BLOCK_ENTRIES", block_rows * n)
+            patch.setattr(diagnostics, "_BLOCK_ENTRIES", block_rows * n)
             value = conductance(kernel, pi)
-            violation = _balance_violation(kernel, pi.mass)
+            violation = detailed_balance_violation(kernel, pi.mass)
         assert value == dense_prefix_conductance(kernel, pi.mass)
         assert violation == dense_balance_violation(kernel, pi.mass)
 
@@ -761,7 +774,7 @@ class TestRowBlocks:
         try:
             kernel = transition_matrix_1d(STD_1D, "mala", 0.1, grid)
             conductance(kernel, grid)
-            _balance_violation(kernel, grid.mass)
+            detailed_balance_violation(kernel, grid.mass)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

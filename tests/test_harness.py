@@ -442,6 +442,28 @@ class TestRunExperiment:
         rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows] == ["diagnostic", "acceptance_stats", "acceptance_stats"]
 
+    def test_energy_error_that_overflows_makes_run_partial(self, tmp_path, capsys):
+        # Under a prior of 1e200 every leapfrog step overflows, so each eta is
+        # dropped and the fit fails.  An earlier version also leaked numpy's
+        # "RuntimeWarning: overflow encountered in multiply" from the oracle.
+        spec_path = tmp_path / "overflow.spec"
+        spec_path.write_text(spec_with(**{
+            "kind = gaussian\nd = 1\nprecision = 1.0": f"kind = logistic\ndataset = {ROOT / 'data' / 'bundled_r50.csv'}"
+                                                       "\nprior = 1e200",
+            "kind = mala": "kind = rwm"}) + "\n[diagnostics]\nenergy_error_scaling\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_entry(["run", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        # Each warning points at the caller, not at a numpy frame.
+        assert [(w.category, str(w.message), Path(w.filename).name) for w in caught] == [
+            (UserWarning, f"dropping eta={eta}: non-finite or zero mean energy error", "harness.py")
+            for eta in ("0.4", "0.2", "0.1", "0.05", "0.025")]
+        error = "fewer than 3 step sizes produced finite energy errors"
+        assert f"diagnostic failure: energy_error_scaling: {error}" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "partial" and report["replica_errors"] == []
+        assert report["diagnostics"]["energy_error_scaling"] == {"error": error}
+
     def test_a_diagnostic_is_one_entry(self, tmp_path, monkeypatch):
         # Adding a diagnostic adds one entry: its keys, its rule on the spec,
         # its check on the built target, its runner and its CSV keys.
@@ -658,12 +680,15 @@ class TestCli:
          "the gradient overflows at this prior precision"),
         (["diagnose", "exit-probability", "--eta", "1e200"], "the proposal mean at eta=1e+200 is not finite"),
         (["run", "huge-prior.spec", "--out", "out"], "gradient_bound must be finite and positive, got inf"),
+        (["dataset", "--dim", "2", "--count", "-2", "--out", "ds.csv"], "--count: must be >= 0, got -2"),
+        (["scaling", "mini.spec", "--axis", "eta", "--values", "abc"],
+         "--values: must be a comma list of numbers, got 'abc'"),
     ], ids=["dataset-0", "dataset-negative", "hanson-wright-0", "hanson-wright-negative", "scaling-repeated",
             "sample-precision-comment", "hanson-wright-xi-nan", "regularity-prior-nan", "conductance-one-bin",
             "hanson-wright-xi-inf", "conductance-zero-bins", "detailed-balance-negative-bins",
             "conductance-tiny-eta", "detailed-balance-tiny-eta", "run-short-etas", "run-stiff-etas", "run-tv-3d",
             "run-tv-huge-grid", "optimize-tiny-epsilon", "regularity-huge-prior", "exit-probability-huge-eta",
-            "run-theorem1-huge-prior"])
+            "run-theorem1-huge-prior", "dataset-negative-count", "scaling-values-not-numbers"])
     def test_bad_input_is_exit_1_with_no_output(self, tmp_path, capsys, monkeypatch, argv, message):
         # At an earlier version ``dataset --dim 0`` failed at exit 2 with an
         # index error, ``hanson-wright --dim 0`` reported at exit 0, and
@@ -671,7 +696,8 @@ class TestCli:
         # energy_error_scaling specs and the huge tv_vs_truth grid ran every
         # chain and wrote the traces before failing; the huge prior and eta
         # exited 0 after a RuntimeWarning (the theorem1 spec exited 1 after
-        # it), and the tiny epsilon divided by zero at exit 2.
+        # it), and the tiny epsilon divided by zero at exit 2.  The negative
+        # count and the non-numeric values failed naming no option.
         monkeypatch.chdir(tmp_path)
         specs = {"mini.spec": MINIMAL, **BAD_RUN_SPECS}
         for name, text in specs.items():

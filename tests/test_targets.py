@@ -345,6 +345,9 @@ class TestSphereDataset:
         for d in (0, -3):
             with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
                 sample_sphere_dataset(d, 5, np.zeros(0), 0.5, 1)
+        # A negative count failed in numpy with "negative dimensions are not allowed".
+        with pytest.raises(ValueError, match="count r must be >= 0, got -2"):
+            sample_sphere_dataset(3, -2, e1(3), 0.5, 1)
 
     def test_degenerate_rows_are_redrawn_in_order_from_the_stream(self, monkeypatch):
         class ZeroRows:  # the seed's stream, with rows 1 and 3 of the first block zeroed
