@@ -17,10 +17,14 @@ uniforms.  :func:`run_chains` gives each row its own seed, so a row's draws
 do not depend on the rows beside it; :func:`run_ensemble` gives one seed
 all its replicas.  Traces are written columnwise into preallocated arrays.
 
-Each step makes one oracle call on the rows that propose (for MALA, the
-fused ``value_and_grad`` inside :func:`malakit.integrator.leapfrog`).  A proposal whose energy error is NaN is
-rejected.  A row with a non-finite gradient leaves the batch: :func:`run_chains`
-returns its :class:`NumericFailure`, and :func:`run_ensemble` raises the first.
+Rows advance by move events, one draw block at a time: a block's lazy coins
+are drawn with it, so the ``e``-th moves of all rows propose together in one
+oracle call (for MALA, the fused ``value_and_grad`` inside
+:func:`malakit.integrator.leapfrog`), and a step where a row stays put does
+no work.  In an eager run every step is an event of every row.  A proposal
+whose energy error is NaN is rejected.  A row with a non-finite gradient
+leaves the batch at the step of that move: :func:`run_chains` returns its
+:class:`NumericFailure`, and :func:`run_ensemble` raises the first.
 """
 
 from __future__ import annotations
@@ -148,49 +152,73 @@ class _Draws:
     0.5`` stays put), ``chain_rng(seed, 1)`` for the velocities and
     ``chain_rng(seed, 2)`` for the uniforms ``u``, used as ``log(1 - u)``.
     Every row draws a velocity and a uniform at every step, lazy or not, so
-    step ``i`` uses draw ``i``.  The streams refill in blocks of a fixed
-    number of values; Philox fills sequentially, so the block size never
-    changes a draw.  A call returns (the rows that move, or None for all,
-    velocities, log-uniforms)."""
+    step ``i`` uses draw ``i``.  A call hands out the next refill block of
+    ``steps`` steps, one call per stream: (the moves as a ``(steps, rows)``
+    mask, or None when every row moves at every step, velocities,
+    log-uniforms).  Philox fills sequentially, so the block size never
+    changes a draw."""
 
     def __init__(self, seeds, width: int, d: int, lazy: bool):
         self.coins, self.velocities, self.uniforms = ([chain_rng(s, p) for s in seeds] for p in range(3))
-        self.shape = (max(1, _DRAW_BLOCK // (len(seeds) * width * d)), width)  # (steps per refill, width)
-        self.d, self.lazy, self.k = d, lazy, self.shape[0]
+        self.steps = max(1, _DRAW_BLOCK // (len(seeds) * width * d))
+        self.shape, self.d, self.lazy = (self.steps, width), d, lazy
 
     def __call__(self):
-        if self.k == self.shape[0]:  # refill, one call per stream
-            self.k = 0
-            self.v = np.concatenate([rng.standard_normal((*self.shape, self.d)) for rng in self.velocities], axis=1)
-            self.log_u = np.log(1.0 - np.concatenate([rng.random(self.shape) for rng in self.uniforms], axis=1))
-            if self.lazy:
-                self.move = np.concatenate([rng.random(self.shape) for rng in self.coins], axis=1) >= 0.5
-        k, self.k = self.k, self.k + 1
-        return (self.move[k] if self.lazy else None), self.v[k], self.log_u[k]
+        v = np.concatenate([rng.standard_normal((*self.shape, self.d)) for rng in self.velocities], axis=1)
+        log_u = np.log(1.0 - np.concatenate([rng.random(self.shape) for rng in self.uniforms], axis=1))
+        if not self.lazy:
+            return None, v, log_u
+        return np.concatenate([rng.random(self.shape) for rng in self.coins], axis=1) >= 0.5, v, log_u
 
 
 class _Columns:
     """Trace columns, preallocated and time-major: ``[k, j]`` is row ``j`` at
-    the ``k``-th recorded step.  A row that did not propose reads rejected, with energy error 0."""
+    the ``k``-th recorded step.  Within one draw block the engine keeps, in a
+    slot each, the outcome of the events that a record reads (slot 0 is the
+    block's start), and :meth:`close` fills the block's records from the
+    row's last event up to that step.  A row that did not propose at the
+    step reads rejected, with energy error 0."""
 
     def __init__(self, n: int, d: int, iterations: int, stride: int):
         self.indices = np.unique(np.append(np.arange(stride, iterations + 1, stride), iterations))
         m = len(self.indices)
-        self.states, self.potentials, self.energy_errors = np.empty((m, n, d)), np.empty((m, n)), np.zeros((m, n))
-        self.accepted = np.zeros((m, n), dtype=bool)
-        self.k, self.stride, self.last = 0, stride, iterations
-        self.next_index = int(self.indices[0])  # the step to record next
+        self.states, self.potentials, self.energy_errors = np.empty((m, n, d)), np.empty((m, n)), np.empty((m, n))
+        self.accepted = np.empty((m, n), dtype=bool)
 
-    def write(self, x, pot, act, err, acc) -> None:
-        k = self.k
-        self.states[k] = x
-        self.potentials[k] = pot
+    def open(self, start, length, move, events, x, pot) -> list[int] | None:
+        """Begin the block of steps ``start + 1 .. start + length``; returns
+        the slot of each event (0 where no record reads it), or None if no
+        step is recorded."""
+        lo, hi = np.searchsorted(self.indices, [start + 1, start + length + 1])
+        if lo == hi:
+            return None
+        steps = self.indices[lo:hi] - (start + 1)
+        self.at, self.moved = slice(lo, hi), None if move is None else move[steps]
+        # each row's events up to and including each recorded step
+        count = steps[:, None] + 1 if move is None else np.cumsum(move, axis=0)[steps]
+        kept = np.zeros(events + 1, dtype=bool)
+        kept[count] = True
+        kept[0] = False
+        slots = np.cumsum(kept) * kept
+        self.slot, size = slots[count], (int(np.count_nonzero(kept)) + 1, len(x))
+        self.x, self.pot = np.empty((*size, x.shape[1])), np.empty(size)
+        self.err, self.acc = np.zeros(size), np.zeros(size, dtype=bool)
+        self.x[0], self.pot[0] = x, pot
+        return slots[1:].tolist()
+
+    def keep(self, k, x, pot, act, err, acc) -> None:
+        self.x[k], self.pot[k] = x, pot
         if err is not None:
-            at = (k,) if act is None else (k, act)
-            self.energy_errors[at] = err
-            self.accepted[at] = acc
-        self.k += 1
-        self.next_index = min(self.next_index + self.stride, self.last)
+            at = k if act is None else (k, act)
+            self.err[at], self.acc[at] = err, acc
+
+    def close(self) -> None:
+        slot, rows = self.slot, np.arange(self.pot.shape[1])
+        self.states[self.at], self.potentials[self.at] = self.x[slot, rows], self.pot[slot, rows]
+        err, acc = self.err[slot, rows], self.acc[slot, rows]
+        if self.moved is not None:
+            err, acc = np.where(self.moved, err, 0.0), acc & self.moved
+        self.energy_errors[self.at], self.accepted[self.at] = err, acc
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values are handled below
@@ -198,21 +226,26 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
               callback=None, callback_every=0):
     """Advance the rows of ``x`` in lockstep: the only place that proposes and accepts.
 
-    ``eta`` is a float or an ``(n, 1)`` column of per-row step sizes.  A row
-    whose gradient is non-finite leaves the batch.  Returns the final rows,
-    the proposals per row, the accepted count and the failures by row, in
-    the order found: at the start, then step by step, lowest row first.
+    ``eta`` is a float or an ``(n, 1)`` column of per-row step sizes.  Row
+    ``j``'s ``e``-th event in a draw block is its ``e``-th move, at block
+    step ``at[e, j]``; rows out of events, and failed rows, sit out.  Returns
+    the final rows, the proposals per row, the accepted count and the
+    failures by row, each naming the step of its event, in the order found:
+    at the start, then event by event, lowest row first.  ``callback(i, x)``
+    runs after step ``i`` of an eager run.
     """
     mala = kind == "mala"
     potential, value_and_grad = target.potential, target.value_and_grad
     x = np.array(x, dtype=float)
-    live = np.ones(len(x), dtype=bool)
+    n = len(x)
+    live, rows = np.ones(n, dtype=bool), np.arange(n)
     per_row = np.ndim(eta) > 0
-    full_steps, proposals, accepted, failures = 0, np.zeros(len(x), dtype=np.int64), 0, {}
+    full_events, proposals, accepted, failures = 0, np.zeros(n, dtype=np.int64), 0, {}
 
-    def fail(rows, grads, step):
-        failures.update((j, _gradient_failure(g, step)) for j, g in zip(rows.tolist(), grads))
-        live[rows] = False
+    def fail(bad, grads, steps):
+        steps = np.broadcast_to(steps, bad.shape).tolist()
+        failures.update((j, _gradient_failure(g, s)) for j, g, s in zip(bad.tolist(), grads, steps))
+        live[bad] = False
 
     if mala:
         pot, grad = (np.array(a, dtype=float) for a in value_and_grad(x))
@@ -222,54 +255,73 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
     else:
         pot, grad = np.array(potential(x), dtype=float), None
 
-    for i in range(1, iterations + 1):
-        if len(failures) == len(x):
-            break  # every row failed
+    stop = False
+    for start in range(0, iterations, draws.steps):
         move, v, log_u = draws()
-        act = err = acc = None
-        if move is not None or failures:
-            act = np.flatnonzero(live if move is None else live & move)
-            if act.size == len(x):
-                act = None
-        if act is None:
-            xa, pa, ga, va, lu, ea = x, pot, grad, v, log_u, eta
-        elif act.size:
-            xa, pa, va, lu = x[act], pot[act], v[act], log_u[act]
-            ga = grad[act] if mala else None
-            ea = eta[act] if per_row else eta
-        if act is None or act.size:
-            if mala:
-                x_hat, _, pot_hat, grad_hat, err = leapfrog(value_and_grad, xa, va, pa, ga, ea)
-            else:
-                x_hat = xa + ea * va
-                pot_hat = np.asarray(potential(x_hat), dtype=float)
-                err = pot_hat - pa
-            acc = lu <= -err  # log_u <= 0, so this is log_u <= min(0, -err); NaN rejects
-            if constraint is not None:
-                acc &= np.asarray(constraint.contains(x_hat), dtype=bool)
-            if mala and not np.isfinite(grad_hat).all():
-                bad = np.flatnonzero(~np.isfinite(grad_hat).all(axis=1))
-                fail(bad if act is None else act[bad], grad_hat[bad], i)
-                acc[bad] = False
-            accepted += int(np.count_nonzero(acc))
-            if act is None:
-                full_steps += 1
-                np.copyto(x, x_hat, where=acc[:, None])
-                np.copyto(pot, pot_hat, where=acc)
-                if mala:
-                    np.copyto(grad, grad_hat, where=acc[:, None])
-            else:
-                proposals[act] += 1
-                took = act[acc]
-                x[took], pot[took] = x_hat[acc], pot_hat[acc]
-                if mala:
-                    grad[took] = grad_hat[acc]
-        if columns is not None and i == columns.next_index:
-            columns.write(x, pot, act, err, acc)
-        if callback is not None and callback_every > 0 and (i % callback_every == 0 or i == iterations):
-            if callback(i, x):
+        length = min(draws.steps, iterations - start)
+        if move is None:
+            events = full = length
+            at = None
+        else:
+            move = move[:length]
+            count = np.count_nonzero(move, axis=0)
+            events, full = int(count.max()), int(count.min())
+            at = np.argsort(~move, axis=0, kind="stable")[:events]  # at[e, j]: block step of row j's e-th move
+            v, log_u = v[at, rows], log_u[at, rows]
+        slots = None if columns is None else columns.open(start, length, move, events, x, pot)
+        for e in range(events):
+            if len(failures) == n:
+                stop = True  # every row failed
                 break
-    return x, proposals + full_steps, accepted, failures
+            act = err = acc = None
+            if failures or e >= full:
+                act = np.flatnonzero(live if at is None else live & (count > e))
+            if act is None:
+                xa, pa, ga, va, lu, ea = x, pot, grad, v[e], log_u[e], eta
+            elif act.size:
+                xa, pa, va, lu = x[act], pot[act], v[e, act], log_u[e, act]
+                ga = grad[act] if mala else None
+                ea = eta[act] if per_row else eta
+            if act is None or act.size:
+                if mala:
+                    x_hat, _, pot_hat, grad_hat, err = leapfrog(value_and_grad, xa, va, pa, ga, ea)
+                else:
+                    x_hat = xa + ea * va
+                    pot_hat = np.asarray(potential(x_hat), dtype=float)
+                    err = pot_hat - pa
+                acc = lu <= -err  # log_u <= 0, so this is log_u <= min(0, -err); NaN rejects
+                if constraint is not None:
+                    acc &= np.asarray(constraint.contains(x_hat), dtype=bool)
+                if mala and not np.isfinite(grad_hat).all():
+                    bad = np.flatnonzero(~np.isfinite(grad_hat).all(axis=1))
+                    j = bad if act is None else act[bad]
+                    fail(j, grad_hat[bad], start + 1 + (e if at is None else at[e, j]))
+                    acc[bad] = False
+                accepted += int(np.count_nonzero(acc))
+                if act is None:
+                    full_events += 1
+                    np.copyto(x, x_hat, where=acc[:, None])
+                    np.copyto(pot, pot_hat, where=acc)
+                    if mala:
+                        np.copyto(grad, grad_hat, where=acc[:, None])
+                else:
+                    proposals[act] += 1
+                    took = act[acc]
+                    x[took], pot[took] = x_hat[acc], pot_hat[acc]
+                    if mala:
+                        grad[took] = grad_hat[acc]
+            if slots and slots[e]:
+                columns.keep(slots[e], x, pot, act, err, acc)
+            if callback is not None and callback_every > 0:
+                i = start + e + 1
+                if (i % callback_every == 0 or i == iterations) and callback(i, x):
+                    stop = True
+                    break
+        if slots is not None:
+            columns.close()
+        if stop:
+            break
+    return x, proposals + full_events, accepted, failures
 
 
 def _checked_starts(target, starts, constraint, rows: int | None = None) -> np.ndarray:
@@ -293,11 +345,14 @@ def run_chains(target: TargetModel, kind: str, configs: list[ChainConfig],
 
     ``kind`` is ``mala``, ``rwm`` or ``constrained-mala``.  The configs may
     differ only in ``step_size`` and ``seed``.  Each row draws from its own
-    seed's streams, so entry ``j`` is the run of ``configs[j]`` alone (bit for
-    bit on elementwise targets; a dataset target's matrix product can round
-    differently with the number of rows).  A row whose gradient is
-    non-finite stops there, and its entry is the :class:`NumericFailure`;
-    the other rows carry on.
+    seed's streams, so entry ``j`` is the run of ``configs[j]`` alone: bit for
+    bit for a batch of one, an eager batch and any batch on an elementwise
+    target.  Lazy rows propose together by move event, not by step, so on a
+    dataset target, whose matrix products round differently with the number
+    of rows, a lazy batch can differ from its solo runs in the last bits.  A
+    row whose gradient is non-finite stops there, and its entry is the
+    :class:`NumericFailure` naming the step of that move; the other rows
+    carry on.  A lazy batch finds its failures in event order, not step order.
     """
     if kind not in ("mala", "rwm", "constrained-mala"):
         raise ValueError(f"unknown chain kind {kind!r}")

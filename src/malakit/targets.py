@@ -463,7 +463,8 @@ def annulus(inner: float, outer: float) -> ConstraintSet:
         raise ValueError("need 0 < inner < outer")
 
     def membership(x):
-        norms = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+        x = np.asarray(x, dtype=float)
+        norms = np.sqrt(np.add.reduce(x * x, axis=-1))  # bit for bit np.linalg.norm(x, axis=-1), unwrapped
         return (norms >= inner) & (norms <= outer)
 
     return ConstraintSet(membership=membership, annulus_radii=(float(inner), float(outer)))

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestRunMala:
         trace = run_mala(t, cfg, np.zeros(1))
         stay = float(np.mean(~trace.accepted))  # flat target: every proposal accepts
         assert 0.48 <= stay <= 0.52
+
+    def test_lazy_moves_use_the_draws_of_their_steps(self):
+        # Flat target: every proposal accepts, so a move at step i adds eta times velocity draw i.
+        eta, steps = 0.3, 60
+        trace = run_mala(flat_target(2), ChainConfig(step_size=eta, iterations=steps, seed=5, lazy=True),
+                         np.zeros(2))
+        move = chain_rng(5, 0).random(steps) >= 0.5
+        v = chain_rng(5, 1).standard_normal((steps, 2))
+        x, want = np.zeros(2), []
+        for i in range(steps):
+            x = x + eta * v[i] if move[i] else x
+            want.append(x)
+        assert np.array_equal(trace.states, want)
+        assert np.array_equal(trace.accepted, move)
 
     def test_reject_keeps_state(self):
         trace = run_mala(STD_1D, ChainConfig(step_size=1.5, iterations=2000, seed=5), np.zeros(1))
@@ -507,11 +522,14 @@ class TestLockstep:
            precision=st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3),
            kind=st.sampled_from(["mala", "rwm", "constrained-mala"]),
            cells=st.lists(st.tuples(st.floats(0.01, 3.0), st.integers(0, 2**63 - 1)), min_size=2, max_size=4),
-           lazy=st.booleans(), record_every=st.integers(1, 7), iterations=st.integers(1, 40))
-    def test_rows_equal_solo_runs(self, d, precision, kind, cells, lazy, record_every, iterations):
+           lazy=st.booleans(), record_every=st.integers(1, 7), iterations=st.integers(1, 40),
+           block=st.sampled_from([1, 7, 64, chains._DRAW_BLOCK]))
+    def test_rows_equal_solo_runs(self, d, precision, kind, cells, lazy, record_every, iterations, block):
+        # A small draw block makes lazy rows cross refills and end blocks with a partial batch.
         target = make_gaussian(d, precision[:d])
         configs, inits = lockstep_case(kind, d, cells, lazy, record_every, iterations)
-        batch = run_chains(target, kind, configs, inits)
+        with mock.patch.object(chains, "_DRAW_BLOCK", block):
+            batch = run_chains(target, kind, configs, inits)
         for j, config in enumerate(configs):
             (solo,) = run_chains(target, kind, [config], inits[j:j + 1])
             assert_traces_identical(batch[j], solo)
@@ -529,13 +547,17 @@ class TestLockstep:
                                  trace_arrays(solo)[1:3] + (solo.potentials,)):
                 assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
-    def test_failed_row_leaves_the_batch(self):
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_failed_row_leaves_the_batch(self, lazy):
         t = _inf_gradient_outside(5.0)
-        configs, inits = lockstep_case("mala", 1, [(0.5, 1), (50.0, 2), (0.7, 3)],
-                                       lazy=False, record_every=3, iterations=200)
+        configs, inits = lockstep_case("mala", 1, [(0.5, 1), (50.0, 7), (0.7, 3)],
+                                       lazy=lazy, record_every=3, iterations=200)
         batch = run_chains(t, "mala", configs, inits)
         assert isinstance(batch[1], NumericFailure)
-        assert str(batch[1]) == "non-finite gradient at step 1, coordinates [0]"  # its first proposal
+        # Its first proposal: step 1, or seed 7's first move, at step 2 (its first event).
+        first = 1 + int(np.argmax(chain_rng(7, 0).random(200) >= 0.5)) if lazy else 1
+        assert first == (2 if lazy else 1)
+        assert str(batch[1]) == f"non-finite gradient at step {first}, coordinates [0]"
         with pytest.raises(NumericFailure) as solo_failure:
             run_mala(t, configs[1], inits[1])
         assert str(batch[1]) == str(solo_failure.value)
@@ -566,17 +588,19 @@ class TestOneEngine:
         monkeypatch.setattr(chains, "_DRAW_BLOCK", block)
         seeds, width, d, steps = [3, 4, 5], 2, 3, 40
         draws = _Draws(seeds, width, d, lazy)
-        got = [draws() for _ in range(steps)]
+        blocks = [draws() for _ in range(-(-steps // draws.steps))]
         # The reference draws each stream in one call.
         def each(purpose, draw):
             return np.concatenate([draw(chain_rng(s, purpose)) for s in seeds], axis=1)
 
-        move = each(0, lambda rng: rng.random((steps, width))) >= 0.5
+        move = each(0, lambda rng: rng.random((steps, width))) >= 0.5 if lazy else None
         v = each(1, lambda rng: rng.standard_normal((steps, width, d)))
         log_u = np.log(1.0 - each(2, lambda rng: rng.random((steps, width))))
-        for i, (move_i, v_i, log_u_i) in enumerate(got):
-            assert np.array_equal(move_i, move[i]) if lazy else move_i is None
-            assert np.array_equal(v_i, v[i]) and np.array_equal(log_u_i, log_u[i])
+        for got, want in zip(zip(*blocks), (move, v, log_u)):
+            if want is None:
+                assert all(part is None for part in got)
+            else:
+                assert np.array_equal(np.concatenate(got)[:steps], want)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_runs_do_not_depend_on_the_refill_size(self, monkeypatch, block):

@@ -408,6 +408,24 @@ class TestAnnulus:
         pts = np.array([[0.0, 0.0], [0.75, 0.0], [2.0, 0.0]])
         assert ring.contains(pts).tolist() == [False, True, False]
 
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3)), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1.5e154, -1e200, 1.7e308, math.inf, -math.inf,
+                         math.nan]), st.floats())))
+    def test_norm_is_linalg_norm_bit_for_bit(self, x):
+        # A ring with a row's reference norm, or a float beside it, as a radius tells
+        # two norms apart at one ulp; ±0, subnormals, overflow, ±inf and NaN included.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=-1)
+        finite = norms[np.isfinite(norms) & (norms > 0)]
+        radii = sorted({float(r) for n in finite for r in (np.nextafter(n, 0), n, np.nextafter(n, math.inf))
+                        if r > 0} | {1.0, math.inf})
+        for k, inner in enumerate(radii):
+            for outer in radii[k + 1:]:
+                with np.errstate(over="ignore"):
+                    got = annulus(inner, outer).contains(x)
+                assert got.tolist() == ((norms >= inner) & (norms <= outer)).tolist()
+
 
 class TestPrecondition:
     def test_identity_scale(self):
