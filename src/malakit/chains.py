@@ -219,6 +219,7 @@ class _Columns:
         if self.moved is not None:
             err, acc = np.where(self.moved, err, 0.0), acc & self.moved
         self.energy_errors[self.at], self.accepted[self.at] = err, acc
+        del self.x, self.pot, self.err, self.acc  # so that two blocks' buffers never coexist
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values are handled below
