@@ -19,11 +19,13 @@ all its replicas.  Traces are written columnwise into preallocated arrays.
 
 Rows advance by move events, one draw block at a time: a block's lazy coins
 are drawn with it, so the ``e``-th moves of all rows propose together in one
-oracle call (for MALA, the fused ``value_and_grad`` inside
+full-batch oracle call (for MALA, the fused ``value_and_grad`` inside
 :func:`malakit.integrator.leapfrog`), and a step where a row stays put does
-no work.  In an eager run every step is an event of every row.  A proposal
-whose energy error is NaN is rejected.  A row with a non-finite gradient
-leaves the batch at the step of that move: :func:`run_chains` returns its
+no work.  In an eager run every step is an event of every row.  A row that
+has no ``e``-th move in the block, or has failed, still proposes with the
+batch but is masked out of the acceptance, the counts and the trace.  A
+proposal whose energy error is NaN is rejected.  A row with a non-finite
+gradient fails at the step of that move: :func:`run_chains` returns its
 :class:`NumericFailure`, and :func:`run_ensemble` raises the first.
 """
 
@@ -173,11 +175,11 @@ class _Draws:
 
 class _Columns:
     """Trace columns, preallocated and time-major: ``[k, j]`` is row ``j`` at
-    the ``k``-th recorded step.  Within one draw block the engine keeps, in a
-    slot each, the outcome of the events that a record reads (slot 0 is the
-    block's start), and :meth:`close` fills the block's records from the
-    row's last event up to that step.  A row that did not propose at the
-    step reads rejected, with energy error 0."""
+    the ``k``-th recorded step.  Within one draw block the engine keeps every
+    event's outcome in a slot of its own (slot 0 is the block's start, slot
+    ``e`` the ``e``-th event), and :meth:`close` fills each of the block's
+    records from the slot of its row's event count at that step.  A row that
+    did not propose at the step reads rejected, with energy error 0."""
 
     def __init__(self, n: int, d: int, iterations: int, stride: int):
         self.indices = np.unique(np.append(np.arange(stride, iterations + 1, stride), iterations))
@@ -185,32 +187,24 @@ class _Columns:
         self.states, self.potentials, self.energy_errors = np.empty((m, n, d)), np.empty((m, n)), np.empty((m, n))
         self.accepted = np.empty((m, n), dtype=bool)
 
-    def open(self, start, length, move, events, x, pot) -> list[int] | None:
-        """Begin the block of steps ``start + 1 .. start + length``; returns
-        the slot of each event (0 where no record reads it), or None if no
-        step is recorded."""
+    def open(self, start, length, move, events, x, pot) -> bool:
+        """Begin the block of steps ``start + 1 .. start + length``; False if
+        no step of it is recorded."""
         lo, hi = np.searchsorted(self.indices, [start + 1, start + length + 1])
         if lo == hi:
-            return None
+            return False
         steps = self.indices[lo:hi] - (start + 1)
         self.at, self.moved = slice(lo, hi), None if move is None else move[steps]
         # each row's events up to and including each recorded step
-        count = steps[:, None] + 1 if move is None else np.cumsum(move, axis=0)[steps]
-        kept = np.zeros(events + 1, dtype=bool)
-        kept[count] = True
-        kept[0] = False
-        slots = np.cumsum(kept) * kept
-        self.slot, size = slots[count], (int(np.count_nonzero(kept)) + 1, len(x))
+        self.slot = steps[:, None] + 1 if move is None else np.cumsum(move, axis=0)[steps]
+        size = (events + 1, len(x))  # at most (steps + 1) * n * d values: bounded by the draw block
         self.x, self.pot = np.empty((*size, x.shape[1])), np.empty(size)
         self.err, self.acc = np.zeros(size), np.zeros(size, dtype=bool)
         self.x[0], self.pot[0] = x, pot
-        return slots[1:].tolist()
+        return True
 
-    def keep(self, k, x, pot, act, err, acc) -> None:
-        self.x[k], self.pot[k] = x, pot
-        if err is not None:
-            at = k if act is None else (k, act)
-            self.err[at], self.acc[at] = err, acc
+    def keep(self, e, x, pot, err, acc) -> None:
+        self.x[e], self.pot[e], self.err[e], self.acc[e] = x, pot, err, acc
 
     def close(self) -> None:
         slot, rows = self.slot, np.arange(self.pot.shape[1])
@@ -229,19 +223,22 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
 
     ``eta`` is a float or an ``(n, 1)`` column of per-row step sizes.  Row
     ``j``'s ``e``-th event in a draw block is its ``e``-th move, at block
-    step ``at[e, j]``; rows out of events, and failed rows, sit out.  Returns
-    the final rows, the proposals per row, the accepted count and the
-    failures by row, each naming the step of its event, in the order found:
-    at the start, then event by event, lowest row first.  ``callback(i, x)``
-    runs after step ``i`` of an eager run.
+    step ``at[e, j]``.  Every row proposes at every event, in one oracle
+    call; a row out of moves, or failed, sits out under a mask: it is never
+    accepted, counted, failed or recorded.  The mask is None while every row
+    moves.  A row that fails at the start proposes with a zero gradient, so
+    the oracle never sees a non-finite position from it.  Returns the final
+    rows, the proposals per row, the accepted count and the failures by
+    row, each naming the step of its event, in the order found: at the
+    start, then event by event, lowest row first.  ``callback(i, x)`` runs
+    after step ``i`` of an eager run.
     """
     mala = kind == "mala"
     potential, value_and_grad = target.potential, target.value_and_grad
     x = np.array(x, dtype=float)
     n = len(x)
     live, rows = np.ones(n, dtype=bool), np.arange(n)
-    per_row = np.ndim(eta) > 0
-    full_events, proposals, accepted, failures = 0, np.zeros(n, dtype=np.int64), 0, {}
+    proposals, accepted, failures = np.zeros(n, dtype=np.int64), 0, {}
 
     def fail(bad, grads, steps):
         steps = np.broadcast_to(steps, bad.shape).tolist()
@@ -253,6 +250,7 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         finite = np.isfinite(grad).all(axis=1)
         if not finite.all():
             fail(np.flatnonzero(~finite), grad[~finite], 1)
+            grad[~finite] = 0.0
     else:
         pot, grad = np.array(potential(x), dtype=float), None
 
@@ -261,68 +259,59 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         move, v, log_u = draws()
         length = min(draws.steps, iterations - start)
         if move is None:
-            events = full = length
-            at = None
+            count, events = None, length
         else:
             move = move[:length]
             count = np.count_nonzero(move, axis=0)
             events, full = int(count.max()), int(count.min())
             at = np.argsort(~move, axis=0, kind="stable")[:events]  # at[e, j]: block step of row j's e-th move
             v, log_u = v[at, rows], log_u[at, rows]
-        slots = None if columns is None else columns.open(start, length, move, events, x, pot)
+        record = columns is not None and columns.open(start, length, move, events, x, pot)
+        done = 0
         for e in range(events):
             if len(failures) == n:
                 stop = True  # every row failed
                 break
-            act = err = acc = None
-            if failures or e >= full:
-                act = np.flatnonzero(live if at is None else live & (count > e))
-            if act is None:
-                xa, pa, ga, va, lu, ea = x, pot, grad, v[e], log_u[e], eta
-            elif act.size:
-                xa, pa, va, lu = x[act], pot[act], v[e, act], log_u[e, act]
-                ga = grad[act] if mala else None
-                ea = eta[act] if per_row else eta
-            if act is None or act.size:
-                if mala:
-                    x_hat, _, pot_hat, grad_hat, err = leapfrog(value_and_grad, xa, va, pa, ga, ea)
-                else:
-                    x_hat = xa + ea * va
-                    pot_hat = np.asarray(potential(x_hat), dtype=float)
-                    err = pot_hat - pa
-                acc = lu <= -err  # log_u <= 0, so this is log_u <= min(0, -err); NaN rejects
-                if constraint is not None:
-                    acc &= np.asarray(constraint.contains(x_hat), dtype=bool)
-                if mala and not np.isfinite(grad_hat).all():
-                    bad = np.flatnonzero(~np.isfinite(grad_hat).all(axis=1))
-                    j = bad if act is None else act[bad]
-                    fail(j, grad_hat[bad], start + 1 + (e if at is None else at[e, j]))
-                    acc[bad] = False
-                accepted += int(np.count_nonzero(acc))
-                if act is None:
-                    full_events += 1
-                    np.copyto(x, x_hat, where=acc[:, None])
-                    np.copyto(pot, pot_hat, where=acc)
-                    if mala:
-                        np.copyto(grad, grad_hat, where=acc[:, None])
-                else:
-                    proposals[act] += 1
-                    took = act[acc]
-                    x[took], pot[took] = x_hat[acc], pot_hat[acc]
-                    if mala:
-                        grad[took] = grad_hat[acc]
-            if slots and slots[e]:
-                columns.keep(slots[e], x, pot, act, err, acc)
+            mask = None
+            if count is not None and e >= full:
+                mask = live & (count > e)
+            elif failures:
+                mask = live
+            if mala:
+                x_hat, _, pot_hat, grad_hat, err = leapfrog(value_and_grad, x, v[e], pot, grad, eta)
+            else:
+                x_hat = x + eta * v[e]
+                pot_hat = np.asarray(potential(x_hat), dtype=float)
+                err = pot_hat - pot
+            acc = log_u[e] <= -err  # log_u <= 0, so this is log_u <= min(0, -err); NaN rejects
+            if mask is not None:
+                acc &= mask
+            if constraint is not None:
+                acc &= np.asarray(constraint.contains(x_hat), dtype=bool)
+            if mala and not np.isfinite(grad_hat).all():
+                bad = ~np.isfinite(grad_hat).all(axis=1)
+                j = np.flatnonzero(bad if mask is None else bad & mask)
+                fail(j, grad_hat[j], start + 1 + (e if count is None else at[e, j]))
+                acc[j] = False
+            accepted += int(np.count_nonzero(acc))
+            np.copyto(x, x_hat, where=acc[:, None])
+            np.copyto(pot, pot_hat, where=acc)
+            if mala:
+                np.copyto(grad, grad_hat, where=acc[:, None])
+            done = e + 1
+            if record:
+                columns.keep(done, x, pot, err, acc)
             if callback is not None and callback_every > 0:
-                i = start + e + 1
+                i = start + done
                 if (i % callback_every == 0 or i == iterations) and callback(i, x):
                     stop = True
                     break
-        if slots is not None:
+        proposals += done if count is None else np.minimum(count, done)
+        if record:
             columns.close()
         if stop:
             break
-    return x, proposals + full_events, accepted, failures
+    return x, proposals, accepted, failures
 
 
 def _checked_starts(target, starts, constraint, rows: int | None = None) -> np.ndarray:
@@ -449,7 +438,7 @@ def run_ensemble(
     taking ``n`` draws of each per step, so the result is a pure function of
     the arguments, and one replica is the :func:`run_mala` (or
     :func:`run_rwm`) chain of ``seed``.  A replica whose gradient is
-    non-finite leaves the batch, and the first such
+    non-finite sits out the rest of the run, and the first such
     :class:`NumericFailure` (earliest step, lowest replica) is raised at the
     end.  The starts are checked as in :func:`run_chains`: a non-finite
     start, or one outside ``constraint``, is a ValueError before any step.

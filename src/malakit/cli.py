@@ -286,9 +286,7 @@ def _cmd_regularity(args) -> int:
 def _cmd_dataset(args) -> int:
     from .targets import sample_sphere_dataset, save_dataset
 
-    theta = np.zeros(args.dim)
-    theta[0] = 1.0
-    data = sample_sphere_dataset(args.dim, args.count, theta, args.q0, args.seed)
+    data = sample_sphere_dataset(args.dim, args.count, args.q0, args.seed)
     csv_path, sidecar = save_dataset(data, args.out)
     _progress(f"wrote {csv_path} and {sidecar}")
     print(csv_path)

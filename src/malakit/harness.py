@@ -62,6 +62,7 @@ from .chains import (ChainConfig, ChainTrace, extract_minimizer, run_chains, run
 from .diagnostics import (FitFailed, ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
                           mixing_time_estimate)
 from .grids import EmptySupportError, grid_truth
+from .integrator import NumericFailure
 from .regularity import (build_regularity_report, estimate_c3, estimate_c4, estimate_gradient_bound,
                          gradient_cloud)
 from .rng import chain_rng, subseed
@@ -494,14 +495,12 @@ def build_target(spec: ExperimentSpec) -> BuiltTarget:
         if p.get("dataset") is not None:
             dataset = load_dataset(p["dataset"])
         else:
-            unit = np.zeros(p["d"])
-            unit[0] = 1.0
-            dataset = sample_sphere_dataset(p["d"], p["r"], unit, p["q0"], p["data_seed"])
+            dataset = sample_sphere_dataset(p["d"], p["r"], p["q0"], p["data_seed"])
         theta = dataset.true_param
         if spec.target_kind == "zero_one":
             inv_temp, lam = recommended_schedule(p["q0"], p["epsilon"], p["d"], p["c1"])
             scale = lam / math.sqrt(inv_temp)  # annulus outer radius before preconditioning
-            target = precondition(make_smoothed_zero_one(dataset, inv_temp, lam), scale)
+            target = precondition(make_smoothed_zero_one(dataset, inv_temp), scale)
             notes.update(inverse_temperature=inv_temp, lam=lam, precondition_scale=scale)
         else:
             maker = make_logistic_regression if spec.target_kind == "logistic" else make_sigmoid_regression
@@ -750,7 +749,8 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
     eta in ``values``, run sequentially on the template's target.
 
     Each eta gets a pilot ensemble (its acceptance rate) and a mixing
-    estimate against the grid truth.  The study measures the template as
+    estimate against the grid truth; a :class:`NumericFailure` of either is
+    raised again with its eta in front.  The study measures the template as
     written or refuses it: a lazy template, a constrained-mala template and
     a target of more than 2 dimensions (no grid truth) raise ValueError.
     """
@@ -782,10 +782,13 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
     gevals: list[int] = []
     for idx, eta in enumerate(values):
         seed = subseed(template.seed, idx)  # mixing_time_estimate keys 0, 1 and 2 of it; the pilot runs on 3
-        pilot = run_ensemble(target, template.sampler, eta, min(500, template.iterations),
-                             np.zeros((PILOT_REPLICAS, d)), subseed(seed, 3))
-        estimate = mixing_time_estimate(target, template.sampler, eta, warm_init, TV_THRESHOLD,
-                                        MIXING_REPLICAS, CHECK_EVERY, seed, bounds, bins, MAX_ITERATIONS)
+        try:
+            pilot = run_ensemble(target, template.sampler, eta, min(500, template.iterations),
+                                 np.zeros((PILOT_REPLICAS, d)), subseed(seed, 3))
+            estimate = mixing_time_estimate(target, template.sampler, eta, warm_init, TV_THRESHOLD,
+                                            MIXING_REPLICAS, CHECK_EVERY, seed, bounds, bins, MAX_ITERATIONS)
+        except NumericFailure as exc:
+            raise NumericFailure(f"eta={eta:g}: {exc}") from exc
         mixing.append(estimate)
         acc_means.append(pilot.accepted_fraction)
         steps = MAX_ITERATIONS if estimate is None else estimate  # an unresolved estimate ran them all

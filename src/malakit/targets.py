@@ -362,20 +362,18 @@ def _regression_target(data, prior_precision, loss, label):
     )
 
 
-def make_smoothed_zero_one(data: Dataset, inverse_temperature: float, lam: float) -> TargetModel:
+def make_smoothed_zero_one(data: Dataset, inverse_temperature: float) -> TargetModel:
     """Low-temperature smoothed empirical zero-one loss.
 
-    U(x) = T^{-1} * (1/r) sum_i sigmoid(-y_i x_i . x / d^{1/4}); the scaling
-    constant ``lam`` cancels inside the composition and only sizes the
-    companion annulus constraint.  Steepness therefore comes from evaluating
-    on that annulus, whose radius grows as the temperature drops.
+    U(x) = T^{-1} * (1/r) sum_i sigmoid(-y_i x_i . x / d^{1/4}).  The
+    schedule's scale ``lam`` (:func:`recommended_schedule`) only sizes the
+    companion annulus constraint, so steepness comes from evaluating on that
+    annulus, whose radius grows as the temperature drops.
     """
     if data.count == 0:
         raise ValueError("smoothed zero-one loss needs at least one datum")
     if not 0.0 < inverse_temperature < math.inf:
         raise ValueError(f"inverse_temperature must be finite and positive, got {inverse_temperature}")
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be finite and positive, got {lam}")
     d, r = data.dimension, data.count
     y = data.sign_responses()
     columns = -(data.features * y) / d**0.25
@@ -419,12 +417,13 @@ def recommended_schedule(q0: float, epsilon: float, d: int, c1: float = 1.0) -> 
     return inv_temp, lam
 
 
-def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> Dataset:
+def sample_sphere_dataset(d: int, r: int, q0: float, seed: int) -> Dataset:
     """Synthetic classifier data: sphere-uniform features, noisy sign labels.
 
-    Label ``i`` equals ``sign(x_i . theta*)`` with probability
-    ``(1 + q(x_i)) / 2`` where ``q(x) = min(1, q0 |x . theta*|)`` — the
-    minimal noise function compatible with the model's lower bound.
+    The true parameter ``theta*`` is the first unit vector e1.  Label ``i``
+    equals ``sign(x_i . theta*)`` with probability ``(1 + q(x_i)) / 2``
+    where ``q(x) = min(1, q0 |x . theta*|)`` — the minimal noise function
+    compatible with the model's lower bound.
     Deterministic given ``seed``: the stream draws an ``(r, d)`` block of
     normals, one row per feature; rows of norm below 1e-12 (never seen) are
     redrawn, in order, from the same stream before the labels' uniforms.
@@ -433,13 +432,8 @@ def sample_sphere_dataset(d: int, r: int, theta_star, q0: float, seed: int) -> D
         raise ValueError(f"dimension d must be >= 1, got {d}")
     if r < 0:
         raise ValueError(f"count r must be >= 0, got {r}")
-    theta = np.asarray(theta_star, dtype=float)
-    if theta.shape != (d,):
-        raise ValueError("theta_star must have length d")
-    norm = np.linalg.norm(theta)
-    if not abs(norm - 1.0) <= 1e-8:  # False for NaN, so NaN is refused
-        raise ValueError("theta_star must be a finite unit vector")
-    theta = theta / norm
+    theta = np.zeros(d)
+    theta[0] = 1.0
     if not (0.0 < q0 <= 1.0):
         raise ValueError("q0 must lie in (0, 1]")
     rng = chain_rng(seed)
@@ -515,8 +509,10 @@ def precondition(target: TargetModel, scale: float) -> TargetModel:
 # dataset serialization
 
 def save_dataset(data: Dataset, csv_path) -> tuple[Path, Path]:
-    """Write the CSV plus JSON sidecar; returns both paths."""
+    """Write the CSV plus JSON sidecar, making the missing parent
+    directories; returns both paths."""
     csv_path = Path(csv_path)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     d, r = data.dimension, data.count
     header = ",".join([f"feature_{j}" for j in range(d)] + ["response"])
     lines = [header]

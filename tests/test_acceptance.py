@@ -68,7 +68,7 @@ def gaussian_grid_quiet(target, bounds, bins, constraint=None):
 
 def test_01_acceptance_form_equivalence():
     """Energy-error rule equals the proposal-density ratio to 1e-10."""
-    data = sample_sphere_dataset(5, 20, e1(5), 0.7, 2)
+    data = sample_sphere_dataset(5, 20, 0.7, 2)
     targets = [make_gaussian(5, [0.5, 1.0, 2.0, 1.0, 1.0]), make_logistic_regression(data, 1.0)]
     rng = chain_rng(314159)
     worst = 0.0
@@ -141,7 +141,7 @@ def test_03_energy_error_order():
     """Energy error scales as eta^3 .. eta^4 over one decade of step sizes."""
     etas = [0.4, 0.2, 0.1, 0.05, 0.025]
     fit_g = energy_error_scaling(STD_1D, etas, 4000, 90)
-    data = sample_sphere_dataset(5, 20, e1(5), 0.7, 2)
+    data = sample_sphere_dataset(5, 20, 0.7, 2)
     logistic = make_logistic_regression(data, 1.0)
     fit_l = energy_error_scaling(logistic, etas, 4000, 91)
     ok = 2.5 <= fit_g.slope <= 4.5 and 2.5 <= fit_l.slope <= 4.5 and fit_l.slope >= 2.5
@@ -157,7 +157,7 @@ def test_04_regularity_bounds_for_empirical_functions():
     worst_c3_margin, worst_c4_margin = 0.0, 0.0
     for seed in range(20):
         d, r = combos[seed % len(combos)]
-        data = sample_sphere_dataset(d, r, e1(d), 0.7, 1000 + seed)
+        data = sample_sphere_dataset(d, r, 0.7, 1000 + seed)
         target = make_logistic_regression(data, 1.0)
         phi = incoherence(data)
         c3_bound, c4_bound = theorem3_bounds(r, phi)
@@ -254,9 +254,9 @@ def test_08_zero_one_loss_optimization():
     good_runs = 0
     angles, gaps = [], []
     for seed in range(10):
-        data = sample_sphere_dataset(d, r, theta, q0, seed)
+        data = sample_sphere_dataset(d, r, q0, seed)
         inv_temp, lam = recommended_schedule(q0, eps, d, ZERO_ONE_C1)
-        target = precondition(make_smoothed_zero_one(data, inv_temp, lam), lam / math.sqrt(inv_temp))
+        target = precondition(make_smoothed_zero_one(data, inv_temp), lam / math.sqrt(inv_temp))
         ring = annulus(0.5, 1.0)
         # warm start: best of 64 uniform annulus points by potential, drawn
         # from chain_rng(seed + 10**6)

@@ -357,9 +357,8 @@ class TestEnsemble:
 
 
 def zero_one_target():
-    theta = np.array([1.0, 0.0, 0.0])
-    data = sample_sphere_dataset(3, 200, theta, 0.7, seed=3)
-    return precondition(make_smoothed_zero_one(data, 400.0, 40.0), 2.0)
+    data = sample_sphere_dataset(3, 200, 0.7, seed=3)
+    return precondition(make_smoothed_zero_one(data, 400.0), 2.0)
 
 
 def trace_arrays(trace):
@@ -468,6 +467,19 @@ def _inf_gradient_outside(radius, d=1):
                        name="inf-grad")
 
 
+def _refusing_non_finite(target):
+    """``target`` with an oracle that raises on any non-finite input row."""
+    def checked(f):
+        def oracle(x):
+            if not np.isfinite(x).all():
+                raise ValueError(f"non-finite input {x}")
+            return f(x)
+        return oracle
+
+    return TargetModel(dimension=target.dimension, potential=checked(target.potential),
+                       gradient=checked(target.gradient), name=target.name)
+
+
 class TestNonFinite:
     def test_scalar_chains_reject_nan_potential(self):
         t = _nan_outside(0.3)
@@ -549,10 +561,15 @@ class TestLockstep:
 
     @pytest.mark.parametrize("lazy", [False, True])
     def test_failed_row_leaves_the_batch(self, lazy):
-        t = _inf_gradient_outside(5.0)
-        configs, inits = lockstep_case("mala", 1, [(0.5, 1), (50.0, 7), (0.7, 3)],
+        # Row 3 starts where the gradient is inf, so it fails at the start and
+        # then sits out; the oracle refuses a non-finite row, so a sitting-out
+        # row that proposed from its inf gradient would stop the whole batch.
+        t = _refusing_non_finite(_inf_gradient_outside(5.0))
+        configs, inits = lockstep_case("mala", 1, [(0.5, 1), (50.0, 7), (0.7, 3), (0.6, 4)],
                                        lazy=lazy, record_every=3, iterations=200)
+        inits[3] = 6.0
         batch = run_chains(t, "mala", configs, inits)
+        assert str(batch[3]) == "non-finite gradient at step 1, coordinates [0]"
         assert isinstance(batch[1], NumericFailure)
         # Its first proposal: step 1, or seed 7's first move, at step 2 (its first event).
         first = 1 + int(np.argmax(chain_rng(7, 0).random(200) >= 0.5)) if lazy else 1

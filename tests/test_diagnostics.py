@@ -644,7 +644,7 @@ class TestEnergyScaling:
     def test_logistic_slope(self):
         from malakit.targets import sample_sphere_dataset
 
-        data = sample_sphere_dataset(5, 20, np.eye(5)[0], 0.7, 2)
+        data = sample_sphere_dataset(5, 20, 0.7, 2)
         t = make_logistic_regression(data, 1.0)
         fit = energy_error_scaling(t, self.ETAS, 4000, 10)
         assert fit.slope >= 2.5

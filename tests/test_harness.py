@@ -603,6 +603,15 @@ class TestScalingStudy:
         assert cli_entry(["scaling", spec, "--axis", "dimension", "--values", "1,2,4"]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_failure_names_its_eta(self, tmp_path, capsys):
+        # The failure named neither the eta nor --values at an earlier version.
+        template = tmp_path / "mini.spec"
+        template.write_text(MINIMAL)
+        assert cli_entry(["scaling", str(template), "--axis", "eta", "--values", "1e200,0.1,0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime failure: eta=1e+200: non-finite gradient at step 1, coordinates [0]\n"
+
     def test_no_slope_from_two_points(self, tmp_path, capsys):
         # eta = 0.001 cannot mix within the step budget, so two estimates
         # resolve: the slope stays empty and stderr says why.
@@ -736,7 +745,8 @@ class TestCli:
         assert "VIOLATED" not in out
 
     def test_dataset_roundtrip_via_cli(self, tmp_path, capsys):
-        out_csv = tmp_path / "ds.csv"
+        # A missing parent directory exited 2 with a bare "[Errno 2]" at an earlier version.
+        out_csv = tmp_path / "new" / "ds.csv"
         assert cli_entry(["dataset", "--dim", "4", "--count", "10", "--seed", "2",
                           "--out", str(out_csv)]) == 0
         assert cli_entry(["regularity", str(out_csv), "--probe-points", "4",

@@ -94,7 +94,7 @@ class TestLeapfrogStep:
         assert err == pytest.approx(1.25e-9, rel=1e-6)
 
     def test_reversibility(self):
-        data = sample_sphere_dataset(4, 20, np.array([1.0, 0, 0, 0]), 0.7, 3)
+        data = sample_sphere_dataset(4, 20, 0.7, 3)
         t = make_logistic_regression(data, 1.0)
         rng = chain_rng(7)
         for _ in range(50):
@@ -117,7 +117,7 @@ class TestLeapfrogStep:
             target = make_gaussian(d, 0.5 + rng.random(d))
             batched = target
         else:
-            data = sample_sphere_dataset(d, 20, np.eye(d)[0], 0.7, seed)
+            data = sample_sphere_dataset(d, 20, 0.7, seed)
             target = make_logistic_regression(data, 1.0)
             batched = row_by_row(target)
         x, v = rng.standard_normal((n, d)), rng.standard_normal((n, d))
@@ -210,7 +210,7 @@ class TestAcceptanceForms:
 
     def test_forms_agree_on_random_instances(self):
         # smaller version of the acceptance gate; the 1e4-instance run lives there
-        data = sample_sphere_dataset(5, 20, np.eye(5)[0], 0.7, 2)
+        data = sample_sphere_dataset(5, 20, 0.7, 2)
         targets = [make_gaussian(5, [0.5, 1.0, 2.0, 1.0, 1.0]), make_logistic_regression(data, 1.0)]
         rng = chain_rng(17)
         for _ in range(500):

@@ -49,7 +49,7 @@ class TestIncoherence:
         assert incoherence(data) == pytest.approx(2.0)
 
     def test_matches_double_loop_oracle(self):
-        data = sample_sphere_dataset(50, 100, e1(50), 0.7, 8)
+        data = sample_sphere_dataset(50, 100, 0.7, 8)
         # independent O(r^2) oracle: literal double loop
         f = data.features
         best = 0.0
@@ -61,7 +61,7 @@ class TestIncoherence:
         assert incoherence(data) == pytest.approx(best, rel=1e-12)
 
     def test_invariance_under_permutation_and_rotation(self):
-        data = sample_sphere_dataset(6, 30, e1(6), 0.7, 9)
+        data = sample_sphere_dataset(6, 30, 0.7, 9)
         base = incoherence(data)
         rng = chain_rng(10)
         perm = rng.permutation(30)
@@ -81,7 +81,7 @@ class TestIncoherence:
     @example(d=7, r=2000, seed=11)
     @example(d=5, r=511, seed=1)
     def test_row_blocks_match_the_full_gram_matrix(self, d, r, seed):
-        data = sample_sphere_dataset(d, r, e1(d), 0.7, seed)
+        data = sample_sphere_dataset(d, r, 0.7, seed)
         full = float(np.max(np.abs(data.features.T @ data.features).sum(axis=1)))
         if r // max(2, _GRAM_BLOCK_ENTRIES // r) <= 1:  # one block is f.T @ f on the same buffer: same bits
             assert incoherence(data) == full
@@ -90,7 +90,7 @@ class TestIncoherence:
 
     def test_memory_does_not_grow_as_r_squared(self):
         # The full 4000 x 4000 Gram matrix and its absolute value take 128 MB each.
-        data = sample_sphere_dataset(3, 4000, e1(3), 0.7, 2)
+        data = sample_sphere_dataset(3, 4000, 0.7, 2)
         tracemalloc.start()
         try:
             incoherence(data)
@@ -141,21 +141,21 @@ class TestDerivativeEstimators:
         assert estimate_c4(t, 20, 20, 2) <= 1.0 + 5e-2
 
     def test_bounded_by_theorem3(self):
-        data = sample_sphere_dataset(5, 50, e1(5), 0.7, 3)
+        data = sample_sphere_dataset(5, 50, 0.7, 3)
         t = make_logistic_regression(data, 1.0)
         c3_bound, c4_bound = theorem3_bounds(50, incoherence(data))
         assert estimate_c3(t, 15, 15, 4) <= c3_bound * (1.0 + 1e-2)
         assert estimate_c4(t, 15, 15, 4) <= c4_bound * (1.0 + 5e-2)
 
     def test_finite_difference_path_agrees(self):
-        data = sample_sphere_dataset(4, 20, e1(4), 0.7, 5)
+        data = sample_sphere_dataset(4, 20, 0.7, 5)
         t = make_logistic_regression(data, 0.5)
         fd = dataclasses.replace(t, third_directional=None, fourth_directional=None)
         assert estimate_c3(fd, 6, 6, 6) == pytest.approx(estimate_c3(t, 6, 6, 6), rel=1e-3)
         assert estimate_c4(fd, 6, 6, 6) == pytest.approx(estimate_c4(t, 6, 6, 6), rel=1e-3)
 
     def test_monotone_in_probe_counts(self):
-        data = sample_sphere_dataset(4, 30, e1(4), 0.7, 7)
+        data = sample_sphere_dataset(4, 30, 0.7, 7)
         t = make_logistic_regression(data, 1.0)
         small = estimate_c3(t, 4, 4, 8)
         more_points = estimate_c3(t, 8, 4, 8)
@@ -258,7 +258,7 @@ class TestGoodSet:
         if kind == "gaussian":
             target = make_gaussian(d, 0.5 + rng.random(d))
         else:
-            target = make_logistic_regression(sample_sphere_dataset(d, 20, e1(d), 0.7, seed), 1.0)
+            target = make_logistic_regression(sample_sphere_dataset(d, 20, 0.7, seed), 1.0)
         x, v = rng.standard_normal((n, d)), 3.0 * rng.standard_normal((n, d))
         # Thresholds within a relative ``slack`` (1e-6 to 0.1, either side)
         # of row 0's extremes along its path, so row 0 sits near the boundary.
@@ -332,7 +332,7 @@ class TestExitEstimate:
 
 class TestReport:
     def test_logistic_report(self):
-        data = sample_sphere_dataset(5, 40, e1(5), 0.7, 17)
+        data = sample_sphere_dataset(5, 40, 0.7, 17)
         t = make_logistic_regression(data, 1.0)
         report = build_regularity_report(t, data, 8, 8, 18)
         assert report.c3_estimate <= report.c3_bound * 1.05

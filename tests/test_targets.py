@@ -111,16 +111,16 @@ class TestLogisticRegression:
         assert float(t.potential(theta)) == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
 
     def test_stability_at_extreme_margins(self):
-        data = sample_sphere_dataset(4, 30, e1(4), 0.8, 5)
+        data = sample_sphere_dataset(4, 30, 0.8, 5)
         targets = (make_logistic_regression(data, 1.0), make_sigmoid_regression(data, 1.0),
-                   make_smoothed_zero_one(data, 10.0, 3.0))
+                   make_smoothed_zero_one(data, 10.0))
         for t in targets:
             theta = 1e3 * np.ones(4) / 2.0
             assert np.isfinite(t.potential(theta))
             assert np.all(np.isfinite(t.gradient(theta)))
 
     def test_convex_along_random_lines(self):
-        data = sample_sphere_dataset(5, 40, e1(5), 0.7, 9)
+        data = sample_sphere_dataset(5, 40, 0.7, 9)
         t = make_logistic_regression(data, 0.5)
         rng = chain_rng(31)
         for _ in range(25):
@@ -253,40 +253,31 @@ class TestSmoothedZeroOne:
 
     def test_aligned_with_consistent_labels_vanishes(self):
         data = self._clean_dataset()
-        inv_temp, lam = 50.0, 400.0
-        t = make_smoothed_zero_one(data, inv_temp, lam)
+        inv_temp = 50.0
+        t = make_smoothed_zero_one(data, inv_temp)
         x = 1e4 * e1(3)  # far out: surrogate saturates to the zero-one count, which is 0
         assert float(t.potential(x)) / inv_temp < 1e-6
 
     def test_orthogonal_point_gives_half(self):
         data = self._clean_dataset()
         inv_temp = 20.0
-        t = make_smoothed_zero_one(data, inv_temp, 100.0)
+        t = make_smoothed_zero_one(data, inv_temp)
         x = np.zeros(3)  # orthogonal to every feature
         assert float(t.potential(x)) == pytest.approx(inv_temp * 0.5, rel=1e-12)
-
-    def test_lambda_cancels(self):
-        data = self._clean_dataset()
-        a = make_smoothed_zero_one(data, 10.0, 3.0)
-        b = make_smoothed_zero_one(data, 10.0, 3000.0)
-        x = np.array([0.4, -1.2, 0.7])
-        assert float(a.potential(x)) == pytest.approx(float(b.potential(x)), rel=1e-14)
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(features=np.empty((3, 0)), responses=np.empty(0, dtype=int))
         with pytest.raises(ValueError):
-            make_smoothed_zero_one(empty, 10.0, 3.0)
+            make_smoothed_zero_one(empty, 10.0)
 
-    @pytest.mark.parametrize("inv_temp, lam, message", [
-        (np.nan, 3.0, "inverse_temperature must be finite and positive, got nan"),
-        (np.inf, 3.0, "inverse_temperature must be finite and positive, got inf"),
-        (10.0, np.nan, "lam must be finite and positive, got nan"),
-        (10.0, np.inf, "lam must be finite and positive, got inf"),
-    ], ids=["temperature-nan", "temperature-inf", "lam-nan", "lam-inf"])
-    def test_non_finite_scalars_refused(self, inv_temp, lam, message):
+    @pytest.mark.parametrize("inv_temp, message", [
+        (np.nan, "inverse_temperature must be finite and positive, got nan"),
+        (np.inf, "inverse_temperature must be finite and positive, got inf"),
+    ], ids=["temperature-nan", "temperature-inf"])
+    def test_non_finite_scalars_refused(self, inv_temp, message):
         # An earlier ``<= 0`` test let NaN and inf through.
         with pytest.raises(ValueError, match=message):
-            make_smoothed_zero_one(self._clean_dataset(), inv_temp, lam)
+            make_smoothed_zero_one(self._clean_dataset(), inv_temp)
 
 
 class TestRecommendedSchedule:
@@ -317,37 +308,32 @@ class TestRecommendedSchedule:
 
 class TestSphereDataset:
     def test_determinism(self):
-        a = sample_sphere_dataset(4, 25, e1(4), 0.6, 17)
-        b = sample_sphere_dataset(4, 25, e1(4), 0.6, 17)
+        a = sample_sphere_dataset(4, 25, 0.6, 17)
+        b = sample_sphere_dataset(4, 25, 0.6, 17)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.responses, b.responses)
 
     def test_unit_columns(self):
-        data = sample_sphere_dataset(6, 50, e1(6), 0.5, 3)
+        data = sample_sphere_dataset(6, 50, 0.5, 3)
         assert np.allclose(np.linalg.norm(data.features, axis=0), 1.0, atol=1e-12)
 
     def test_label_noise_model(self):
         # Monte Carlo oracle: E[Y * sign(X . theta)] = E[min(1, q0 |X . theta|)];
         # for d=3 the projection is uniform on [-1, 1], so the mean is q0/2.
-        data = sample_sphere_dataset(3, 10**5, e1(3), 0.5, 23)
+        data = sample_sphere_dataset(3, 10**5, 0.5, 23)
         ips = data.features.T @ e1(3)
         agreement = float(np.mean(data.responses * np.where(ips >= 0, 1, -1)))
         assert agreement == pytest.approx(0.25, abs=0.01)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            sample_sphere_dataset(3, 5, 2.0 * e1(3), 0.5, 1)
-        # A NaN theta_star passed the unit-norm test at an earlier version.
-        with pytest.raises(ValueError, match="finite unit vector"):
-            sample_sphere_dataset(3, 5, np.array([np.nan, 0.0, 0.0]), 0.5, 1)
-        with pytest.raises(ValueError):
-            sample_sphere_dataset(3, 5, e1(3), 0.0, 1)
+            sample_sphere_dataset(3, 5, 0.0, 1)
         for d in (0, -3):
             with pytest.raises(ValueError, match=f"dimension d must be >= 1, got {d}"):
-                sample_sphere_dataset(d, 5, np.zeros(0), 0.5, 1)
+                sample_sphere_dataset(d, 5, 0.5, 1)
         # A negative count failed in numpy with "negative dimensions are not allowed".
         with pytest.raises(ValueError, match="count r must be >= 0, got -2"):
-            sample_sphere_dataset(3, -2, e1(3), 0.5, 1)
+            sample_sphere_dataset(3, -2, 0.5, 1)
 
     def test_degenerate_rows_are_redrawn_in_order_from_the_stream(self, monkeypatch):
         class ZeroRows:  # the seed's stream, with rows 1 and 3 of the first block zeroed
@@ -364,7 +350,7 @@ class TestSphereDataset:
                 return self.rng.random(size)
 
         monkeypatch.setattr(targets, "chain_rng", ZeroRows)
-        data = sample_sphere_dataset(3, 5, e1(3), 0.7, 4)
+        data = sample_sphere_dataset(3, 5, 0.7, 4)
         rng = chain_rng(4)
         g = rng.standard_normal((5, 3))
         g[[1, 3]] = rng.standard_normal((2, 3))
@@ -376,12 +362,12 @@ class TestSphereDataset:
     def test_bundled_dataset_is_the_generator_output(self, tmp_path):
         # The arguments of scripts/make_bundled_dataset.py; a moved generator
         # stream fails here before the bundled demo disagrees with it.
-        csv_path, sidecar = save_dataset(sample_sphere_dataset(5, 50, e1(5), 0.7, 1234), tmp_path / "b.csv")
+        csv_path, sidecar = save_dataset(sample_sphere_dataset(5, 50, 0.7, 1234), tmp_path / "b.csv")
         assert csv_path.read_bytes() == (ROOT / "data" / "bundled_r50.csv").read_bytes()
         assert sidecar.read_bytes() == (ROOT / "data" / "bundled_r50.json").read_bytes()
 
     def test_bundled_dataset_loads_to_the_generator_values(self):
-        data = sample_sphere_dataset(5, 50, e1(5), 0.7, 1234)
+        data = sample_sphere_dataset(5, 50, 0.7, 1234)
         loaded = load_dataset(ROOT / "data" / "bundled_r50.csv")
         assert np.array_equal(loaded.features, data.features) and np.array_equal(loaded.responses, data.responses)
         assert np.array_equal(loaded.true_param, data.true_param)
@@ -441,14 +427,14 @@ class TestPrecondition:
         assert float(p.potential(np.array([1.0]))) == pytest.approx(2.0)
 
     def test_gradient_chain_rule(self):
-        data = sample_sphere_dataset(4, 30, e1(4), 0.7, 2)
+        data = sample_sphere_dataset(4, 30, 0.7, 2)
         t = precondition(make_logistic_regression(data, 0.5), 1.7)
         rng = chain_rng(12)
         probes = [rng.standard_normal(4) for _ in range(100)]
         assert max_gradient_fd_error(t, probes) <= 1e-5
 
     def test_inverse_composition(self):
-        data = sample_sphere_dataset(3, 20, e1(3), 0.7, 6)
+        data = sample_sphere_dataset(3, 20, 0.7, 6)
         base = make_sigmoid_regression(data, 1.0)
         roundtrip = precondition(precondition(base, 2.5), 1.0 / 2.5)
         rng = chain_rng(13)
@@ -495,12 +481,12 @@ class TestPrecondition:
 
 class TestGradientConsistency:
     def test_all_builtin_targets(self):
-        data = sample_sphere_dataset(4, 25, e1(4), 0.7, 44)
+        data = sample_sphere_dataset(4, 25, 0.7, 44)
         targets = [
             make_gaussian(4, [0.5, 1.0, 2.0, 4.0]),
             make_logistic_regression(data, 1.0),
             make_sigmoid_regression(data, 1.0),
-            make_smoothed_zero_one(data, 5.0, 3.0),
+            make_smoothed_zero_one(data, 5.0),
         ]
         rng = chain_rng(55)
         probes = [rng.standard_normal(4) for _ in range(100)]
@@ -510,7 +496,7 @@ class TestGradientConsistency:
 
 class TestDatasetIO:
     def test_roundtrip_bit_identical(self, tmp_path):
-        data = sample_sphere_dataset(3, 12, e1(3), 0.7, 99)
+        data = sample_sphere_dataset(3, 12, 0.7, 99)
         csv_path, sidecar = save_dataset(data, tmp_path / "ds.csv")
         assert csv_path.exists() and sidecar.exists()
         loaded = load_dataset(csv_path)
@@ -577,8 +563,8 @@ class TestDatasetIO:
 
 
 def _fused_cases():
-    data = sample_sphere_dataset(3, 40, e1(3), 0.7, seed=5)
-    zero_one = make_smoothed_zero_one(data, 50.0, 10.0)
+    data = sample_sphere_dataset(3, 40, 0.7, seed=5)
+    zero_one = make_smoothed_zero_one(data, 50.0)
     empty = Dataset(features=np.empty((3, 0)), responses=np.empty(0, dtype=np.int64))
     return {
         "gaussian": make_gaussian(3, [0.3, 1.7, 4.1]),
