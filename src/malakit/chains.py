@@ -195,8 +195,9 @@ class _Columns:
             return False
         steps = self.indices[lo:hi] - (start + 1)
         self.at, self.moved = slice(lo, hi), None if move is None else move[steps]
-        # each row's events up to and including each recorded step
-        self.slot = steps[:, None] + 1 if move is None else np.cumsum(move, axis=0)[steps]
+        # each row's events up to and including each recorded step (a failed
+        # row's, never read, can pass ``events``)
+        self.slot = steps[:, None] + 1 if move is None else np.minimum(np.cumsum(move, axis=0)[steps], events)
         size = (events + 1, len(x))  # at most (steps + 1) * n * d values: bounded by the draw block
         self.x, self.pot = np.empty((*size, x.shape[1])), np.empty(size)
         self.err, self.acc = np.zeros(size), np.zeros(size, dtype=bool)
@@ -226,12 +227,13 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
     step ``at[e, j]``.  Every row proposes at every event, in one oracle
     call; a row out of moves, or failed, sits out under a mask: it is never
     accepted, counted, failed or recorded.  The mask is None while every row
-    moves.  A row that fails at the start proposes with a zero gradient, so
-    the oracle never sees a non-finite position from it.  Returns the final
-    rows, the proposals per row, the accepted count and the failures by
-    row, each naming the step of its event, in the order found: at the
-    start, then event by event, lowest row first.  ``callback(i, x)`` runs
-    after step ``i`` of an eager run.
+    moves.  A block ends at the last move of a live row, and the run ends
+    once every row has failed.  A row that fails at the start proposes with
+    a zero gradient, so the oracle never sees a non-finite position from
+    it.  Returns the final rows, the proposals per row, the accepted count
+    and the failures by row, each naming the step of its event, in the
+    order found: at the start, then event by event, lowest row first.
+    ``callback(i, x)`` runs after step ``i`` of an eager run.
     """
     mala = kind == "mala"
     potential, value_and_grad = target.potential, target.value_and_grad
@@ -256,6 +258,8 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
 
     stop = False
     for start in range(0, iterations, draws.steps):
+        if stop or len(failures) == n:  # the callback stopped the run, or every row failed
+            break
         move, v, log_u = draws()
         length = min(draws.steps, iterations - start)
         if move is None:
@@ -263,15 +267,14 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         else:
             move = move[:length]
             count = np.count_nonzero(move, axis=0)
-            events, full = int(count.max()), int(count.min())
+            events, full = int(count[live].max()), int(count[live].min())  # a failed row has no more moves
             at = np.argsort(~move, axis=0, kind="stable")[:events]  # at[e, j]: block step of row j's e-th move
             v, log_u = v[at, rows], log_u[at, rows]
         record = columns is not None and columns.open(start, length, move, events, x, pot)
         done = 0
         for e in range(events):
             if len(failures) == n:
-                stop = True  # every row failed
-                break
+                break  # every row failed
             mask = None
             if count is not None and e >= full:
                 mask = live & (count > e)
@@ -309,8 +312,6 @@ def _lockstep(target, kind, eta, x, iterations, draws, constraint=None, columns=
         proposals += done if count is None else np.minimum(count, done)
         if record:
             columns.close()
-        if stop:
-            break
     return x, proposals, accepted, failures
 
 

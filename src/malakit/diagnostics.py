@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import ChainTrace, run_ensemble
+from .chains import ChainTrace, EnsembleResult, run_ensemble
 from .grids import EmptySupportError, GridDistribution, grid_truth
 from .integrator import leapfrog
 from .rng import chain_rng, subseed
@@ -264,17 +264,20 @@ def mixing_time_estimate(
     grid_bounds,
     grid_bins,
     max_iterations: int,
-) -> int | None:
-    """First iteration at which the replica ensemble is TV-close to truth.
+) -> tuple[int | None, EnsembleResult]:
+    """First iteration at which the replica ensemble is TV-close to truth,
+    and the ensemble's :class:`~malakit.chains.EnsembleResult`.
 
     Runs ``replicas`` chains from ``init`` and, at multiples of
     ``check_every``, bins their positions on the grid truth's own geometry
     (:meth:`~GridDistribution.tv_to_samples`); the threshold applies to that
     TV minus the truth's :meth:`~GridDistribution.binning_floor` for as many
     samples (raw TV cannot reach zero under finite sampling).  A check with
-    every replica off the grid counts as unmixed.  Returns ``None`` when the
-    budget runs out.  Raises ValueError on bad arguments or a non-finite
-    start from ``init``, and :class:`NumericFailure` from ``run_ensemble``.
+    every replica off the grid counts as unmixed.  The estimate is ``None``
+    when the budget runs out; the result's acceptance and counts cover the
+    steps the ensemble ran, up to the estimate or the whole budget.  Raises
+    ValueError on bad arguments or a non-finite start from ``init``, and
+    :class:`NumericFailure` from ``run_ensemble``.
     """
     if replicas < 100:
         raise ValueError("need at least 100 replicas for a TV estimate")
@@ -297,9 +300,9 @@ def mixing_time_estimate(
             return True
         return False
 
-    run_ensemble(target, sampler, eta, max_iterations, positions, subseed(seed, 2),
-                 callback=check, callback_every=check_every)
-    return found[0] if found else None
+    result = run_ensemble(target, sampler, eta, max_iterations, positions, subseed(seed, 2),
+                          callback=check, callback_every=check_every)
+    return (found[0] if found else None), result
 
 
 def hitting_time(trace: ChainTrace, target_set: ConstraintSet) -> int | None:

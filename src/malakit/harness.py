@@ -57,8 +57,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .chains import (ChainConfig, ChainTrace, extract_minimizer, run_chains, run_ensemble,
-                     theorem1_step_size)
+from .chains import ChainConfig, ChainTrace, extract_minimizer, run_chains, theorem1_step_size
 from .diagnostics import (FitFailed, ScalingFit, acceptance_stats, energy_error_scaling, hitting_time,
                           mixing_time_estimate)
 from .grids import EmptySupportError, grid_truth
@@ -711,7 +710,6 @@ MIXING_REPLICAS = 1000
 TV_THRESHOLD = 0.1
 CHECK_EVERY = 2
 MAX_ITERATIONS = 5000
-PILOT_REPLICAS = 200  # the acceptance pilot ensemble, run for min(500, iterations) steps
 MIN_SLOPE_POINTS = 3  # resolved mixing estimates a log-log slope is fit over
 
 
@@ -748,11 +746,13 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
     """Mixing time against the step size: one linked-seed measurement per
     eta in ``values``, run sequentially on the template's target.
 
-    Each eta gets a pilot ensemble (its acceptance rate) and a mixing
-    estimate against the grid truth; a :class:`NumericFailure` of either is
-    raised again with its eta in front.  The study measures the template as
-    written or refuses it: a lazy template, a constrained-mala template and
-    a target of more than 2 dimensions (no grid truth) raise ValueError.
+    Each eta gets one mixing estimate against the grid truth, whose
+    ensemble also gives the row's acceptance and gradient count; a
+    :class:`NumericFailure` is raised again with its eta in front.  Of the
+    template, only the target, the sampler and the seed are read.  The
+    study measures the template as written or refuses it: a lazy template,
+    a constrained-mala template and a target of more than 2 dimensions (no
+    grid truth) raise ValueError.
     """
     values = [float(v) for v in values]
     if len(values) < 3:
@@ -781,18 +781,14 @@ def scaling_study(template: ExperimentSpec, values) -> ScalingStudyResult:
     acc_means: list[float] = []
     gevals: list[int] = []
     for idx, eta in enumerate(values):
-        seed = subseed(template.seed, idx)  # mixing_time_estimate keys 0, 1 and 2 of it; the pilot runs on 3
         try:
-            pilot = run_ensemble(target, template.sampler, eta, min(500, template.iterations),
-                                 np.zeros((PILOT_REPLICAS, d)), subseed(seed, 3))
-            estimate = mixing_time_estimate(target, template.sampler, eta, warm_init, TV_THRESHOLD,
-                                            MIXING_REPLICAS, CHECK_EVERY, seed, bounds, bins, MAX_ITERATIONS)
+            estimate, ensemble = mixing_time_estimate(target, template.sampler, eta, warm_init, TV_THRESHOLD,
+                                                      MIXING_REPLICAS, CHECK_EVERY, subseed(template.seed, idx),
+                                                      bounds, bins, MAX_ITERATIONS)
         except NumericFailure as exc:
             raise NumericFailure(f"eta={eta:g}: {exc}") from exc
         mixing.append(estimate)
-        acc_means.append(pilot.accepted_fraction)
-        steps = MAX_ITERATIONS if estimate is None else estimate  # an unresolved estimate ran them all
-        mixing_evals = 2 * MIXING_REPLICAS * steps if template.sampler == "mala" else 0
-        gevals.append(pilot.gradient_evals + mixing_evals)
+        acc_means.append(ensemble.accepted_fraction)
+        gevals.append(ensemble.gradient_evals)
     return ScalingStudyResult(values=values, mixing_estimates=mixing, acceptance_means=acc_means,
                               gradient_evals=gevals)

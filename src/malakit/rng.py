@@ -13,8 +13,7 @@ seed, so a stream's draws do not depend on which other streams run.  The map:
 - ``chain_rng(s, i, 0)`` and ``chain_rng(s, i, j)``, ``j >= 1``: c3/c4 probe
   point ``i`` and its directions; ``chain_rng(s, 10**6)``: the gradient-bound
   cloud; ``chain_rng(s, 10**6 + 1)``: a run's ``tv_vs_truth`` binning floor.
-- ``subseed(e, 0|1|2)``: a mixing estimate's floor, start and ensemble;
-  ``subseed(e, 3)``: a scaling study's acceptance pilot.
+- ``subseed(e, 0|1|2)``: a mixing estimate's floor, start and ensemble.
 - ``chain_rng(s)``: a dataset, ``hanson_wright_check``, and
   ``energy_error_scaling`` at ``e``; ``chain_rng(s, 0)``: ``constraint_exit_estimate``.
 """

@@ -183,7 +183,7 @@ def test_05_mixing_time_eta_scaling():
     for rep in range(5):
         estimates = {}
         for eta in (0.5, 0.25):
-            estimates[eta] = mixing_time_estimate(
+            estimates[eta], _ = mixing_time_estimate(
                 STD_1D, "mala", eta, init_point, 0.1, replicas=2000, check_every=2,
                 seed=1000 + rep, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=600)
             assert estimates[eta] is not None
@@ -325,10 +325,10 @@ def test_11_reproducibility(tmp_path, solo_mismatches):
     def init_point(rng, n):
         return np.full((n, 1), 2.0)
 
-    mix_a = mixing_time_estimate(STD_1D, "mala", 0.5, init_point, 0.1, replicas=500, check_every=2,
-                                 seed=1234, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=300)
-    mix_b = mixing_time_estimate(STD_1D, "mala", 0.5, init_point, 0.1, replicas=500, check_every=2,
-                                 seed=1234, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=300)
+    mix_a, _ = mixing_time_estimate(STD_1D, "mala", 0.5, init_point, 0.1, replicas=500, check_every=2,
+                                    seed=1234, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=300)
+    mix_b, _ = mixing_time_estimate(STD_1D, "mala", 0.5, init_point, 0.1, replicas=500, check_every=2,
+                                    seed=1234, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=300)
     hw_a = hanson_wright_check(10, 1.5 * math.sqrt(20.0), 10**5, 42)
     hw_b = hanson_wright_check(10, 1.5 * math.sqrt(20.0), 10**5, 42)
 

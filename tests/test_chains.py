@@ -581,6 +581,23 @@ class TestLockstep:
         for j in (0, 2):
             assert_traces_identical(batch[j], run_mala(t, configs[j], inits[j]))
 
+    def test_failed_row_costs_no_oracle_call(self):
+        # At an earlier version a lazy block ran to the last move of any row,
+        # failed ones included, so the oracle was called for events that
+        # only row 1, failed at the start, had.
+        t, calls = counting(_inf_gradient_outside(5.0))
+        configs, inits = lockstep_case("mala", 1, [(0.5, 1), (0.5, 2)], lazy=True, record_every=1, iterations=200)
+        inits[1] = 6.0
+        with mock.patch.object(chains, "_DRAW_BLOCK", 16):  # 8-step blocks
+            live, failed = run_chains(t, "mala", configs, inits)
+        assert str(failed) == "non-finite gradient at step 1, coordinates [0]"
+        assert calls["fused"] == live.function_evals  # the start, then the live row's moves
+        assert_traces_identical(live, run_mala(t, configs[0], inits[0]))
+        calls["fused"] = 0
+        inits[0] = 6.0  # every row fails at the start: the run ends before its first block
+        assert all(isinstance(r, NumericFailure) for r in run_chains(t, "mala", configs, inits))
+        assert calls["fused"] == 1
+
     def test_row_by_row_target(self, row_by_row):
         g = make_gaussian(2, [1.0, 3.0])
         configs, inits = lockstep_case("mala", 2, [(0.4, 5), (0.9, 6)], lazy=True,

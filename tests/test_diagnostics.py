@@ -581,16 +581,16 @@ class TestMixingTime:
         def init(rng, n):
             return truth.sample_midpoints(rng, n)
 
-        est = mixing_time_estimate(STD_1D, "mala", 0.5, init, 0.1, replicas=500, check_every=5,
-                                   seed=4, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=100)
+        est, _ = mixing_time_estimate(STD_1D, "mala", 0.5, init, 0.1, replicas=500, check_every=5,
+                                      seed=4, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=100)
         assert est == 5
 
     def test_budget_exhaustion_returns_none(self):
         def far_init(rng, n):
             return np.full((n, 1), 30.0)
 
-        est = mixing_time_estimate(STD_1D, "mala", 0.01, far_init, 0.01, replicas=200, check_every=2,
-                                   seed=5, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=10)
+        est, _ = mixing_time_estimate(STD_1D, "mala", 0.01, far_init, 0.01, replicas=200, check_every=2,
+                                      seed=5, grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=10)
         assert est is None
 
     def test_mala_not_slower_than_rwm(self):
@@ -599,8 +599,8 @@ class TestMixingTime:
 
         kwargs = dict(tv_threshold=0.1, replicas=1500, check_every=2, seed=6,
                       grid_bounds=(-6.0, 6.0), grid_bins=60, max_iterations=2000)
-        mala = mixing_time_estimate(STD_1D, "mala", 0.5, warm, **kwargs)
-        rwm = mixing_time_estimate(STD_1D, "rwm", 0.5, warm, **kwargs)
+        mala, _ = mixing_time_estimate(STD_1D, "mala", 0.5, warm, **kwargs)
+        rwm, _ = mixing_time_estimate(STD_1D, "rwm", 0.5, warm, **kwargs)
         assert mala is not None and rwm is not None
         assert mala <= rwm
 

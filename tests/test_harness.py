@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from malakit import harness
 from malakit.chains import ChainTrace, run_ensemble
 from malakit.cli import cli_entry
-from malakit.diagnostics import transition_matrix_1d
+from malakit.diagnostics import mixing_time_estimate, transition_matrix_1d
 from malakit.grids import grid_truth
 from malakit.harness import (
     ExperimentSpec,
@@ -556,15 +556,15 @@ class TestScalingStudy:
 
     def test_dimension_axis_acceptance(self):
         # The theorem1 step keeps MALA acceptance at or above 1/2 as d grows,
-        # on a scaling study's acceptance pilot: 200 replicas, 500 steps.
+        # on an ensemble of 200 replicas started at 0, run for 500 steps.
         for idx, d in enumerate([2, 4, 8, 16]):
             spec = parse_spec(spec_with(**{"kind = explicit\neta = 0.5": "kind = theorem1\nsafety = 1.0",
                                            "d = 1": f"d = {d}"}))
             built = harness.build_target(spec)
             (eta,), _ = harness.resolve_etas(spec, built)
-            pilot = run_ensemble(built.target, "mala", eta, 500, np.zeros((200, d)),
-                                 subseed(subseed(spec.seed, idx), 3))
-            assert pilot.accepted_fraction >= 0.5, d
+            ensemble = run_ensemble(built.target, "mala", eta, 500, np.zeros((200, d)),
+                                    subseed(subseed(spec.seed, idx), 3))
+            assert ensemble.accepted_fraction >= 0.5, d
 
     def test_single_value_rejected(self):
         spec = parse_spec(MINIMAL)
@@ -589,14 +589,22 @@ class TestScalingStudy:
             scaling_study(parse_spec(spec_with(**edits)), [0.5, 0.25, 0.125])
 
     def test_unresolved_estimate_counts_every_step(self):
-        # An earlier version counted only the pilot for an unresolved eta,
-        # though its mixing ensemble ran all MAX_ITERATIONS steps.
-        result = scaling_study(parse_spec(MINIMAL), [0.001, 0.5, 0.25])
-        pilot = 2 * harness.PILOT_REPLICAS * 500
+        # Each row reports the mixing ensemble's own work.  An earlier version
+        # rebuilt the gradient count by hand, and once counted none of an
+        # unresolved eta's MAX_ITERATIONS steps; its acceptance came from a
+        # separate pilot ensemble.
+        spec = parse_spec(MINIMAL)
+        result = scaling_study(spec, [0.001, 0.5, 0.25])
         assert result.mixing_estimates[0] is None
-        assert result.gradient_evals[0] == pilot + 2 * harness.MIXING_REPLICAS * harness.MAX_ITERATIONS == 10_200_000
-        for m, g in zip(result.mixing_estimates[1:], result.gradient_evals[1:]):
-            assert g == pilot + 2 * harness.MIXING_REPLICAS * m
+        assert result.gradient_evals[0] == 2 * harness.MIXING_REPLICAS * harness.MAX_ITERATIONS == 10_000_000
+        target = harness.build_target(spec).target
+        for idx, (eta, m) in enumerate(zip(result.values, result.mixing_estimates)):
+            steps = harness.MAX_ITERATIONS if m is None else m
+            assert result.gradient_evals[idx] == 2 * harness.MIXING_REPLICAS * steps
+            _, ensemble = mixing_time_estimate(target, "mala", eta, lambda rng, n: 0.5 * rng.standard_normal((n, 1)),
+                                               harness.TV_THRESHOLD, harness.MIXING_REPLICAS, harness.CHECK_EVERY,
+                                               subseed(spec.seed, idx), (-6.0, 6.0), 60, harness.MAX_ITERATIONS)
+            assert result.acceptance_means[idx] == ensemble.accepted_fraction
 
     def test_unknown_axis_rejected(self, capsys):
         spec = str(ROOT / "specs" / "gaussian_demo.spec")
