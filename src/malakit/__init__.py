@@ -20,7 +20,6 @@ from .targets import (  # noqa: F401
     make_logistic_regression,
     make_sigmoid_regression,
     make_smoothed_zero_one,
-    precondition,
     recommended_schedule,
     sample_sphere_dataset,
     save_dataset,

@@ -260,8 +260,10 @@ def _cmd_scaling(args) -> int:
                   f"within {MAX_ITERATIONS} steps, and a slope needs {MIN_SLOPE_POINTS}")
     table = result.table()
     if args.out:
-        Path(args.out).write_text(table)
-        _progress(f"table written to {args.out}")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(table)
+        _progress(f"table written to {out}")
     print(table, end="")
     return 0
 

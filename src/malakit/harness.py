@@ -67,8 +67,7 @@ from .regularity import (build_regularity_report, estimate_c3, estimate_c4, esti
 from .rng import chain_rng, subseed
 from .targets import (ConstraintSet, Dataset, TargetModel, annulus, load_dataset,
                       make_gaussian, make_logistic_regression, make_sigmoid_regression,
-                      make_smoothed_zero_one, precondition, recommended_schedule,
-                      sample_sphere_dataset)
+                      make_smoothed_zero_one, recommended_schedule, sample_sphere_dataset)
 
 __all__ = [
     "SpecValidationError",
@@ -498,8 +497,8 @@ def build_target(spec: ExperimentSpec) -> BuiltTarget:
         theta = dataset.true_param
         if spec.target_kind == "zero_one":
             inv_temp, lam = recommended_schedule(p["q0"], p["epsilon"], p["d"], p["c1"])
-            scale = lam / math.sqrt(inv_temp)  # annulus outer radius before preconditioning
-            target = precondition(make_smoothed_zero_one(dataset, inv_temp), scale)
+            scale = lam / math.sqrt(inv_temp)  # the schedule's annulus radius, reached at |x| = 1
+            target = make_smoothed_zero_one(dataset, inv_temp, scale)
             notes.update(inverse_temperature=inv_temp, lam=lam, precondition_scale=scale)
         else:
             maker = make_logistic_regression if spec.target_kind == "logistic" else make_sigmoid_regression

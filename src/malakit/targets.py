@@ -37,7 +37,6 @@ __all__ = [
     "recommended_schedule",
     "sample_sphere_dataset",
     "annulus",
-    "precondition",
     "save_dataset",
     "load_dataset",
 ]
@@ -362,21 +361,26 @@ def _regression_target(data, prior_precision, loss, label):
     )
 
 
-def make_smoothed_zero_one(data: Dataset, inverse_temperature: float) -> TargetModel:
-    """Low-temperature smoothed empirical zero-one loss.
+def make_smoothed_zero_one(data: Dataset, inverse_temperature: float, scale: float) -> TargetModel:
+    """Low-temperature smoothed empirical zero-one loss, on a rescaled argument.
 
-    U(x) = T^{-1} * (1/r) sum_i sigmoid(-y_i x_i . x / d^{1/4}).  The
-    schedule's scale ``lam`` (:func:`recommended_schedule`) only sizes the
-    companion annulus constraint, so steepness comes from evaluating on that
-    annulus, whose radius grows as the temperature drops.
+    U(x) = T^{-1} * (1/r) sum_i sigmoid(-y_i x_i . (scale x) / d^{1/4}).  The
+    pipeline passes ``scale = lam / sqrt(T^{-1})`` from
+    :func:`recommended_schedule`, so a chain on the annulus of outer radius 1
+    evaluates the loss out to radius ``scale``, which grows as the
+    temperature drops.  The scale is folded into the columns, so the
+    gradient carries one factor of it and the k-th directional derivative
+    ``scale**k``.
     """
     if data.count == 0:
         raise ValueError("smoothed zero-one loss needs at least one datum")
     if not 0.0 < inverse_temperature < math.inf:
         raise ValueError(f"inverse_temperature must be finite and positive, got {inverse_temperature}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     d, r = data.dimension, data.count
     y = data.sign_responses()
-    columns = -(data.features * y) / d**0.25
+    columns = -(data.features * y) * (float(scale) / d**0.25)
     return _linear_composite(
         d,
         0.0,
@@ -462,47 +466,6 @@ def annulus(inner: float, outer: float) -> ConstraintSet:
         return (norms >= inner) & (norms <= outer)
 
     return ConstraintSet(membership=membership, annulus_radii=(float(inner), float(outer)))
-
-
-def precondition(target: TargetModel, scale: float) -> TargetModel:
-    """Rescale the argument: new potential x -> U(scale * x).
-
-    The gradient picks up one factor of ``scale`` by the chain rule, the
-    k-th directional derivatives ``scale**k``, and a Gaussian's precisions
-    ``scale**2``.  Bad directions are unchanged.
-    """
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be finite and positive, got {scale}")
-    s = float(scale)
-    base_pot, base_fused = target.potential, target.value_and_grad
-
-    def potential(x):
-        return base_pot(s * np.asarray(x, dtype=float))
-
-    def value_and_grad(x):
-        pot, grad = base_fused(s * np.asarray(x, dtype=float))
-        return pot, s * grad
-
-    third = None
-    if target.third_directional is not None:
-        base3 = target.third_directional
-        third = lambda x, u, v, w: s**3 * base3(s * np.asarray(x, dtype=float), u, v, w)
-    fourth = None
-    if target.fourth_directional is not None:
-        base4 = target.fourth_directional
-        fourth = lambda x, u: s**4 * base4(s * np.asarray(x, dtype=float), u)
-
-    return TargetModel(
-        dimension=target.dimension,
-        potential=potential,
-        gradient=lambda x: value_and_grad(x)[1],
-        fused=value_and_grad,
-        name=f"{target.name}*{s:g}",
-        bad_directions=target.bad_directions,
-        quadratic_precision=None if target.quadratic_precision is None else target.quadratic_precision * s * s,
-        third_directional=third,
-        fourth_directional=fourth,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from malakit.targets import (
     make_gaussian,
     make_logistic_regression,
     make_smoothed_zero_one,
-    precondition,
     recommended_schedule,
     sample_sphere_dataset,
 )
@@ -256,7 +255,7 @@ def test_08_zero_one_loss_optimization():
     for seed in range(10):
         data = sample_sphere_dataset(d, r, q0, seed)
         inv_temp, lam = recommended_schedule(q0, eps, d, ZERO_ONE_C1)
-        target = precondition(make_smoothed_zero_one(data, inv_temp), lam / math.sqrt(inv_temp))
+        target = make_smoothed_zero_one(data, inv_temp, lam / math.sqrt(inv_temp))
         ring = annulus(0.5, 1.0)
         # warm start: best of 64 uniform annulus points by potential, drawn
         # from chain_rng(seed + 10**6)

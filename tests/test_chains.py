@@ -35,7 +35,6 @@ from malakit.targets import (
     annulus,
     make_gaussian,
     make_smoothed_zero_one,
-    precondition,
     sample_sphere_dataset,
 )
 
@@ -358,7 +357,7 @@ class TestEnsemble:
 
 def zero_one_target():
     data = sample_sphere_dataset(3, 200, 0.7, seed=3)
-    return precondition(make_smoothed_zero_one(data, 400.0), 2.0)
+    return make_smoothed_zero_one(data, 400.0, 2.0)
 
 
 def trace_arrays(trace):

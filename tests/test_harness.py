@@ -622,15 +622,20 @@ class TestScalingStudy:
 
     def test_no_slope_from_two_points(self, tmp_path, capsys):
         # eta = 0.001 cannot mix within the step budget, so two estimates
-        # resolve: the slope stays empty and stderr says why.
+        # resolve: the slope stays empty and stderr says why.  --out makes
+        # its missing directories; it exited 2 after the whole study at an
+        # earlier version.
         template = tmp_path / "mini.spec"
         template.write_text(MINIMAL)
-        assert cli_entry(["scaling", str(template), "--axis", "eta", "--values", "0.5,0.25,0.001"]) == 0
+        out = tmp_path / "nodir" / "t.csv"
+        assert cli_entry(["scaling", str(template), "--axis", "eta", "--values", "0.5,0.25,0.001",
+                          "--out", str(out)]) == 0
         captured = capsys.readouterr()
         lines = captured.out.splitlines()
         assert [row.split(",")[1] == "" for row in lines[1:-1]] == [False, False, True]
         assert lines[-1] == "# log-log slope vs eta: "
         assert "2 of 3 mixing estimates resolved" in captured.err
+        assert out.read_text() == captured.out
 
 
 class TestCli:

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import expit
 
 from malakit import targets
-from malakit.diagnostics import energy_error_scaling
 from malakit.rng import chain_rng
 from malakit.targets import (
     Dataset,
@@ -23,7 +22,6 @@ from malakit.targets import (
     make_logistic_regression,
     make_sigmoid_regression,
     make_smoothed_zero_one,
-    precondition,
     recommended_schedule,
     sample_sphere_dataset,
     save_dataset,
@@ -113,7 +111,7 @@ class TestLogisticRegression:
     def test_stability_at_extreme_margins(self):
         data = sample_sphere_dataset(4, 30, 0.8, 5)
         targets = (make_logistic_regression(data, 1.0), make_sigmoid_regression(data, 1.0),
-                   make_smoothed_zero_one(data, 10.0))
+                   make_smoothed_zero_one(data, 10.0, 1.0))
         for t in targets:
             theta = 1e3 * np.ones(4) / 2.0
             assert np.isfinite(t.potential(theta))
@@ -254,30 +252,53 @@ class TestSmoothedZeroOne:
     def test_aligned_with_consistent_labels_vanishes(self):
         data = self._clean_dataset()
         inv_temp = 50.0
-        t = make_smoothed_zero_one(data, inv_temp)
+        t = make_smoothed_zero_one(data, inv_temp, 1.0)
         x = 1e4 * e1(3)  # far out: surrogate saturates to the zero-one count, which is 0
         assert float(t.potential(x)) / inv_temp < 1e-6
 
     def test_orthogonal_point_gives_half(self):
         data = self._clean_dataset()
         inv_temp = 20.0
-        t = make_smoothed_zero_one(data, inv_temp)
+        t = make_smoothed_zero_one(data, inv_temp, 1.0)
         x = np.zeros(3)  # orthogonal to every feature
         assert float(t.potential(x)) == pytest.approx(inv_temp * 0.5, rel=1e-12)
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(features=np.empty((3, 0)), responses=np.empty(0, dtype=int))
         with pytest.raises(ValueError):
-            make_smoothed_zero_one(empty, 10.0)
+            make_smoothed_zero_one(empty, 10.0, 1.0)
 
-    @pytest.mark.parametrize("inv_temp, message", [
-        (np.nan, "inverse_temperature must be finite and positive, got nan"),
-        (np.inf, "inverse_temperature must be finite and positive, got inf"),
-    ], ids=["temperature-nan", "temperature-inf"])
-    def test_non_finite_scalars_refused(self, inv_temp, message):
+    @pytest.mark.parametrize("inv_temp, scale, message", [
+        (np.nan, 1.0, "inverse_temperature must be finite and positive, got nan"),
+        (np.inf, 1.0, "inverse_temperature must be finite and positive, got inf"),
+        (10.0, np.nan, "scale must be finite and positive, got nan"),
+        (10.0, np.inf, "scale must be finite and positive, got inf"),
+        (10.0, 0.0, "scale must be finite and positive, got 0.0"),
+        (10.0, -1.0, "scale must be finite and positive, got -1.0"),
+    ], ids=["temperature-nan", "temperature-inf", "scale-nan", "scale-inf", "scale-zero", "scale-negative"])
+    def test_non_finite_scalars_refused(self, inv_temp, scale, message):
         # An earlier ``<= 0`` test let NaN and inf through.
         with pytest.raises(ValueError, match=message):
-            make_smoothed_zero_one(self._clean_dataset(), inv_temp)
+            make_smoothed_zero_one(self._clean_dataset(), inv_temp, scale)
+
+    @pytest.mark.parametrize("scale", [0.3, 2.0, 150.0])
+    def test_scale_is_the_argument_rescaled(self, scale):
+        # The scaled target at x is the unscaled one at scale * x, with one
+        # factor of scale per derivative (the chain rule).
+        data = sample_sphere_dataset(3, 40, 0.7, 7)
+        scaled, unit = make_smoothed_zero_one(data, 30.0, scale), make_smoothed_zero_one(data, 30.0, 1.0)
+        rng = chain_rng(17)
+        x = rng.standard_normal((20, 3)) / scale
+        pot, grad = scaled.value_and_grad(x)
+        ref_pot, ref_grad = unit.value_and_grad(scale * x)
+        assert np.max(np.abs(pot - ref_pot)) <= 1e-12 * np.max(np.abs(ref_pot))
+        assert np.max(np.abs(grad / scale - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+        for point in x:
+            u, v, w = rng.standard_normal((3, 3))
+            assert scaled.third_directional(point, u, v, w) / scale**3 == pytest.approx(
+                unit.third_directional(scale * point, u, v, w), rel=1e-10)
+            assert scaled.fourth_directional(point, u) / scale**4 == pytest.approx(
+                unit.fourth_directional(scale * point, u), rel=1e-10)
 
 
 class TestRecommendedSchedule:
@@ -413,72 +434,6 @@ class TestAnnulus:
                 assert got.tolist() == ((norms >= inner) & (norms <= outer)).tolist()
 
 
-class TestPrecondition:
-    def test_identity_scale(self):
-        g = make_gaussian(2, [1.0, 3.0])
-        p = precondition(g, 1.0)
-        rng = chain_rng(8)
-        for _ in range(10):
-            x = rng.standard_normal(2)
-            assert float(p.potential(x)) == pytest.approx(float(g.potential(x)), rel=1e-14)
-
-    def test_gaussian_scaling(self):
-        p = precondition(make_gaussian(1, 1.0), 2.0)
-        assert float(p.potential(np.array([1.0]))) == pytest.approx(2.0)
-
-    def test_gradient_chain_rule(self):
-        data = sample_sphere_dataset(4, 30, 0.7, 2)
-        t = precondition(make_logistic_regression(data, 0.5), 1.7)
-        rng = chain_rng(12)
-        probes = [rng.standard_normal(4) for _ in range(100)]
-        assert max_gradient_fd_error(t, probes) <= 1e-5
-
-    def test_inverse_composition(self):
-        data = sample_sphere_dataset(3, 20, 0.7, 6)
-        base = make_sigmoid_regression(data, 1.0)
-        roundtrip = precondition(precondition(base, 2.5), 1.0 / 2.5)
-        rng = chain_rng(13)
-        for _ in range(20):
-            x = rng.standard_normal(3)
-            assert float(roundtrip.potential(x)) == pytest.approx(float(base.potential(x)), abs=1e-12)
-
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_scale_must_be_finite_and_positive(self, scale):
-        # NaN and inf passed a ``scale <= 0`` check at an earlier version.
-        with pytest.raises(ValueError, match="finite and positive"):
-            precondition(make_gaussian(1, 1.0), scale)
-
-    def test_constant_rescaling(self):
-        # The largest precision is theorem1's M: 18 here, the Lipschitz
-        # constant of the gradient 9 * (1, 2) * x.
-        p = precondition(make_gaussian(2, [1.0, 2.0]), 3.0)
-        assert np.array_equal(p.quadratic_precision, [9.0, 18.0])
-
-    @pytest.mark.parametrize("d, lam, scale", [
-        (1, [1.0], 2.0), (2, [1.0, 4.0], 0.5), (3, [0.5, 2.0, 3.0], 3.0),
-    ])
-    def test_is_the_rescaled_gaussian(self, d, lam, scale):
-        # An earlier version scaled a Gaussian's stored gradient bound by
-        # ``scale`` rather than ``scale**2``, so energy_error_scaling took
-        # eta = 0.9 on precondition(make_gaussian(1, 1.0), 2.0), which is
-        # U = 2 x^2, and refused it on make_gaussian(1, 4.0).
-        lam = np.asarray(lam)
-        p, g = precondition(make_gaussian(d, lam), scale), make_gaussian(d, lam * scale**2)
-        assert np.array_equal(p.quadratic_precision, g.quadratic_precision)
-        x = chain_rng(21).standard_normal((50, d))
-        assert np.allclose(p.potential(x), g.potential(x), rtol=1e-14, atol=0.0)
-        assert np.allclose(p.gradient(x), g.gradient(x), rtol=1e-14, atol=0.0)
-        for etas in ([1.3, 0.13, 0.013], [0.9, 0.09, 0.009], [0.2, 0.02, 0.002]):
-            outcomes = []
-            for t in (p, g):
-                try:
-                    outcomes.append(round(energy_error_scaling(t, etas, 200, 4).slope, 6))
-                except ValueError as err:
-                    assert "eta^2 M < 2" in str(err)
-                    outcomes.append("unstable")
-            assert outcomes[0] == outcomes[1], (etas, outcomes)
-
-
 class TestGradientConsistency:
     def test_all_builtin_targets(self):
         data = sample_sphere_dataset(4, 25, 0.7, 44)
@@ -486,7 +441,8 @@ class TestGradientConsistency:
             make_gaussian(4, [0.5, 1.0, 2.0, 4.0]),
             make_logistic_regression(data, 1.0),
             make_sigmoid_regression(data, 1.0),
-            make_smoothed_zero_one(data, 5.0),
+            make_smoothed_zero_one(data, 5.0, 1.0),
+            make_smoothed_zero_one(data, 5.0, 2.5),
         ]
         rng = chain_rng(55)
         probes = [rng.standard_normal(4) for _ in range(100)]
@@ -564,14 +520,13 @@ class TestDatasetIO:
 
 def _fused_cases():
     data = sample_sphere_dataset(3, 40, 0.7, seed=5)
-    zero_one = make_smoothed_zero_one(data, 50.0)
     empty = Dataset(features=np.empty((3, 0)), responses=np.empty(0, dtype=np.int64))
     return {
         "gaussian": make_gaussian(3, [0.3, 1.7, 4.1]),
         "logistic": make_logistic_regression(data, 1.0),
         "sigmoid": make_sigmoid_regression(data, 0.5),
-        "zero_one": zero_one,
-        "zero_one_preconditioned": precondition(zero_one, 7.5),
+        "zero_one": make_smoothed_zero_one(data, 50.0, 1.0),
+        "zero_one_scaled": make_smoothed_zero_one(data, 50.0, 7.5),
         "logistic_r0": make_logistic_regression(empty, 2.0),
     }
 
